@@ -1,9 +1,8 @@
-"""Pure-Python bitmask kernels.
+"""Bitmask kernels for whole-table work.
 
-Semantics here are the reference; the compiled backend must agree bit for
-bit, including which witness a scan reports first.  Subsets of a space with
-n points are Python ints with bit i standing for point i.  Values are
-arbitrary-precision non-negative ints with -1 standing for infinity.
+Subsets of a space with n points are Python ints with bit i standing for
+point i.  Values are arbitrary-precision non-negative ints with -1
+standing for infinity: the scaled-integer currency of valim.valuation.
 """
 
 __all__ = ["enumerate_upsets", "scan_axioms", "eval_weights"]

@@ -131,7 +131,7 @@ def _cmd_check(args) -> int:
                 info["total"] = _ext_to_str(nu.total())
                 info["weights"] = [_ext_to_str(w) for w in nu.weights]
             except NotSimple as err:
-                if "inf - inf" in str(err):
+                if err.reason == NotSimple.SHADOWED:
                     info["note"] = (
                         "laws hold; table not invertible (an infinite "
                         "weight shadows the ones below), kept tabulated"
@@ -139,6 +139,8 @@ def _cmd_check(args) -> int:
                 else:
                     info["verdict"] = "violation"
                     info["violations"].append(_violation_entry(err))
+            except SizeLimit:
+                raise
             except ValimError as err:
                 info["verdict"] = "violation"
                 info["violations"].append(_violation_entry(err))

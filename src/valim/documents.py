@@ -96,6 +96,10 @@ def _parse_space(obj, where="space") -> FiniteSpace:
 
 
 def _space_body(space: FiniteSpace) -> dict:
+    for lab in space.labels:
+        if not isinstance(lab, str):
+            raise ValimError(f"label {lab!r} is not a string; documents "
+                             f"carry string labels only")
     strict = [space.up[i] & ~(1 << i) for i in range(space.n)]
     covers = []
     for i in range(space.n):
@@ -122,7 +126,7 @@ def _parse_graph(obj, src: FiniteSpace, dst: FiniteSpace, where) -> MonotoneMap:
         if lab not in obj:
             raise BadDocument(f"{where}: graph misses source point {lab!r}")
         tgt = obj[lab]
-        if tgt not in dst.index:
+        if not isinstance(tgt, str) or tgt not in dst.index:
             raise BadDocument(f"{where}: image {tgt!r} is not a target point")
         graph.append(dst.index[tgt])
     if len(obj) != src.n:

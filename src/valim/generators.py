@@ -186,8 +186,8 @@ def rand_poset_system(rng: Random, shape: str = None, max_top: int = 8,
     top = rand_poset(rng, rng.randint(1, max_top), edge_prob, "t")
     if shape.startswith("chain"):
         k = int(shape[-1])
-        idx = check_space(tuple(range(k)),
-                          [(i, i + 1) for i in range(k - 1)],
+        idx = check_space(tuple(str(i) for i in range(k)),
+                          [(str(i), str(i + 1)) for i in range(k - 1)],
                           transitive_closure=True)
         spaces = [None] * k
         spaces[k - 1] = top

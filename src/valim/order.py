@@ -164,22 +164,17 @@ class FiniteSpace:
         return self.up_close(mask) == mask
 
     def open_masks(self, max_opens: int = DEFAULT_MAX_OPENS) -> list:
-        """All open sets as masks, sorted by (size, mask).  Cached once built."""
-        cached = self.__dict__.get("_open_masks")
-        if cached is not None:
-            return cached
-        masks = _kernels.enumerate_upsets(self.up, self.n, max_opens)
+        """All open sets as masks, sorted by (size, mask).  Cached once
+        built; every call, cached or not, refuses more than max_opens."""
+        masks = self.__dict__.get("_open_masks")
         if masks is None:
+            masks = _kernels.enumerate_upsets(self.up, self.n, max_opens)
+            if masks is None:
+                raise SizeLimit("open lattice", max_opens)
+            self.__dict__["_open_masks"] = masks
+        elif len(masks) > max_opens:
             raise SizeLimit("open lattice", max_opens)
-        self.__dict__["_open_masks"] = masks
         return masks
-
-    def minimal_mask(self) -> int:
-        out = 0
-        for i in range(self.n):
-            if self.down[i] == (1 << i):
-                out |= 1 << i
-        return out
 
     def bottom(self):
         """The least point, or None if there is no single least point."""

@@ -4,14 +4,16 @@ A valuation assigns to every open a value in the extended non-negative
 rationals subject to strictness (empty set gets 0), monotonicity and
 modularity.  On a finite space every such set function is a weighted sum
 of point masses, so Valuation stores one weight per point and the full
-table is derived.  decompose_simple inverts a table back to weights; that
-inversion is validated on every call rather than assumed.
+table is derived.  decompose_simple inverts a table back to weights and
+validates that inversion on every call; check_valuation accepts a table
+exactly when that inversion succeeds.  Whole-table work runs on one
+currency: the values scaled to a common denominator as integers, -1
+standing for infinity (see _scale).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
@@ -60,6 +62,10 @@ class AxiomViolation(ValimError):
 
 
 class NotSimple(ValimError):
+    # the reason for tables whose laws hold but an infinite weight hides
+    # the finite ones below it
+    SHADOWED = "inf - inf has no defined weight"
+
     def __init__(self, reason, witness):
         self.reason = reason
         self.witness = witness
@@ -101,15 +107,7 @@ class Valuation:
 
     @cached_property
     def _scaled(self):
-        # common denominator rendering for the integer kernels
-        den = 1
-        for w in self.weights:
-            if w.is_finite:
-                den = lcm(den, w.frac.denominator)
-        ints = tuple(
-            -1 if not w.is_finite else int(w.frac * den) for w in self.weights
-        )
-        return den, ints
+        return _scale(self.weights)
 
     def evaluate(self, arg) -> ExtRat:
         mask = arg.mask if isinstance(arg, UpSet) else arg
@@ -139,9 +137,9 @@ class Valuation:
     def tabulate(self, max_opens: int = DEFAULT_MAX_OPENS) -> "TabulatedSetFunction":
         masks = self.space.open_masks(max_opens)
         den, ints = self._scaled
-        raw = _kernels.eval_weights(ints, masks, self.space.n)
+        raw = _kernels.eval_weights(ints, masks)
         values = tuple(
-            INF if v < 0 else ExtRat(Fraction(v, den)) for v in raw
+            INF if v < 0 else ExtRat(v, den) for v in raw
         )
         return TabulatedSetFunction(self.space, tuple(masks), values, "opens")
 
@@ -173,12 +171,15 @@ class TabulatedSetFunction:
     def _index(self) -> dict:
         return {m: k for k, m in enumerate(self.masks)}
 
-    def lookup(self, arg) -> ExtRat:
-        mask = arg.mask if isinstance(arg, UpSet) else arg
+    def _row(self, mask) -> int:
         k = self._index.get(mask)
         if k is None:
             raise ValimError(f"mask not tabulated: {self.space.points_of(mask)}")
-        return self.values[k]
+        return k
+
+    def lookup(self, arg) -> ExtRat:
+        mask = arg.mask if isinstance(arg, UpSet) else arg
+        return self.values[self._row(mask)]
 
     def items(self):
         return zip(self.masks, self.values)
@@ -194,12 +195,18 @@ def zero_valuation(space) -> Valuation:
     return Valuation(space, (ZERO,) * space.n)
 
 
-def _scaled_table(table: TabulatedSetFunction):
+def _scale(values) -> tuple:
+    """(den, ints): ExtRat values over their least common denominator,
+    ints[k] = values[k] * den, with -1 standing for infinity."""
     den = 1
-    for v in table.values:
+    for v in values:
         if v.is_finite:
             den = lcm(den, v.frac.denominator)
-    ints = [-1 if not v.is_finite else int(v.frac * den) for v in table.values]
+    ints = tuple(
+        -1 if not v.is_finite
+        else v.frac.numerator * (den // v.frac.denominator)
+        for v in values
+    )
     return den, ints
 
 
@@ -207,35 +214,40 @@ def check_valuation(table: TabulatedSetFunction,
                     max_opens: int = DEFAULT_MAX_OPENS) -> Valuation:
     """Verify the three valuation laws on a total table and invert it.
 
-    The table must cover the full open lattice.  Strictness, monotonicity
-    and modularity are scanned exhaustively over all pairs of opens; the
-    first violation is reported as AxiomViolation with UpSet witnesses.
-    On success the weights are recovered by decompose_simple (which
-    re-verifies the round trip) and returned as a Valuation.
+    The table must cover the full open lattice.  Decomposition is the
+    acceptance proof: a table that non-negative point weights reproduce
+    on every open is strict, monotone and modular, so a lawful table is
+    accepted without looking at pairs of opens.  When decomposition
+    refuses, all pairs of opens are scanned in (size, mask) order and the
+    first violation is reported as AxiomViolation with UpSet witnesses;
+    if the laws hold after all, decomposition's NotSimple stands (an
+    infinite weight shadows the finite ones below it).
     """
     space = table.space
     lattice = space.open_masks(max_opens)
-    if sorted(table.masks) != sorted(lattice):
+    if set(table.masks) != set(lattice):
         raise ValimError("table must cover the whole open lattice")
-    order = sorted(range(len(table.masks)),
-                   key=lambda k: (table.masks[k].bit_count(), table.masks[k]))
-    masks = [table.masks[k] for k in order]
-    _, ints = _scaled_table(table)
-    values = [ints[k] for k in order]
-    code, i, j = _kernels.scan_axioms(masks, values, space.n)
+    den, ints = _scale(table.values)
+    try:
+        return _decompose(table, den, ints, masks_are_opens=True)
+    except NotSimple as err:
+        refusal = err
+    # the lattice comes sorted by (size, mask), the scan order
+    values = [ints[table._index[m]] for m in lattice]
+    code, i, j = _kernels.scan_axioms(lattice, values)
     if code == 1:
         raise AxiomViolation("strictness", (UpSet(space, 0),))
     if code == 2:
         raise AxiomViolation(
-            "monotonicity", (UpSet(space, masks[i]), UpSet(space, masks[j]))
+            "monotonicity", (UpSet(space, lattice[i]), UpSet(space, lattice[j]))
         )
     if code == 3:
         raise AxiomViolation(
-            "modularity", (UpSet(space, masks[i]), UpSet(space, masks[j]))
+            "modularity", (UpSet(space, lattice[i]), UpSet(space, lattice[j]))
         )
-    if code == 4:
-        raise ValimError("open lattice not closed under union/intersection")
-    return decompose_simple(table)
+    # code 4 cannot occur: the open lattice is closed under union and
+    # intersection
+    raise refusal
 
 
 def decompose_simple(table: TabulatedSetFunction) -> Valuation:
@@ -244,30 +256,43 @@ def decompose_simple(table: TabulatedSetFunction) -> Valuation:
     w(x) = t(up(x)) - t(up(x) minus x); the smaller set is open because x
     is the unique minimal point of its up-set.  Tables where that
     difference is inf - inf stay tables: NotSimple.  The recovered weights
-    are re-evaluated on every tabulated open and must match exactly.
+    are re-evaluated on every tabulated mask, in table order, and must
+    match exactly; a mask that is not open is refused when reached.
+    Birkhoff's representation of the lattice of up-sets (Rota 1964) is
+    why the principal up-sets and their punctured variants suffice.
     """
+    den, ints = _scale(table.values)
+    return _decompose(table, den, ints, masks_are_opens=False)
+
+
+def _decompose(table, den, ints, masks_are_opens) -> Valuation:
     space = table.space
     weights = []
     for x in range(space.n):
-        whole = table.lookup(space.up[x])
-        punct = table.lookup(space.up[x] & ~(1 << x))
-        if not whole.is_finite and not punct.is_finite:
-            raise NotSimple("inf - inf has no defined weight", space.labels[x])
-        if not whole.is_finite:
-            weights.append(INF)
-            continue
-        try:
+        whole = ints[table._row(space.up[x])]
+        punct = ints[table._row(space.up[x] & ~(1 << x))]
+        if whole < 0 and punct < 0:
+            raise NotSimple(NotSimple.SHADOWED, space.labels[x])
+        if whole < 0:
+            weights.append(-1)
+        elif punct < 0 or whole < punct:
+            raise NotSimple("negative weight", space.labels[x])
+        else:
             weights.append(whole - punct)
-        except ArithmeticError:
-            raise NotSimple("negative weight", space.labels[x]) from None
-    nu = Valuation(space, tuple(weights))
-    for mask, value in table.items():
-        if nu.evaluate(mask) != value:
-            raise NotSimple(
-                "weights do not reproduce the table",
-                space.points_of(mask),
-            )
-    return nu
+    got = _kernels.eval_weights(weights, table.masks)
+    bad = len(got)
+    if tuple(got) != ints:
+        bad = next(k for k, (a, b) in enumerate(zip(got, ints)) if a != b)
+    if not masks_are_opens:
+        for mask in table.masks[:bad + 1]:
+            if not space.is_upset(mask):
+                raise ValimError("valuations evaluate opens only")
+    if bad < len(got):
+        raise NotSimple("weights do not reproduce the table",
+                        space.points_of(table.masks[bad]))
+    return Valuation(space, tuple(
+        INF if w < 0 else ExtRat(w, den) for w in weights
+    ))
 
 
 def image_valuation(f: MonotoneMap, nu: Valuation) -> Valuation:

@@ -8,8 +8,16 @@ places at once.
 
 from fractions import Fraction
 
-from valim import ExtRat, FiniteSpace, UpSet, Valuation
-from valim.extreal import ZERO
+from valim import (
+    AxiomViolation,
+    ExtRat,
+    FiniteSpace,
+    NotSimple,
+    UpSet,
+    ValimError,
+    Valuation,
+)
+from valim.extreal import INF, ZERO
 
 
 def all_upsets(space: FiniteSpace):
@@ -20,6 +28,11 @@ def all_upsets(space: FiniteSpace):
                for i in range(space.n)):
             out.append(m)
     return out
+
+
+def by_size(masks):
+    """Masks in scan order: by popcount, then by value."""
+    return sorted(masks, key=lambda m: (bin(m).count("1"), m))
 
 
 def mask_value(nu: Valuation, mask: int) -> ExtRat:
@@ -33,8 +46,7 @@ def mask_value(nu: Valuation, mask: int) -> ExtRat:
 def brute_first_differing(nu_a: Valuation, nu_b: Valuation):
     """Smallest open (by size, then mask) where the two tables differ."""
     assert nu_a.space == nu_b.space
-    opens = sorted(all_upsets(nu_a.space), key=lambda m: (bin(m).count("1"), m))
-    for m in opens:
+    for m in by_size(all_upsets(nu_a.space)):
         if mask_value(nu_a, m) != mask_value(nu_b, m):
             return m
     return None
@@ -89,11 +101,61 @@ def independent_joint(spaces, factor_vals):
     return Valuation(prod, tuple(weights))
 
 
-def modularity_holds(table, space) -> bool:
-    """table: dict mask -> ExtRat over the full open lattice."""
-    masks = sorted(table)
-    for a in masks:
-        for b in masks:
-            if table[a] + table[b] != table[a | b] + table[a & b]:
-                return False
-    return True
+def brute_axiom_witness(opens, value):
+    """First law violation of a table over `opens`, in scan order.
+
+    `opens` is sorted by size then mask; `value` maps each to an ExtRat.
+    Returns None, ("strictness", 0, None), or (axiom, a, b) for the first
+    pair a before b that breaks monotonicity (a inside b) or modularity.
+    """
+    if value.get(0) != ZERO:
+        return ("strictness", 0, None)
+    for i, a in enumerate(opens):
+        for b in opens[i + 1:]:
+            if a & ~b == 0:
+                if not value[a] <= value[b]:
+                    return ("monotonicity", a, b)
+            elif value[a] + value[b] != value[a | b] + value[a & b]:
+                return ("modularity", a, b)
+    return None
+
+
+def brute_decompose(table):
+    """Weights t(up x) - t(up x minus x) in ExtRat, checked on every
+    tabulated mask in table order."""
+    space = table.space
+    value = dict(table.items())
+    weights = []
+    for x in range(space.n):
+        whole = value[space.up[x]]
+        punct = value[space.up[x] & ~(1 << x)]
+        if not whole.is_finite and not punct.is_finite:
+            raise NotSimple("inf - inf has no defined weight", space.labels[x])
+        if not whole.is_finite:
+            weights.append(INF)
+            continue
+        try:
+            weights.append(whole - punct)
+        except ArithmeticError:
+            raise NotSimple("negative weight", space.labels[x]) from None
+    nu = Valuation(space, tuple(weights))
+    for mask, v in table.items():
+        if mask_value(nu, mask) != v:
+            raise NotSimple("weights do not reproduce the table",
+                            space.points_of(mask))
+    return nu
+
+
+def brute_check_valuation(table):
+    """An ExtRat pair scan over the whole lattice, then decomposition."""
+    space = table.space
+    opens = by_size(all_upsets(space))
+    if sorted(table.masks) != sorted(opens):
+        raise ValimError("table must cover the whole open lattice")
+    bad = brute_axiom_witness(opens, dict(table.items()))
+    if bad is not None:
+        axiom, a, b = bad
+        witness = ((UpSet(space, 0),) if b is None
+                   else (UpSet(space, a), UpSet(space, b)))
+        raise AxiomViolation(axiom, witness)
+    return brute_decompose(table)

@@ -229,3 +229,51 @@ def test_suite_json_report(capsys):
     assert row["criterion"] == 7
     assert row["passed"] is True
     assert row["elapsed_s"] <= row["budget_s"]
+
+
+def test_list_image_in_a_map_is_a_parse_error(tmp_path, capsys):
+    sp = {"elements": ["a"], "covers": []}
+    body = {"schema": 1, "kind": "map", "src": sp, "dst": sp,
+            "graph": {"a": ["a"]}}
+    path = write(tmp_path, "map.json", json.dumps(body))
+    assert main(["check", path]) == 2
+    assert "not a target point" in capsys.readouterr().err
+
+
+def test_check_table_size_limit_exit_code(tmp_path, capsys):
+    anti8 = FiniteSpace(
+        tuple(f"p{k}" for k in range(8)),
+        tuple(1 << k for k in range(8)),
+    )
+    nu = Valuation(anti8, (ExtRat("1/8"),) * 8)
+    path = write(tmp_path, "table.json", dumps(nu.tabulate()))
+    assert main(["--max-opens", "100", "check", path]) == 3
+    assert "size limit" in capsys.readouterr().err
+
+
+def test_check_notes_a_shadowed_table(tmp_path, capsys):
+    # inf above bot hides bot's weight: laws hold, no inversion
+    nu = Valuation(CHAIN2, (ExtRat(1), ExtRat("inf")))
+    path = write(tmp_path, "shadow.json", dumps(nu.tabulate()))
+    assert main(["--format", "json", "check", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "ok"
+    assert "not invertible" in rep["note"]
+
+
+def test_check_note_follows_the_refusal_reason(tmp_path, capsys, monkeypatch):
+    # a refusal whose text mentions "inf - inf" without being the
+    # shadowed case is a violation, not a note
+    import valim.cli
+    from valim import NotSimple
+
+    def refuse(table, max_opens):
+        raise NotSimple("weights do not reproduce the table", ("inf - inf",))
+
+    monkeypatch.setattr(valim.cli, "check_valuation", refuse)
+    nu = Valuation(CHAIN2, (ExtRat(1), ExtRat(1)))
+    path = write(tmp_path, "t.json", dumps(nu.tabulate()))
+    assert main(["--format", "json", "check", path]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "violation"
+    assert "note" not in rep

@@ -23,6 +23,7 @@ from valim.documents import (
     load_path,
     loads,
 )
+from valim.errors import ValimError
 from valim.extreal import INF, ExtRat
 from valim.generators import (
     rand_poset,
@@ -204,3 +205,16 @@ def test_document_is_frozen():
     doc = Document("space", SIER)
     with pytest.raises(Exception):
         doc.kind = "map"
+
+
+@pytest.mark.parametrize("shape", ["chain2", "chain3", "chain4", "vee",
+                                   "square"])
+def test_every_generated_system_shape_roundtrips(shape):
+    sys = rand_poset_system(random.Random(3), shape)
+    assert loads(dumps(sys)).value.index_poset == sys.index_poset
+
+
+def test_non_string_labels_do_not_serialize():
+    sp = FiniteSpace((0, "x"), (0b01, 0b10))
+    with pytest.raises(ValimError, match="label 0 "):
+        dumps(sp)

@@ -1,87 +1,98 @@
-"""The compiled backend must agree with the pure kernels bit for bit,
-including which witness a failing scan reports first."""
+"""The bitmask kernels against the brute-force oracles, including which
+witness a failing scan reports first."""
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import valim._kernels as K
-from valim._kernels import pure
+from valim import ExtRat, Valuation
+from valim._kernels import enumerate_upsets, eval_weights, scan_axioms
+from valim.extreal import INF
 from valim.generators import rand_poset
 
-compiled = pytest.importorskip("valim._kernels._fastcore")
+from _oracles import all_upsets, brute_axiom_witness, by_size, mask_value
 
 seeds = st.integers(min_value=0, max_value=100_000)
 
 
 def lattice_of(seed, n):
     sp = rand_poset(random.Random(seed), n)
-    opens = pure.enumerate_upsets(sp.up, sp.n, 1 << 20)
-    return sp, opens
+    return sp, by_size(all_upsets(sp))
 
 
-@given(seeds, st.integers(min_value=0, max_value=9))
-@settings(max_examples=80)
-def test_enumerate_upsets_agree(seed, n):
-    sp = rand_poset(random.Random(seed), max(n, 1)) if n else None
-    up = sp.up if sp else ()
-    assert compiled.enumerate_upsets(list(up), len(up), 1 << 20) == \
-        pure.enumerate_upsets(up, len(up), 1 << 20)
+def as_ext(v):
+    return INF if v == -1 else ExtRat(v)
 
 
-def test_enumerate_upsets_limit_exceeded_is_none():
+@given(seeds, st.integers(min_value=1, max_value=9))
+@settings(max_examples=60)
+def test_enumerate_upsets_matches_powerset_filter(seed, n):
+    sp, opens = lattice_of(seed, n)
+    assert enumerate_upsets(sp.up, sp.n, 1 << 20) == opens
+    assert enumerate_upsets(sp.up, sp.n, len(opens)) == opens
+    assert enumerate_upsets(sp.up, sp.n, len(opens) - 1) is None
+
+
+def test_enumerate_upsets_edge_cases():
+    assert enumerate_upsets((), 0, 1) == [0]
     up = [1 << i for i in range(10)]  # antichain: 1024 up-sets
-    assert compiled.enumerate_upsets(up, 10, 100) is None
-    assert pure.enumerate_upsets(tuple(up), 10, 100) is None
+    assert enumerate_upsets(up, 10, 100) is None
+    assert len(enumerate_upsets(up, 10, 1024)) == 1024
 
 
 @given(seeds, st.integers(min_value=1, max_value=7))
-@settings(max_examples=80)
-def test_scan_axioms_agree_on_lawful_tables(seed, n):
-    rng = random.Random(seed)
-    sp, opens = lattice_of(seed, n)
-    weights = [rng.randint(0, 50) for _ in range(sp.n)]
-    values = pure.eval_weights(weights, opens)
-    assert compiled.scan_axioms(opens, values, sp.n) == \
-        pure.scan_axioms(opens, values)
-
-
-@given(seeds, st.integers(min_value=2, max_value=7))
-@settings(max_examples=120)
-def test_scan_axioms_agree_on_corrupted_tables(seed, n):
-    # corrupt one entry; both backends must report the same first witness
-    rng = random.Random(seed)
-    sp, opens = lattice_of(seed, n)
-    weights = [rng.randint(0, 9) for _ in range(sp.n)]
-    values = pure.eval_weights(weights, opens)
-    k = rng.randrange(len(values))
-    values[k] = rng.randint(0, 60)
-    assert compiled.scan_axioms(opens, values, sp.n) == \
-        pure.scan_axioms(opens, values)
-
-
-@given(seeds, st.integers(min_value=1, max_value=7))
-@settings(max_examples=80)
-def test_eval_weights_agree_including_infinity(seed, n):
+@settings(max_examples=60)
+def test_eval_weights_matches_mask_value(seed, n):
+    # infinite weights and sums far beyond 64 bits
     rng = random.Random(seed)
     sp, opens = lattice_of(seed, n)
     weights = [
-        -1 if rng.random() < 0.2 else rng.randint(0, 1000)
+        -1 if rng.random() < 0.2 else rng.randint(0, 1 << 70)
         for _ in range(sp.n)
     ]
-    assert compiled.eval_weights(weights, opens) == \
-        pure.eval_weights(weights, opens)
+    nu = Valuation(sp, tuple(as_ext(w) for w in weights))
+    got = eval_weights(weights, opens)
+    assert [as_ext(v) for v in got] == [mask_value(nu, m) for m in opens]
 
 
-def test_dispatch_falls_back_on_huge_values():
-    # values beyond the int64 guard must take the pure path, not overflow
-    opens = [0, 1]
-    huge = 1 << 70
-    assert K.scan_axioms(opens, [0, huge], 1) == (0, -1, -1)
-    assert K.eval_weights([huge], opens, 1) == [0, huge]
+def _kernel_witness(opens, values):
+    code, i, j = scan_axioms(opens, values)
+    assert code != 4
+    if code == 0:
+        return None
+    if code == 1:
+        return ("strictness", opens[i], None)
+    return (("monotonicity", "modularity")[code - 2], opens[i], opens[j])
 
 
-def test_backend_reported():
-    assert K.BACKEND in ("pure", "compiled")
+@given(seeds, st.integers(min_value=1, max_value=7))
+@settings(max_examples=40)
+def test_scan_axioms_passes_lawful_tables(seed, n):
+    rng = random.Random(seed)
+    sp, opens = lattice_of(seed, n)
+    weights = [-1 if rng.random() < 0.1 else rng.randint(0, 1 << 70)
+               for _ in range(sp.n)]
+    assert scan_axioms(opens, eval_weights(weights, opens)) == (0, -1, -1)
+
+
+@given(seeds, st.integers(min_value=1, max_value=7))
+@settings(max_examples=120)
+def test_scan_axioms_reports_the_first_witness(seed, n):
+    # corrupt one entry; the scan must name the brute-force first witness
+    rng = random.Random(seed)
+    sp, opens = lattice_of(seed, n)
+    weights = [-1 if rng.random() < 0.1 else rng.randint(0, 9)
+               for _ in range(sp.n)]
+    values = eval_weights(weights, opens)
+    k = rng.randrange(len(values))
+    values[k] = -1 if rng.random() < 0.1 else rng.randint(0, 60)
+    want = brute_axiom_witness(opens, dict(zip(opens, map(as_ext, values))))
+    assert _kernel_witness(opens, values) == want
+
+
+def test_scan_axioms_refuses_families_that_are_not_lattices():
+    # {a} and {b} without their union
+    assert scan_axioms([0, 0b01, 0b10], [0, 1, 1]) == (4, 1, 2)
+    # no empty set at all
+    assert scan_axioms([0b01], [0]) == (1, 0, -1)

@@ -165,3 +165,18 @@ def test_preimage_of_open_is_open(seed):
     f = rand_monotone_map(rng, sp, rand_poset(rng, 4))
     for m in all_upsets(f.target):
         assert f.source.is_upset(f.preimage_mask(m))
+
+
+@pytest.mark.parametrize("warmup", [(), (None,), (64,), (5, None)],
+                         ids=["fresh", "uncapped", "capped", "refused"])
+def test_open_masks_cap_holds_after_any_cache_state(warmup):
+    # 64 opens; a cap of 10 refuses whatever was asked before
+    s = check_space(tuple(f"a{i}" for i in range(6)), [])
+    for cap in warmup:
+        try:
+            s.open_masks() if cap is None else s.open_masks(cap)
+        except SizeLimit:
+            pass
+    with pytest.raises(SizeLimit):
+        s.open_masks(10)
+    assert len(s.open_masks(64)) == 64

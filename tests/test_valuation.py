@@ -30,10 +30,18 @@ from valim import (
     way_below,
     zero_valuation,
 )
+from valim.errors import ValimError
 from valim.extreal import INF, ONE, ZERO
 from valim.generators import rand_poset, rand_valuation
 
-from _oracles import all_upsets, brute_first_differing, mask_value, push_weights
+from _oracles import (
+    all_upsets,
+    brute_check_valuation,
+    brute_decompose,
+    brute_first_differing,
+    mask_value,
+    push_weights,
+)
 
 SIER = FiniteSpace(("bot", "top"), (0b11, 0b10))
 
@@ -129,11 +137,80 @@ def test_check_valuation_modularity_witness():
 
 
 def test_check_valuation_requires_the_whole_lattice():
-    from valim.errors import ValimError
-
     t = TabulatedSetFunction(SIER, (0, 0b10), (ZERO, ONE))
     with pytest.raises(ValimError):
         check_valuation(t)
+
+
+def _outcome(fn, table):
+    try:
+        nu = fn(table)
+    except ValimError as err:
+        return (type(err), str(err), getattr(err, "witness", None))
+    return ("ok", nu.weights)
+
+
+def _corpus(rng, kind):
+    """A table over a random poset: lawful, one value corrupted, or with an
+    infinite weight strictly above some point (criterion 1's NotSimple
+    cases)."""
+    sp = rand_poset(rng, rng.randint(1, 6), edge_prob=rng.uniform(0.2, 0.7))
+    nu = rand_valuation(rng, sp, inf_prob=0.1 if kind == "corrupted" else 0)
+    if kind == "shadowed":
+        above = [y for y in range(sp.n) if sp.down[y] != 1 << y]
+        if above:
+            weights = list(nu.weights)
+            weights[rng.choice(above)] = INF
+            nu = Valuation(sp, tuple(weights))
+    table = nu.tabulate()
+    if kind == "corrupted":
+        values = list(table.values)
+        k = rng.randrange(len(values))
+        values[k] = rng.choice([ZERO, INF, ExtRat(rng.randint(0, 12), 5),
+                                values[k] + ExtRat(1, 5)])
+        table = TabulatedSetFunction(sp, table.masks, tuple(values))
+    return table
+
+
+@pytest.mark.parametrize("kind", ["lawful", "corrupted", "shadowed"])
+def test_check_valuation_matches_the_brute_force_oracle(kind):
+    """Same verdict, exception type, witness and message as an ExtRat
+    pair scan followed by an ExtRat decomposition."""
+    rng = random.Random(f"differential-{kind}")
+    seen = set()
+    for _ in range(200):
+        table = _corpus(rng, kind)
+        got = _outcome(check_valuation, table)
+        assert got == _outcome(brute_check_valuation, table)
+        assert _outcome(decompose_simple, table) == \
+            _outcome(brute_decompose, table)
+        seen.add(got[0] if got[0] == "ok" else got[1].split(" ")[0])
+    expected = {
+        "lawful": {"ok"},
+        "corrupted": {"ok", "strictness", "monotonicity", "modularity",
+                      "inf"},
+        "shadowed": {"ok", "inf"},
+    }[kind]
+    assert seen == expected
+
+
+def test_check_valuation_accepts_without_scanning(monkeypatch):
+    import valim._kernels
+
+    def refuse(*args):
+        raise AssertionError("scan_axioms called on a lawful table")
+
+    nu = rand_valuation(random.Random(5), rand_poset(random.Random(5), 7))
+    monkeypatch.setattr(valim._kernels, "scan_axioms", refuse)
+    assert check_valuation(nu.tabulate()).weights == nu.weights
+
+
+def test_decompose_simple_refuses_masks_that_are_not_open():
+    # {bot} is not upward closed; the weights match it anyway
+    t = TabulatedSetFunction(SIER, (0, 0b01, 0b10, 0b11),
+                             (ZERO, ONE, ONE, ExtRat(2)))
+    with pytest.raises(ValimError, match="opens only"):
+        decompose_simple(t)
 
 
 def test_masked_infinity_is_not_simple():
