@@ -11,49 +11,27 @@ __all__ = ["enumerate_upsets", "scan_axioms", "eval_weights"]
 def enumerate_upsets(up, n, limit):
     """All upward-closed subsets as masks, sorted by (popcount, mask).
 
-    up[i] is the mask of weak upper bounds of point i.  Output-sensitive
-    DFS: cost is O(n * count), never O(2^n).  Returns None when more than
-    `limit` up-sets exist.
+    up[i] is the mask of weak upper bounds of point i.  Points are added
+    one at a time, maximal points first, so the points added so far are
+    always upward closed and the up-sets inside them are the previous
+    up-sets with and without the new point.  The lists only grow, so the
+    cost is the sum of their sizes, at most n * count, never O(2^n).
+    Returns None when more than `limit` up-sets exist.
     """
-    if n == 0:
-        return [0]
     # maximal points first, so a point's strict upper bounds are decided
     # before the point itself
     order = sorted(range(n), key=lambda i: (up[i].bit_count(), i))
-    above = [up[i] & ~(1 << i) for i in range(n)]
-    out = []
-
-    def rec(k, mask):
+    out = [0]
+    for e in order:
+        above = up[e] & ~(1 << e)
+        bit = 1 << e
+        out += [u | bit for u in out if above & ~u == 0]
         if len(out) > limit:
-            return
-        if k == n:
-            out.append(mask)
-            return
-        e = order[k]
-        rec(k + 1, mask)
-        if above[e] & ~mask == 0:
-            rec(k + 1, mask | (1 << e))
-
-    rec(0, 0)
-    if len(out) > limit:
-        return None
-    out.sort(key=lambda m: (m.bit_count(), m))
+            return None
+    # stable: by mask, then by popcount
+    out.sort()
+    out.sort(key=int.bit_count)
     return out
-
-
-def _le(a, b):
-    # -1 is infinity
-    if b == -1:
-        return True
-    if a == -1:
-        return False
-    return a <= b
-
-
-def _add(a, b):
-    if a == -1 or b == -1:
-        return -1
-    return a + b
 
 
 def scan_axioms(opens, values):
@@ -73,36 +51,67 @@ def scan_axioms(opens, values):
     m = len(opens)
     for i in range(m):
         mi = opens[i]
+        if mi == 0:
+            # the empty set is below everything and worth 0: no pair fails
+            continue
         vi = values[i]
         for j in range(i + 1, m):
             mj = opens[j]
+            vj = values[j]
             if mi & ~mj == 0:
                 # comparable pair: modularity is automatic, order matters
-                if not _le(vi, values[j]):
+                # (-1 is infinity)
+                if vj != -1 and (vi == -1 or vi > vj):
                     return (2, i, j)
                 continue
             ku = idx.get(mi | mj)
             kw = idx.get(mi & mj)
             if ku is None or kw is None:
                 return (4, i, j)
-            if _add(values[ku], values[kw]) != _add(vi, values[j]):
+            vu = values[ku]
+            vw = values[kw]
+            if vu == -1 or vw == -1:
+                if vi != -1 and vj != -1:
+                    return (3, i, j)
+            elif vi == -1 or vj == -1 or vu + vw != vi + vj:
                 return (3, i, j)
     return (0, -1, -1)
 
 
 def eval_weights(weights, opens):
-    """Table of a weighted sum over each mask; weight -1 makes a value -1."""
+    """Table of a weighted sum over each mask; weight -1 makes a value -1.
+
+    The weights are cut into bytes, and each byte's 256 subset sums are
+    tabulated once, so a mask costs one lookup per byte of points
+    whatever its popcount.
+    """
+    inf_mask = 0
+    for i, w in enumerate(weights):
+        if w < 0:
+            inf_mask |= 1 << i
+    parts = []
+    # at least two bytes, so that up to 16 points take the fast path
+    for lo in range(0, max(len(weights), 16), 8):
+        sums = [0]
+        for w in weights[lo:lo + 8]:
+            w = max(w, 0)  # infinite points are caught by inf_mask
+            sums += [s + w for s in sums]
+        parts.append(sums)
+    if len(parts) == 2:
+        low, high = parts
+        return [-1 if m & inf_mask else low[m & 255] + high[m >> 8]
+                for m in opens]
     out = []
     for m in opens:
+        if m & inf_mask:
+            out.append(-1)
+            continue
         s = 0
-        mm = m
-        while mm:
-            b = mm & -mm
-            w = weights[b.bit_length() - 1]
-            if w < 0:
-                s = -1
-                break
-            s += w
-            mm ^= b
+        rest = m
+        for sums in parts:
+            s += sums[rest & 255]
+            rest >>= 8
+        if rest:
+            raise IndexError(f"mask {m:#x} has more points than weights")
         out.append(s)
     return out

@@ -93,7 +93,10 @@ class ExtRat:
         return _coerce(other) <= self
 
     def __hash__(self):
-        return hash(("ExtRat", self.frac))
+        # from the integers, not Fraction's pure-Python hash: valuation
+        # tables key dicts and sets by value; 1/0 stands for infinity
+        f = self.frac
+        return hash((1, 0) if f is None else (f.numerator, f.denominator))
 
     def __bool__(self):
         return self.frac != 0

@@ -13,13 +13,14 @@ standing for infinity (see _scale).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import inf, lcm
 
 from . import _kernels
 from .errors import ValimError
-from .extreal import INF, ZERO, ExtRat, inf_of, sup_of, way_below
+from .extreal import INF, ZERO, ExtRat, way_below
 from .order import (
     DEFAULT_MAX_OPENS,
     FiniteSpace,
@@ -337,8 +338,12 @@ def first_differing_open(nu_a: Valuation, nu_b: Valuation):
     for x in range(space.n):
         candidates.add(space.up[x])
         candidates.add(space.up[x] & ~(1 << x))
-    for m in sorted(candidates, key=lambda m: (m.bit_count(), m)):
-        if nu_a.evaluate(m) != nu_b.evaluate(m):
+    candidates = sorted(candidates, key=lambda m: (m.bit_count(), m))
+    _, ints = _scale(nu_a.weights + nu_b.weights)
+    values_a = _kernels.eval_weights(ints[:space.n], candidates)
+    values_b = _kernels.eval_weights(ints[space.n:], candidates)
+    for m, a, b in zip(candidates, values_a, values_b):
+        if a != b:
             return UpSet(space, m)
     return None
 
@@ -423,15 +428,15 @@ def nu_bullet(nu, max_opens: int = DEFAULT_MAX_OPENS) -> TabulatedSetFunction:
     are run and asserted equal.
     """
     table = _as_table(nu, max_opens)
-    masks = list(table.masks)
-    out = []
-    for q in masks:
-        candidates = [table.lookup(u) for u in masks if q & ~u == 0]
-        val = inf_of(candidates)
-        if val != table.lookup(q):
+    masks = table.masks
+    _, ints = _scale(table.values)
+    for q, own in zip(masks, ints):
+        low = min((v for u, v in zip(masks, ints)
+                   if q & ~u == 0 and v >= 0), default=-1)
+        if low != own:
             raise ValimError("inf over neighborhoods missed the direct value")
-        out.append(val)
-    return TabulatedSetFunction(table.space, tuple(masks), tuple(out), "upsets")
+    return TabulatedSetFunction(table.space, tuple(masks),
+                                tuple(table.values), "upsets")
 
 
 def mu_circ(mu: TabulatedSetFunction,
@@ -439,10 +444,16 @@ def mu_circ(mu: TabulatedSetFunction,
     """Inner approximation on opens: sup of mu over up-sets inside.
 
     mu may be any raw table on up-sets; no laws are assumed."""
-    masks = list(mu.masks)
+    masks = mu.masks
+    _, ints = _scale(mu.values)
+    keys = [inf if v < 0 else v for v in ints]
+    value_of = {}
+    for key, value in zip(keys, mu.values):
+        value_of.setdefault(key, value)
     out = []
     for u in masks:
-        out.append(sup_of(mu.lookup(q) for q in masks if q & ~u == 0))
+        out.append(value_of[max(k for q, k in zip(masks, keys)
+                                if q & ~u == 0)])
     return TabulatedSetFunction(mu.space, tuple(masks), tuple(out), "opens")
 
 
@@ -479,23 +490,39 @@ def is_tight(nu, max_opens: int = DEFAULT_MAX_OPENS) -> TightnessReport:
     for v in table.values:
         if v.is_finite:
             rationals.add(v)
+    # the witness for (u, r) is the first q inside u, in (size, mask)
+    # order, with r <= nb(q): the q where the running max of nb over the
+    # up-sets inside u first reaches r.  Scaled integers throughout, so
+    # the cost follows the table's size, not the number of its values.
+    size = len(table.values)
+    _, ints = _scale(tuple(table.values) + tuple(nb.values))
+    bound_of = dict(zip(table.masks, ints[:size]))
+    value_of = dict(zip(nb.masks, ints[size:]))
+    scaled = {ZERO: 0}
+    scaled.update(zip(table.values, ints[:size]))
+    ranked = [(r, scaled[r]) for r in rationals]
     masks = sorted(table.masks, key=lambda m: (m.bit_count(), m))
     witnesses = {}
     for u in masks:
-        bound = table.lookup(u)
-        for r in rationals:
-            if not way_below(r, bound):
+        bound = bound_of[u]
+        tops, reached_at = [], []
+        for q in masks:
+            if q & ~u == 0:
+                v = value_of[q]
+                top = inf if v < 0 else v
+                if not tops or top > tops[-1]:
+                    tops.append(top)
+                    reached_at.append(q)
+        for r, ri in ranked:
+            # way_below(r, bound)
+            if not (ri == 0 or bound < 0 or ri < bound):
                 continue
-            found = None
-            for q in masks:
-                if q & ~u == 0 and r <= nb.lookup(q):
-                    found = q
-                    break
-            if found is None:
+            k = bisect_left(tops, ri)
+            if k == len(tops):
                 return TightnessReport(
                     table.space, False, composite_matches, witnesses, (u, r)
                 )
-            witnesses[(u, r)] = found
+            witnesses[(u, r)] = reached_at[k]
     # the witness search succeeded; tightness then rides on the composite law
     return TightnessReport(
         table.space, composite_matches, composite_matches, witnesses, None

@@ -17,7 +17,7 @@ from valim import (
     ValimError,
     Valuation,
 )
-from valim.extreal import INF, ZERO
+from valim.extreal import INF, ZERO, way_below
 
 
 def all_upsets(space: FiniteSpace):
@@ -159,3 +159,54 @@ def brute_check_valuation(table):
                    else (UpSet(space, a), UpSet(space, b)))
         raise AxiomViolation(axiom, witness)
     return brute_decompose(table)
+
+
+def brute_inf_above(table):
+    """mask -> inf of the table over the masks containing it."""
+    out = {}
+    for q in table.masks:
+        low = INF
+        for u, v in table.items():
+            if q & ~u == 0 and v < low:
+                low = v
+        out[q] = low
+    return out
+
+
+def brute_sup_below(table):
+    """mask -> sup of the table over the masks inside it."""
+    out = {}
+    for u in table.masks:
+        top = ZERO
+        for q, v in table.items():
+            if q & ~u == 0 and top < v:
+                top = v
+        out[u] = top
+    return out
+
+
+def brute_tightness(table):
+    """(composite_matches, witnesses, failure) of a lawful table, by a
+    linear ExtRat scan per (open, value): the first up-set inside the
+    open, by size then mask, whose value reaches the value.  The values
+    tried are 0 and the finite table values, in the order of a set built
+    the same way as is_tight's."""
+    composite = brute_sup_below(table)
+    matches = all(composite[m] == v for m, v in table.items())
+    rationals = {ZERO}
+    for v in table.values:
+        if v.is_finite:
+            rationals.add(v)
+    value = dict(table.items())
+    masks = by_size(table.masks)
+    witnesses = {}
+    for u in masks:
+        for r in rationals:
+            if not way_below(r, value[u]):
+                continue
+            found = next((q for q in masks
+                          if q & ~u == 0 and r <= value[q]), None)
+            if found is None:
+                return matches, witnesses, (u, r)
+            witnesses[(u, r)] = found
+    return matches, witnesses, None

@@ -91,5 +91,7 @@ def test_sup_of_empty_rejected():
 
 def test_hashable_and_str():
     assert len({ZERO, ExtRat(0), ONE}) == 2
+    assert len({INF, ExtRat("inf"), ONE, ExtRat(2, 2)}) == 2
+    assert hash(ExtRat(Fraction(6, 4))) == hash(ExtRat(3, 2))
     assert str(ExtRat(1, 3)) == "1/3"
     assert str(INF) == "inf"

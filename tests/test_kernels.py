@@ -3,6 +3,7 @@ witness a failing scan reports first."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,6 +55,27 @@ def test_eval_weights_matches_mask_value(seed, n):
     nu = Valuation(sp, tuple(as_ext(w) for w in weights))
     got = eval_weights(weights, opens)
     assert [as_ext(v) for v in got] == [mask_value(nu, m) for m in opens]
+
+
+@given(seeds, st.integers(min_value=0, max_value=30))
+@settings(max_examples=60)
+def test_eval_weights_on_any_masks_of_many_points(seed, n):
+    # up to four bytes of points; masks need not be up-sets
+    rng = random.Random(seed)
+    weights = [-1 if rng.random() < 0.1 else rng.randint(0, 1 << 70)
+               for _ in range(n)]
+    masks = [rng.getrandbits(n) for _ in range(40)]
+    want = []
+    for m in masks:
+        picked = [weights[i] for i in range(n) if (m >> i) & 1]
+        want.append(-1 if -1 in picked else sum(picked))
+    assert eval_weights(weights, masks) == want
+
+
+def test_eval_weights_refuses_masks_beyond_the_weights():
+    for n in (3, 12, 20):
+        with pytest.raises(IndexError):
+            eval_weights([1] * n, [1 << (n + 9)])
 
 
 def _kernel_witness(opens, values):

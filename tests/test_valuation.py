@@ -39,6 +39,9 @@ from _oracles import (
     brute_check_valuation,
     brute_decompose,
     brute_first_differing,
+    brute_inf_above,
+    brute_sup_below,
+    brute_tightness,
     mask_value,
     push_weights,
 )
@@ -373,6 +376,41 @@ def test_simple_valuations_are_tight(seed, n):
     for (u, r), q in rep.witnesses.items():
         assert q & ~u == 0
         assert way_below(r, nu.evaluate(u))
+
+
+@given(seeds, st.integers(min_value=1, max_value=6))
+@settings(max_examples=60)
+def test_is_tight_matches_brute_witness_search(seed, n):
+    # same witnesses, recorded in the same order, as a linear scan
+    rng = random.Random(seed)
+    sp = rand_poset(rng, n)
+    nu = rand_valuation(rng, sp, inf_prob=0.2)
+    rep = is_tight(nu)
+    matches, witnesses, failure = brute_tightness(nu.tabulate())
+    assert rep.composite_matches == matches
+    assert rep.failure == failure
+    assert list(rep.witnesses.items()) == list(witnesses.items())
+
+
+@given(seeds, st.integers(min_value=1, max_value=6))
+@settings(max_examples=60)
+def test_nu_bullet_and_mu_circ_match_brute_inf_and_sup(seed, n):
+    rng = random.Random(seed)
+    sp = rand_poset(rng, n)
+    table = rand_valuation(rng, sp, inf_prob=0.2).tabulate()
+    nb = nu_bullet(table)
+    assert dict(nb.items()) == brute_inf_above(table)
+    # mu_circ assumes no laws: a raw table with random values
+    raw = TabulatedSetFunction(sp, table.masks, tuple(
+        INF if rng.random() < 0.15 else ExtRat(rng.randint(0, 9), 4)
+        for _ in table.masks), "upsets")
+    assert dict(mu_circ(raw).items()) == brute_sup_below(raw)
+
+
+def test_nu_bullet_refuses_a_table_that_is_not_monotone():
+    table = TabulatedSetFunction(SIER, (0, 0b10, 0b11), (ZERO, ONE, ZERO))
+    with pytest.raises(ValimError, match="inf over neighborhoods"):
+        nu_bullet(table)
 
 
 def test_tightness_witness_lookup():
