@@ -32,6 +32,7 @@ from .projective import (
 )
 from .suites import run_all
 from .valuation import (
+    NotOnLattice,
     NotSimple,
     NotSupported,
     Valuation,
@@ -98,6 +99,15 @@ def _violation_entry(err: ValimError) -> dict:
     return entry
 
 
+def _table_valuation(table, max_opens) -> Valuation:
+    """check_valuation on a table read from a document; a table that is
+    not on the open lattice is malformed input, not a failed law."""
+    try:
+        return check_valuation(table, max_opens)
+    except NotOnLattice as err:
+        raise BadDocument(f"valuation.table: {err}") from None
+
+
 def _cmd_check(args) -> int:
     doc, text = load_path(args.path)
     info = {"kind": doc.kind, "verdict": "ok", "violations": []}
@@ -127,7 +137,7 @@ def _cmd_check(args) -> int:
         else:
             info["form"] = "table"
             try:
-                nu = check_valuation(v, args.max_opens)
+                nu = _table_valuation(v, args.max_opens)
                 info["total"] = _ext_to_str(nu.total())
                 info["weights"] = [_ext_to_str(w) for w in nu.weights]
             except NotSimple as err:
@@ -139,7 +149,7 @@ def _cmd_check(args) -> int:
                 else:
                     info["verdict"] = "violation"
                     info["violations"].append(_violation_entry(err))
-            except SizeLimit:
+            except (BadDocument, SizeLimit):
                 raise
             except ValimError as err:
                 info["verdict"] = "violation"
@@ -278,7 +288,8 @@ def _cmd_tight(args) -> int:
     if doc.kind != "valuation":
         raise BadDocument("tight expects a valuation document")
     v = doc.value
-    nu = v if isinstance(v, Valuation) else check_valuation(v, args.max_opens)
+    nu = v if isinstance(v, Valuation) else _table_valuation(
+        v, args.max_opens)
     report = is_tight(nu, args.max_opens)
     witnesses = []
     for (u, r), q in sorted(report.witnesses.items(),
@@ -304,7 +315,8 @@ def _cmd_support(args) -> int:
     if doc.kind != "valuation":
         raise BadDocument("support expects a valuation document")
     v = doc.value
-    nu = v if isinstance(v, Valuation) else check_valuation(v, args.max_opens)
+    nu = v if isinstance(v, Valuation) else _table_valuation(
+        v, args.max_opens)
     members = [s for s in (args.subset or "").split(",") if s]
     for lab in members:
         if lab not in nu.space.index:

@@ -243,7 +243,9 @@ def subset_product_system(spaces,
             graph = tuple(
                 dst.index[tuple(lab[c] for c in sel)] for lab in src.labels
             )
-            bonds[(pos_of[s], pos_of[t])] = MonotoneMap(src, dst, graph)
+            # dropping coordinates is monotone for componentwise orders
+            bonds[(pos_of[s], pos_of[t])] = MonotoneMap._trusted(
+                src, dst, graph)
     return PosetSystem(index_space, tuple(prods), bonds), tuple(subsets)
 
 
@@ -385,7 +387,9 @@ def dk_product(spaces, marginals, max_points: int = DEFAULT_MAX_POINTS,
         graph = tuple(
             dst.index[tuple(lab[p] for p in s)] for lab in space.labels
         )
-        projections[s] = MonotoneMap(space, dst, graph)
+        # space carries the componentwise order of the factors (lifting
+        # only adds points below), so dropping coordinates is monotone
+        projections[s] = MonotoneMap._trusted(space, dst, graph)
         pushed = image_valuation(projections[s], valuation)
         w = first_differing_open(pushed, marginals[s])
         if w is not None:

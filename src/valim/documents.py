@@ -67,6 +67,8 @@ def _ext_from_str(s) -> ExtRat:
 
 
 def _require(obj, key, types, where):
+    if not isinstance(obj, dict):
+        raise BadDocument(f"{where}: must be an object")
     if key not in obj:
         raise BadDocument(f"{where}: missing {key!r}")
     v = obj[key]
@@ -164,7 +166,7 @@ def _parse_valuation(obj) -> Valuation | TabulatedSetFunction:
             raise BadDocument("valuation: table rows must be objects")
         opn = _require(row, "open", list, "valuation.table")
         for lab in opn:
-            if lab not in space.index:
+            if not isinstance(lab, str) or lab not in space.index:
                 raise BadDocument(
                     f"valuation.table: unknown element {lab!r}"
                 )

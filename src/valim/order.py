@@ -366,29 +366,34 @@ def product_space(factors, max_points: int = DEFAULT_MAX_POINTS):
         total *= f.n
     if total > max_points:
         raise SizeLimit("product points", max_points)
-    if not factors:
-        space = FiniteSpace(((),), (1,))
-        return space, []
-    combos = [()]
+    labels = [()]
     for f in factors:
-        combos = [c + (lab,) for c in combos for lab in f.labels]
-    labels = tuple(combos)
-    k = len(factors)
-    idxs = [tuple(f.index[lab[d]] for d, f in enumerate(factors))
-            for lab in labels]
-    n = len(labels)
-    up = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            if all((factors[d].up[idxs[i][d]] >> idxs[j][d]) & 1
-                   for d in range(k)):
-                row |= 1 << j
-        up.append(row)
-    space = FiniteSpace(labels, tuple(up))
+        labels = [c + (lab,) for c in labels for lab in f.labels]
+    # rows are built from the last factor back: putting factor f in front
+    # of a product of `size` points places (i, rest) at i * size + rest,
+    # and its row is rest's row copied into the block of every j above
+    # i, one multiplication because the blocks are `size` bits apart
+    rows = [1]
+    size = 1
+    strides = []
+    for f in reversed(factors):
+        strides.append(size)
+        new = []
+        for i in range(f.n):
+            spread = 0
+            m = f.up[i]
+            while m:
+                b = m & -m
+                spread |= 1 << ((b.bit_length() - 1) * size)
+                m ^= b
+            new += [r * spread for r in rows]
+        rows = new
+        size *= f.n
+    space = FiniteSpace(tuple(labels), tuple(rows))
     projections = [
-        MonotoneMap(space, f, tuple(idxs[i][d] for i in range(n)))
-        for d, f in enumerate(factors)
+        MonotoneMap._trusted(
+            space, f, tuple((t // stride) % f.n for t in range(total)))
+        for f, stride in zip(factors, reversed(strides))
     ]
     return space, projections
 
@@ -407,7 +412,7 @@ def subspace(space: FiniteSpace, points):
                 row |= 1 << pos[j]
         up.append(row)
     sub = FiniteSpace(labels, tuple(up))
-    inclusion = MonotoneMap(sub, space, tuple(keep))
+    inclusion = MonotoneMap._trusted(sub, space, tuple(keep))
     return sub, inclusion
 
 
@@ -415,8 +420,12 @@ def subspace(space: FiniteSpace, points):
 class MonotoneMap:
     """A continuous (= monotone) map between finite T0 spaces.
 
-    graph[i] is the target index of source point i.  Monotonicity is
-    validated at construction.
+    graph[i] is the target index of source point i.  Public
+    construction (MonotoneMap(...), from_dict, documents) validates
+    monotonicity; maps derived inside the library from maps or orders
+    that are already valid (composites, identities, product projections,
+    subspace inclusions, bonds and limit projections) are built by
+    _trusted without re-checking.
     """
 
     source: FiniteSpace
@@ -439,6 +448,15 @@ class MonotoneMap:
                     raise NotMonotone(
                         (self.source.labels[i], self.source.labels[j])
                     )
+
+    @classmethod
+    def _trusted(cls, source, target, graph) -> "MonotoneMap":
+        """A map that is monotone by construction, not re-validated."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "source", source)
+        object.__setattr__(f, "target", target)
+        object.__setattr__(f, "graph", graph)
+        return f
 
     @classmethod
     def from_dict(cls, source, target, mapping) -> "MonotoneMap":
@@ -480,7 +498,7 @@ class MonotoneMap:
 
 
 def identity_map(space: FiniteSpace) -> MonotoneMap:
-    return MonotoneMap(space, space, tuple(range(space.n)))
+    return MonotoneMap._trusted(space, space, tuple(range(space.n)))
 
 
 def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
@@ -488,7 +506,7 @@ def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
     if inner.target != outer.source:
         raise ValimError("maps do not compose")
     graph = tuple(outer.graph[inner.graph[i]] for i in range(inner.source.n))
-    return MonotoneMap(inner.source, outer.target, graph)
+    return MonotoneMap._trusted(inner.source, outer.target, graph)
 
 
 @dataclass(frozen=True)

@@ -446,8 +446,9 @@ def materialize_limit(sys, max_points: int = DEFAULT_MAX_POINTS) -> LimitSpace:
         for x in range(xt.n)
     )
     carrier = FiniteSpace(labels, xt.up)
+    # the carrier carries the top's order, so each bond stays monotone
     projections = tuple(
-        MonotoneMap(carrier, sys.space(i), sys.bond(i, top).graph)
+        MonotoneMap._trusted(carrier, sys.space(i), sys.bond(i, top).graph)
         for i in idxs
     )
     return LimitSpace(sys, carrier, projections)

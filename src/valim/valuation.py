@@ -6,9 +6,12 @@ modularity.  On a finite space every such set function is a weighted sum
 of point masses, so Valuation stores one weight per point and the full
 table is derived.  decompose_simple inverts a table back to weights and
 validates that inversion on every call; check_valuation accepts a table
-exactly when that inversion succeeds.  Whole-table work runs on one
-currency: the values scaled to a common denominator as integers, -1
-standing for infinity (see _scale).
+exactly when that inversion succeeds.  Whole-table work and single
+evaluations run on one currency: the values scaled to a common
+denominator as integers, -1 standing for infinity (see _scale); a
+Valuation caches its weights in that form, and evaluate, total and
+image_valuation sum those integers, building an ExtRat only for the
+result.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "TabulatedSetFunction",
     "AxiomViolation",
     "NotSimple",
+    "NotOnLattice",
     "NotSupported",
     "Restriction",
     "TightnessReport",
@@ -71,6 +75,13 @@ class NotSimple(ValimError):
         self.reason = reason
         self.witness = witness
         super().__init__(f"{reason} at {witness!r}")
+
+
+class NotOnLattice(ValimError):
+    """A table whose masks are not exactly the opens of its space."""
+
+    def __init__(self):
+        super().__init__("table must cover the whole open lattice")
 
 
 class NotSupported(ValimError):
@@ -114,13 +125,17 @@ class Valuation:
         mask = arg.mask if isinstance(arg, UpSet) else arg
         if not self.space.is_upset(mask):
             raise ValimError("valuations evaluate opens only")
-        total = ZERO
+        den, ints = self._scaled
+        total = 0
         m = mask
         while m:
             b = m & -m
-            total = total + self.weights[b.bit_length() - 1]
+            w = ints[b.bit_length() - 1]
+            if w < 0:
+                return INF
+            total += w
             m ^= b
-        return total
+        return ExtRat(total, den)
 
     def total(self) -> ExtRat:
         return self.evaluate(self.space.full_mask)
@@ -215,7 +230,8 @@ def check_valuation(table: TabulatedSetFunction,
                     max_opens: int = DEFAULT_MAX_OPENS) -> Valuation:
     """Verify the three valuation laws on a total table and invert it.
 
-    The table must cover the full open lattice.  Decomposition is the
+    The table must cover the full open lattice (NotOnLattice otherwise:
+    a row that is not an up-set, or a missing open).  Decomposition is the
     acceptance proof: a table that non-negative point weights reproduce
     on every open is strict, monotone and modular, so a lawful table is
     accepted without looking at pairs of opens.  When decomposition
@@ -227,7 +243,7 @@ def check_valuation(table: TabulatedSetFunction,
     space = table.space
     lattice = space.open_masks(max_opens)
     if set(table.masks) != set(lattice):
-        raise ValimError("table must cover the whole open lattice")
+        raise NotOnLattice()
     den, ints = _scale(table.values)
     try:
         return _decompose(table, den, ints, masks_are_opens=True)
@@ -300,11 +316,15 @@ def image_valuation(f: MonotoneMap, nu: Valuation) -> Valuation:
     """Pushforward: the image valuation weighs f-preimages."""
     if nu.space != f.source:
         raise ValimError("valuation does not live on the map's source")
-    out = [ZERO] * f.target.n
-    for i, w in enumerate(nu.weights):
-        if w != ZERO:
-            out[f.graph[i]] = out[f.graph[i]] + w
-    return Valuation(f.target, tuple(out))
+    den, ints = nu._scaled
+    out = [0] * f.target.n
+    for i, w in enumerate(ints):
+        if w:
+            j = f.graph[i]
+            out[j] = -1 if w < 0 or out[j] < 0 else out[j] + w
+    return Valuation(f.target, tuple(
+        INF if v < 0 else ZERO if v == 0 else ExtRat(v, den) for v in out
+    ))
 
 
 def restrict_to_open(nu: Valuation, u: UpSet) -> Valuation:

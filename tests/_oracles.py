@@ -210,3 +210,29 @@ def brute_tightness(table):
                 return matches, witnesses, (u, r)
             witnesses[(u, r)] = found
     return matches, witnesses, None
+
+
+def brute_product_up(factors):
+    """Up rows of the componentwise order on itertools.product labels,
+    by comparing every pair of points coordinate by coordinate."""
+    from itertools import product
+
+    points = list(product(*(range(f.n) for f in factors)))
+    rows = []
+    for a in points:
+        row = 0
+        for k, b in enumerate(points):
+            if all(f.leq(f.labels[x], f.labels[y])
+                   for f, x, y in zip(factors, a, b)):
+                row |= 1 << k
+        rows.append(row)
+    return rows
+
+
+def brute_is_monotone(f) -> bool:
+    """x <= y implies f(x) <= f(y), over every pair of source points."""
+    src, dst = f.source, f.target
+    return all(
+        dst.leq(f(a), f(b))
+        for a in src.labels for b in src.labels if src.leq(a, b)
+    )

@@ -277,3 +277,32 @@ def test_check_note_follows_the_refusal_reason(tmp_path, capsys, monkeypatch):
     rep = json.loads(capsys.readouterr().out)
     assert rep["verdict"] == "violation"
     assert "note" not in rep
+
+
+CHAIN_AB = {"elements": ["a", "b"], "covers": [["a", "b"]]}
+
+
+@pytest.mark.parametrize("command", [["check"], ["tight"],
+                                     ["support", "--subset", "b"]],
+                         ids=["check", "tight", "support"])
+@pytest.mark.parametrize("rows", [[[], ["a"], ["a", "b"]], [[], ["a", "b"]]],
+                         ids=["not-an-upset", "missing-open"])
+def test_table_off_the_open_lattice_is_malformed(tmp_path, capsys, rows,
+                                                 command):
+    # on the chain a < b the opens are [], ["b"] and ["a", "b"]
+    body = {"schema": 1, "kind": "valuation", "space": CHAIN_AB,
+            "table": [{"open": r, "value": "0"} for r in rows]}
+    path = write(tmp_path, "table.json", json.dumps(body))
+    assert main(command[:1] + [path] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert "table must cover the whole open lattice" in captured.err
+    assert captured.out == ""
+
+
+def test_non_monotone_map_document_is_a_law_violation(tmp_path, capsys):
+    # the graph swaps a and b, reversing a < b
+    body = {"schema": 1, "kind": "map", "src": CHAIN_AB, "dst": CHAIN_AB,
+            "graph": {"a": "b", "b": "a"}}
+    path = write(tmp_path, "map.json", json.dumps(body))
+    assert main(["check", path]) == 1
+    assert "map not monotone" in capsys.readouterr().err

@@ -1,0 +1,180 @@
+"""Properties of the document layer and the CLI over generated and
+mutated documents.
+
+Base documents are written by dumps from generated objects; mutations
+then delete, replace or duplicate parts of the JSON, or cut the text.
+Whatever comes out, loading fails only with BadDocument or, where a
+law is at stake, another ValimError; every command ends in exit 0, 1, 2
+or 3 and never raises; and whatever loads re-serializes to a fixed
+point.
+"""
+
+import contextlib
+import io
+import json
+import os
+import random
+import tempfile
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from valim.cli import main
+from valim.documents import Query, dumps, loads
+from valim.errors import ValimError
+from valim.generators import (
+    rand_monotone_map,
+    rand_poset,
+    rand_poset_system,
+    rand_prefix_chain,
+    rand_valuation,
+    rand_valued_chain,
+    rand_valued_poset_system,
+)
+
+KINDS = ("space", "weights", "table", "map", "prefix", "poset", "valued",
+         "valued-poset", "product")
+
+# replacement values: wrong types, edge-case weights, stray labels
+PALETTE = (None, True, 0, -1, 2**70, 1.5, "", "inf", "1/0", "-1/2", "0",
+           "1/3", "zap", [], {}, ["zap"], [["x0"]], {"x0": "x0"})
+
+
+def base_document(kind, rng) -> str:
+    if kind == "space":
+        return dumps(rand_poset(rng, rng.randint(0, 5)))
+    if kind == "weights":
+        return dumps(rand_valuation(rng, rand_poset(rng, rng.randint(1, 5)),
+                                    inf_prob=0.1))
+    if kind == "table":
+        nu = rand_valuation(rng, rand_poset(rng, rng.randint(1, 4)),
+                            inf_prob=0.1)
+        return dumps(nu.tabulate())
+    if kind == "map":
+        src = rand_poset(rng, rng.randint(1, 4), prefix="s")
+        return dumps(rand_monotone_map(rng, src,
+                                       rand_poset(rng, rng.randint(1, 4))))
+    if kind == "prefix":
+        return dumps(rand_prefix_chain(rng, rng.randint(1, 3), 4))
+    if kind == "poset":
+        return dumps(rand_poset_system(rng, rng.choice(("vee", "square")), 4))
+    if kind == "valued":
+        return dumps(rand_valued_chain(
+            rng, rand_prefix_chain(rng, rng.randint(1, 3), 4)))
+    if kind == "valued-poset":
+        return dumps(rand_valued_poset_system(
+            rng, rng.choice(("vee", "square")), 4))
+    factors = [rand_poset(rng, rng.randint(1, 3), prefix=f"f{p}_")
+               for p in range(rng.randint(1, 2))]
+    marginals = []
+    for bits in range(1, 1 << len(factors)):
+        s = [p for p in range(len(factors)) if (bits >> p) & 1]
+        n = 1
+        for p in s:
+            n *= factors[p].n
+        marginals.append({"positions": s,
+                          "weights": [str(Fraction(1, n))] * n})
+    args = {"factors": [json.loads(dumps(f)) for f in factors],
+            "marginals": marginals}
+    return dumps(Query("product", args))
+
+
+def _slots(obj, out):
+    """Every (container, key) in a JSON value, outermost first."""
+    keys = obj.keys() if isinstance(obj, dict) else range(len(obj))
+    for k in list(keys):
+        out.append((obj, k))
+        if isinstance(obj[k], (dict, list)):
+            _slots(obj[k], out)
+    return out
+
+
+def _strings(obj, out):
+    if isinstance(obj, str):
+        out.append(obj)
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            out.append(k)
+            _strings(v, out)
+    elif isinstance(obj, list):
+        for v in obj:
+            _strings(v, out)
+    return out
+
+
+def mutate(text, rng, count) -> str:
+    obj = json.loads(text)
+    for _ in range(count):
+        slots = _slots(obj, [])
+        if not slots or rng.random() < 0.1:
+            cut = rng.randrange(len(text) + 1)
+            return json.dumps(obj)[:cut]
+        parent, key = rng.choice(slots)
+        op = rng.randrange(4)
+        if op == 0:
+            del parent[key]
+        elif op == 1:
+            parent[key] = rng.choice(PALETTE)
+        elif op == 2:
+            # another string of the same document: a label or a weight
+            parent[key] = rng.choice(_strings(obj, []) or [""])
+        elif isinstance(parent, list):
+            parent.insert(key, parent[key])
+        else:
+            parent[key] = [parent[key]]
+    return json.dumps(obj)
+
+
+def documents():
+    return st.builds(
+        lambda kind, seed, count: mutate(
+            base_document(kind, random.Random(seed)),
+            random.Random(seed + 1), count),
+        st.sampled_from(KINDS),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=3),
+    )
+
+
+@given(documents())
+@settings(max_examples=150, deadline=None)
+def test_loads_fails_only_with_valim_errors(text):
+    try:
+        loads(text)
+    except ValimError:
+        pass
+
+
+@given(documents())
+@settings(max_examples=150, deadline=None)
+def test_canonical_text_is_a_fixed_point(text):
+    try:
+        doc = loads(text)
+    except ValimError:
+        return
+    canonical = dumps(doc.value)
+    assert dumps(loads(canonical).value) == canonical
+
+
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@given(documents(), st.sampled_from((None, "1", "4")))
+@settings(max_examples=60, deadline=None)
+def test_cli_exits_with_a_contract_code(text, max_opens):
+    options = [] if max_opens is None else ["--max-opens", max_opens]
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in (["check", path], ["tight", path],
+                        ["support", path, "--subset", "x0"],
+                        ["limit-eval", path, "--cylinder", "0:"],
+                        ["product", path]):
+            assert _run(options + command) in (0, 1, 2, 3)
+    finally:
+        os.unlink(path)

@@ -218,3 +218,18 @@ def test_non_string_labels_do_not_serialize():
     sp = FiniteSpace((0, "x"), (0b01, 0b10))
     with pytest.raises(ValimError, match="label 0 "):
         dumps(sp)
+
+
+def test_table_row_with_a_non_string_member_is_refused():
+    body = json.loads(dumps(Valuation(SIER, (ExtRat(1), ExtRat(1))).tabulate()))
+    body["table"][1]["open"] = [["top"]]
+    with pytest.raises(BadDocument, match="unknown element"):
+        loads(json.dumps(body))
+
+
+def test_a_space_that_is_not_an_object_is_refused():
+    ch = PrefixChain((SIER, SIER), (MonotoneMap(SIER, SIER, (0, 1)),))
+    body = json.loads(dumps(ch))
+    body["system"]["levels"][0] = "elements"
+    with pytest.raises(BadDocument, match=r"levels\[0\]: must be an object"):
+        loads(json.dumps(body))

@@ -25,7 +25,7 @@ from valim.errors import SizeLimit, ValimError
 from valim.generators import rand_poset
 from valim.order import NotAPoset, NotMonotone
 
-from _oracles import all_upsets
+from _oracles import all_upsets, brute_product_up
 
 SIER = FiniteSpace(("bot", "top"), (0b11, 0b10))
 DIAMOND = space_from_covers(
@@ -127,6 +127,33 @@ def test_product_space_order_is_componentwise():
     for k, p in enumerate(projs):
         for lab in prod.labels:
             assert p(lab) == lab[k]
+
+
+@given(seeds, st.lists(st.integers(min_value=1, max_value=4), min_size=1,
+                       max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_product_space_rows_and_projections_match_brute_force(seed, sizes):
+    from itertools import product
+
+    rng = random.Random(seed)
+    # a one-point factor in some position whenever there are several
+    if len(sizes) > 1:
+        sizes[rng.randrange(len(sizes))] = 1
+    factors = [rand_poset(rng, n, edge_prob=rng.uniform(0.2, 0.9),
+                          prefix=f"f{d}_") for d, n in enumerate(sizes)]
+    prod, projs = product_space(factors)
+    assert prod.labels == tuple(product(*(f.labels for f in factors)))
+    assert list(prod.up) == brute_product_up(factors)
+    assert len(projs) == len(factors)
+    for d, (f, p) in enumerate(zip(factors, projs)):
+        assert p.source == prod and p.target == f
+        assert p.graph == tuple(f.index[lab[d]] for lab in prod.labels)
+
+
+def test_product_of_no_factors_is_a_point():
+    prod, projs = product_space([])
+    assert prod.labels == ((),) and prod.up == (1,)
+    assert projs == []
 
 
 def test_product_space_size_limit():

@@ -1,0 +1,103 @@
+"""The trust boundary for monotone maps.
+
+Maps built by the public constructor, from_dict or a document are
+validated; maps the library derives from valid maps or orders
+(composites, identities, product projections, subspace inclusions,
+subset-system bonds, limit and product projections) are built without
+re-validation.  These tests check both halves: non-monotone input is
+still refused, and every derived map is monotone by brute force over all
+pairs of points.
+"""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from valim import (
+    FiniteSpace,
+    MonotoneMap,
+    compose,
+    dk_product,
+    identity_map,
+    marginals_from_joint,
+    materialize_limit,
+    product_space,
+    subset_product_system,
+    subspace,
+)
+from valim.documents import loads
+from valim.generators import (
+    rand_monotone_map,
+    rand_poset,
+    rand_prefix_chain,
+    rand_valuation,
+    rand_valued_poset_system,
+)
+from valim.order import NotMonotone
+
+from _oracles import brute_is_monotone
+
+seeds = st.integers(min_value=0, max_value=10_000)
+
+CHAIN_AB = FiniteSpace(("a", "b"), (0b11, 0b10))
+
+
+def assert_monotone(maps):
+    assert maps
+    for f in maps:
+        assert brute_is_monotone(f), (f.source.labels, f.graph)
+        # and the public constructor agrees with the trusted build
+        assert MonotoneMap(f.source, f.target, f.graph) == f
+
+
+def test_hand_built_non_monotone_map_is_refused():
+    with pytest.raises(NotMonotone):
+        MonotoneMap(CHAIN_AB, CHAIN_AB, (1, 0))
+    with pytest.raises(NotMonotone):
+        MonotoneMap.from_dict(CHAIN_AB, CHAIN_AB, {"a": "b", "b": "a"})
+    body = {"schema": 1, "kind": "map",
+            "src": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+            "dst": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+            "graph": {"a": "b", "b": "a"}}
+    with pytest.raises(NotMonotone):
+        loads(json.dumps(body))
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_order_layer_derived_maps_are_monotone(seed):
+    rng = random.Random(seed)
+    a, b, c = (rand_poset(rng, rng.randint(1, 5),
+                          edge_prob=rng.uniform(0.2, 0.8), prefix=p)
+               for p in ("a", "b", "c"))
+    f = rand_monotone_map(rng, a, b)
+    g = rand_monotone_map(rng, b, c)
+    _, projections = product_space([a, b, c][:rng.randint(1, 3)])
+    _, inclusion = subspace(a, rng.getrandbits(a.n))
+    assert_monotone([compose(g, f), identity_map(a), inclusion,
+                     *projections])
+
+
+@given(seeds)
+@settings(max_examples=15, deadline=None)
+def test_construction_layer_derived_maps_are_monotone(seed):
+    rng = random.Random(seed)
+    vs = rand_valued_poset_system(rng, max_top=6)
+    chain = rand_prefix_chain(rng, rng.randint(1, 4), 5)
+    factors = [rand_poset(rng, rng.randint(1, 3),
+                          edge_prob=rng.uniform(0.3, 0.8), prefix=f"f{p}_")
+               for p in range(rng.randint(1, 3))]
+    subsystem, _ = subset_product_system(factors)
+    prod, _ = product_space(factors)
+    joint = rand_valuation(rng, prod, max_den=4)
+    dk = dk_product(factors, marginals_from_joint(factors, joint),
+                    validate=False)
+    assert_monotone([
+        *materialize_limit(vs.system).projections,
+        *materialize_limit(chain).projections,
+        *subsystem.bonds.values(),
+        *dk.projections.values(),
+    ])

@@ -10,6 +10,7 @@ from valim import (
     ExtRat,
     FiniteSpace,
     MonotoneMap,
+    NotOnLattice,
     NotSimple,
     NotSupported,
     TabulatedSetFunction,
@@ -195,6 +196,16 @@ def test_check_valuation_matches_the_brute_force_oracle(kind):
         "shadowed": {"ok", "inf"},
     }[kind]
     assert seen == expected
+
+
+@pytest.mark.parametrize("masks", [(0, 0b01, 0b11), (0, 0b11)],
+                         ids=["not-an-upset", "missing-open"])
+def test_check_valuation_refuses_tables_off_the_open_lattice(masks):
+    # SIER's opens are {}, {top}, {bot, top}
+    table = TabulatedSetFunction(SIER, masks, (ZERO,) * len(masks))
+    with pytest.raises(NotOnLattice,
+                       match="^table must cover the whole open lattice$"):
+        check_valuation(table)
 
 
 def test_check_valuation_accepts_without_scanning(monkeypatch):
@@ -435,3 +446,77 @@ def test_tabulated_set_function_lookup_and_items():
     assert dict(t.items())[0b11] == ONE
     with pytest.raises(Exception):
         t.lookup(0b01)  # not an up-set, never tabulated
+
+
+# Denominators whose least common multiple passes 2**64, so the scaled
+# integers behind evaluate and image_valuation outgrow a machine word.
+BIG_DENS = (1, 3, 2**31 - 1, 10**9 + 7, 2**61 - 1)
+
+
+def mixed_weights(rng, n):
+    """Zero, infinite and large-denominator weights."""
+    out = []
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.15:
+            out.append(ZERO)
+        elif r < 0.25:
+            out.append(INF)
+        else:
+            den = rng.choice(BIG_DENS)
+            out.append(ExtRat(Fraction(rng.randint(1, 3 * den), den)))
+    return tuple(out)
+
+
+def check_evaluate_against_oracle(nu):
+    opens = set(all_upsets(nu.space))
+    for m in range(1 << nu.space.n):
+        if m in opens:
+            assert nu.evaluate(m) == mask_value(nu, m)
+            assert nu.evaluate(UpSet(nu.space, m)) == mask_value(nu, m)
+        else:
+            with pytest.raises(ValimError, match="evaluate opens only"):
+                nu.evaluate(m)
+    assert nu.total() == mask_value(nu, nu.space.full_mask)
+
+
+@given(seeds, st.integers(min_value=0, max_value=7))
+@settings(max_examples=40, deadline=None)
+def test_evaluate_and_total_match_mask_value(seed, n):
+    rng = random.Random(seed)
+    sp = rand_poset(rng, n, edge_prob=rng.uniform(0.1, 0.7))
+    check_evaluate_against_oracle(Valuation(sp, mixed_weights(rng, sp.n)))
+
+
+def test_evaluate_past_a_machine_word():
+    chain = FiniteSpace(("a", "b", "c", "d"),
+                        (0b1111, 0b1110, 0b1100, 0b1000))
+    weights = (ExtRat(1, 2**61 - 1), ExtRat(2, 10**9 + 7),
+               ExtRat(5, 2**31 - 1), ZERO)
+    assert (2**61 - 1) * (10**9 + 7) * (2**31 - 1) > 2**64
+    nu = Valuation(chain, weights)
+    check_evaluate_against_oracle(nu)
+    assert nu.total() == ExtRat(Fraction(1, 2**61 - 1)
+                                + Fraction(2, 10**9 + 7)
+                                + Fraction(5, 2**31 - 1))
+    with_inf = Valuation(chain, (INF,) + weights[1:])
+    check_evaluate_against_oracle(with_inf)
+    assert with_inf.total() == INF
+    assert with_inf.evaluate(0b1110) == ExtRat(Fraction(2, 10**9 + 7)
+                                               + Fraction(5, 2**31 - 1))
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_image_valuation_matches_push_weights(seed):
+    from valim.generators import rand_monotone_map
+
+    rng = random.Random(seed)
+    src = rand_poset(rng, rng.randint(1, 7), edge_prob=rng.uniform(0.1, 0.7))
+    dst = rand_poset(rng, rng.randint(1, 5), edge_prob=rng.uniform(0.1, 0.7))
+    f = rand_monotone_map(rng, src, dst)
+    nu = Valuation(src, mixed_weights(rng, src.n))
+    pushed = image_valuation(f, nu)
+    assert pushed.space == dst
+    assert pushed.weights == push_weights(f, nu).weights
+    check_evaluate_against_oracle(pushed)
