@@ -234,6 +234,13 @@ def _cmd_limit_eval(args) -> int:
     return 0
 
 
+def _escape_coordinate(label: str) -> str:
+    """A coordinate label with "\\" and "," escaped by a backslash, so
+    that joining coordinates with "," names distinct tuples distinctly;
+    labels without either character are unchanged."""
+    return label.replace("\\", "\\\\").replace(",", "\\,")
+
+
 def _cmd_product(args) -> int:
     doc, text = load_path(args.path)
     if doc.kind != "query" or doc.value.operation != "product":
@@ -271,7 +278,9 @@ def _cmd_product(args) -> int:
         raise BadDocument(f"product: marginals missing for {missing}")
     dk = dk_product(factors, marginals, max_opens=args.max_opens)
     flat = FiniteSpace(
-        tuple(",".join(lab) for lab in dk.space.labels), dk.space.up
+        tuple(",".join(map(_escape_coordinate, lab))
+              for lab in dk.space.labels),
+        dk.space.up,
     )
     out = Valuation(flat, dk.valuation.weights)
     rep = _report(

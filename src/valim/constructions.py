@@ -46,6 +46,7 @@ from .projective import (
     ValuedSystem,
     check_compatibility,
     check_ep_system,
+    _materialize,
     materialize_limit,
     upper_adjoint,
 )
@@ -182,8 +183,10 @@ def ep_limit_valuation(vs: ValuedSystem,
     """
     sys = vs.system
     check_compatibility(vs)
+    # check_ep_system runs check_system first, so the bond laws are
+    # checked once and the limit is built without re-checking them
     check_ep_system(sys)
-    limit = materialize_limit(sys, max_points)
+    limit = _materialize(sys, max_points)
     top = sys.top_index() if sys.kind == "poset" else sys.last
     nu = Valuation(limit.space, vs.val(top).weights)
     lv = LimitValuation(vs, limit, nu, "ep")
@@ -273,13 +276,24 @@ def pointed_product_valuation(spaces, marginals,
     marginals maps each subset of factor positions (a sorted tuple) to a
     valuation on the product of those factors.  Dropping coordinates
     admits padding-with-bottom embeddings exactly because every factor
-    is pointed, so the family rides the ep route to the full product.
+    is pointed (NotPointed names the first factor that is not), so the
+    family rides the ep route to the full product: the subset system is
+    built once and handed to ep_limit_valuation, which checks the
+    family's compatibility and the system's bond and ep laws once each.
     """
     spaces = tuple(spaces)
     for pos, sp in enumerate(spaces):
         if sp.bottom() is None:
             raise NotPointed(pos)
     sys, subsets = subset_product_system(spaces, max_points)
+    return _pointed_extension(sys, subsets, marginals, max_points,
+                              max_opens, validate)
+
+
+def _pointed_extension(sys, subsets, marginals, max_points, max_opens,
+                       validate) -> LimitValuation:
+    """The ep-route extension of a marginal family over the subset system
+    (sys, subsets) of pointed factors."""
     marginals = _with_empty_marginal(marginals, sys, subsets)
     try:
         vals = tuple(marginals[s] for s in subsets)
@@ -338,36 +352,39 @@ def dk_product(spaces, marginals, max_points: int = DEFAULT_MAX_POINTS,
 
     Each factor is lifted below a fresh bottom, each marginal is pushed
     along the coordinatewise inclusion into the lifted partial product,
-    and the lifted family extends by the pointed construction.  The
-    lifted joint gives every tuple that touches a bottom weight zero, so
-    it is supported on the bottom-free tuples; restricting to that
-    support is the product valuation, and the marginal law is re-checked
-    against the original family subset by subset.
+    and the lifted family extends by the pointed construction over the
+    lifted subset system, built once.  The lifted joint gives every
+    tuple that touches a bottom weight zero, so it is supported on the
+    bottom-free tuples; restricting to that support is the product
+    valuation, and the marginal law is re-checked against the original
+    family subset by subset.  The plain partial products are needed only
+    as spaces, so no bonds are built between them.
     """
     spaces = tuple(spaces)
     if not spaces:
         raise ValimError("at least one factor required")
     lifted_spaces = tuple(lift(sp) for sp in spaces)
-    plain_sys, subsets = subset_product_system(spaces, max_points)
-    marginals = _with_empty_marginal(marginals, plain_sys, subsets)
+    lifted_sys, subsets = subset_product_system(lifted_spaces, max_points)
+    plain = [product_space([spaces[p] for p in s], max_points)[0]
+             for s in subsets]
+    # the empty product is the same one-point space, lifted or not
+    marginals = _with_empty_marginal(marginals, lifted_sys, subsets)
     lifted_marginals = {}
     for i, s in enumerate(subsets):
         nu = marginals.get(s)
         if nu is None:
             raise ValimError(f"marginal missing for subset {s!r}")
-        if nu.space != plain_sys.space(i):
+        if nu.space != plain[i]:
             raise ValimError(
                 f"marginal at {s!r} does not live on that partial product"
             )
-        lifted_prod, _ = product_space([lifted_spaces[p] for p in s],
-                                       max_points)
+        lifted_prod = lifted_sys.space(i)
         weights = [ZERO] * lifted_prod.n
         for lab, w in zip(nu.space.labels, nu.weights):
             weights[lifted_prod.index[lab]] = w
         lifted_marginals[s] = Valuation(lifted_prod, tuple(weights))
-    lifted_joint = pointed_product_valuation(
-        lifted_spaces, lifted_marginals, max_points, max_opens, validate
-    )
+    lifted_joint = _pointed_extension(lifted_sys, subsets, lifted_marginals,
+                                      max_points, max_opens, validate)
     # the limit carrier is the top space in thread clothing: the thread's
     # component at the top index is the plain coordinate tuple
     big = lifted_joint.valuation.space
@@ -383,7 +400,7 @@ def dk_product(spaces, marginals, max_points: int = DEFAULT_MAX_POINTS,
     valuation = Valuation(space, restriction.valuation.weights)
     projections = {}
     for i, s in enumerate(subsets):
-        dst = plain_sys.space(i)
+        dst = plain[i]
         graph = tuple(
             dst.index[tuple(lab[p] for p in s)] for lab in space.labels
         )

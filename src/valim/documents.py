@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 
 from .errors import BadDocument, ValimError
@@ -57,9 +58,19 @@ def _ext_to_str(v: ExtRat) -> str:
     return "inf" if not v.is_finite else str(v.frac)
 
 
+# the weight grammar above, checked before Fraction sees the string:
+# Fraction alone would also take decimals and exponents, and "1e3000000"
+# would cost seconds
+_WEIGHT = re.compile(r"[0-9]+(?:/[0-9]+)?|inf")
+
+
 def _ext_from_str(s) -> ExtRat:
     if not isinstance(s, str):
         raise BadDocument(f"weight must be a string, got {s!r}")
+    if not _WEIGHT.fullmatch(s):
+        raise BadDocument(
+            f"bad weight {s!r}: expected an integer, num/den or inf"
+        )
     try:
         return ExtRat(s)
     except (ValueError, ZeroDivisionError) as err:

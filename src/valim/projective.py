@@ -427,9 +427,15 @@ def materialize_limit(sys, max_points: int = DEFAULT_MAX_POINTS) -> LimitSpace:
     its top component, so the carrier is the top space relabeled with the
     full thread tuples; this keeps the carrier size at the top space
     rather than the product of all levels.  LazyChain has no materialized
-    limit; use cylinder-level operations instead.
+    limit; use cylinder-level operations instead.  The bond laws are
+    checked first (check_system).
     """
     check_system(sys)
+    return _materialize(sys, max_points)
+
+
+def _materialize(sys, max_points) -> LimitSpace:
+    """materialize_limit on a system whose bond laws were already checked."""
     if sys.kind == "prefix":
         top = sys.last
         projections = tuple(sys.bond(i, top) for i in sys.indices())

@@ -44,9 +44,9 @@ from .projective import (
 )
 from .valuation import (
     NotSimple,
-    TabulatedSetFunction,
     Valuation,
     check_valuation,
+    first_differing_mask,
     first_differing_open,
     is_locally_finite,
     is_tight,
@@ -95,10 +95,7 @@ def suite_axioms(seed: int = 20207) -> SuiteResult:
     for _ in range(500):
         sp = rand_poset(rng, rng.randint(1, 8), edge_prob=rng.uniform(0.2, 0.7))
         nu = rand_valuation(rng, sp, inf_prob=0.08)
-        masks = sp.open_masks()
-        table = TabulatedSetFunction(
-            sp, tuple(masks), tuple(nu.evaluate(m) for m in masks)
-        )
+        table = nu.tabulate()
         # inversion is defined exactly when no point has an infinite
         # weight strictly above it; such tables stay tabulated
         shadow = any(
@@ -181,12 +178,11 @@ def suite_ep_limits(seed: int = 20219) -> SuiteResult:
         vs = rand_valued_chain(rng, ch)
         lv = ep_limit_valuation(vs)
         for i in ch.indices():
-            pushed = lv.marginal(i)
-            given = vs.val(i)
-            for m in ch.space(i).open_masks():
-                if pushed.evaluate(m) != given.evaluate(m):
-                    return _result(3, "ep limit marginals", 60.0, t0, False,
-                                   f"open {m:#b} at level {i}")
+            m = first_differing_mask(lv.marginal(i), vs.val(i),
+                                     ch.space(i).open_masks())
+            if m is not None:
+                return _result(3, "ep limit marginals", 60.0, t0, False,
+                               f"open {m:#b} at level {i}")
         chains += 1
     return _result(3, "ep limit marginals", 60.0, t0, True,
                    f"{chains} chains, marginals exact on every open")
@@ -226,10 +222,10 @@ def suite_products(seed: int = 20231) -> SuiteResult:
         except ValimError:
             masks = None
         if masks is not None:
-            for m in masks:
-                if dk.valuation.evaluate(m) != aligned.evaluate(m):
-                    return _result(4, "product extension", 60.0, t0, False,
-                                   f"open {m:#b} (case {cases})")
+            m = first_differing_mask(dk.valuation, aligned, masks)
+            if m is not None:
+                return _result(4, "product extension", 60.0, t0, False,
+                               f"open {m:#b} (case {cases})")
             enumerated += 1
         cases += 1
     return _result(4, "product extension", 60.0, t0, True,
@@ -286,12 +282,11 @@ def suite_tight_limits(seed: int = 20249) -> SuiteResult:
                            f"chain {t} not uniformly tight: {rep.failure}")
         lv = prohorov_limit(vs, rep)
         for i in ch.indices():
-            pushed = lv.marginal(i)
-            given = vs.val(i)
-            for m in ch.space(i).open_masks():
-                if pushed.evaluate(m) != given.evaluate(m):
-                    return _result(6, "tight-route limits", 60.0, t0,
-                                   False, f"marginal {i} open {m:#b}")
+            m = first_differing_mask(lv.marginal(i), vs.val(i),
+                                     ch.space(i).open_masks())
+            if m is not None:
+                return _result(6, "tight-route limits", 60.0, t0,
+                               False, f"marginal {i} open {m:#b}")
         try:
             check_ep_system(ch)
             has_ep = True

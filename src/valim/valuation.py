@@ -48,6 +48,7 @@ __all__ = [
     "decompose_simple",
     "image_valuation",
     "restrict_to_open",
+    "first_differing_mask",
     "first_differing_open",
     "valuations_equal",
     "support_check",
@@ -336,6 +337,26 @@ def restrict_to_open(nu: Valuation, u: UpSet) -> Valuation:
     return Valuation(sub, weights)
 
 
+def first_differing_mask(nu_a: Valuation, nu_b: Valuation, masks):
+    """The first of `masks`, in the given order, on which the two
+    valuations differ; None when they agree on all of them.
+
+    Both weight vectors are scaled to one denominator (_scale) and every
+    mask is evaluated by one _kernels.eval_weights call per side, so a
+    comparison over the whole open lattice adds no ExtRat.  The masks are
+    taken as given; pass opens, where the values are the valuations'.
+    """
+    if nu_a.space != nu_b.space:
+        raise ValimError("valuations live on different spaces")
+    n = nu_a.space.n
+    _, ints = _scale(nu_a.weights + nu_b.weights)
+    values_a = _kernels.eval_weights(ints[:n], masks)
+    values_b = _kernels.eval_weights(ints[n:], masks)
+    if values_a == values_b:
+        return None
+    return next(m for m, a, b in zip(masks, values_a, values_b) if a != b)
+
+
 def first_differing_open(nu_a: Valuation, nu_b: Valuation):
     """Least open (by size, then mask) among the principal up-sets and
     their punctured variants where the two tables differ; None when the
@@ -347,7 +368,9 @@ def first_differing_open(nu_a: Valuation, nu_b: Valuation):
     by the two candidates at it.  Weight tuples can differ while all
     opens agree (a point mass of infinite weight hides finite weight
     changes strictly below it), so raw weight comparison is only usable
-    as a shortcut for the equal case.
+    as a shortcut for the equal case.  The candidates are compared by
+    first_differing_mask; to compare every open instead, call that with
+    space.open_masks().
     """
     if nu_a.space != nu_b.space:
         raise ValimError("valuations live on different spaces")
@@ -359,13 +382,8 @@ def first_differing_open(nu_a: Valuation, nu_b: Valuation):
         candidates.add(space.up[x])
         candidates.add(space.up[x] & ~(1 << x))
     candidates = sorted(candidates, key=lambda m: (m.bit_count(), m))
-    _, ints = _scale(nu_a.weights + nu_b.weights)
-    values_a = _kernels.eval_weights(ints[:space.n], candidates)
-    values_b = _kernels.eval_weights(ints[space.n:], candidates)
-    for m, a, b in zip(candidates, values_a, values_b):
-        if a != b:
-            return UpSet(space, m)
-    return None
+    m = first_differing_mask(nu_a, nu_b, candidates)
+    return None if m is None else UpSet(space, m)
 
 
 def valuations_equal(nu_a: Valuation, nu_b: Valuation) -> bool:

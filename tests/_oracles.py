@@ -43,13 +43,19 @@ def mask_value(nu: Valuation, mask: int) -> ExtRat:
     return total
 
 
-def brute_first_differing(nu_a: Valuation, nu_b: Valuation):
-    """Smallest open (by size, then mask) where the two tables differ."""
+def brute_first_differing_mask(nu_a: Valuation, nu_b: Valuation, masks):
+    """First of masks, in the given order, where the ExtRat sums differ."""
     assert nu_a.space == nu_b.space
-    for m in by_size(all_upsets(nu_a.space)):
+    for m in masks:
         if mask_value(nu_a, m) != mask_value(nu_b, m):
             return m
     return None
+
+
+def brute_first_differing(nu_a: Valuation, nu_b: Valuation):
+    """Smallest open (by size, then mask) where the two tables differ."""
+    return brute_first_differing_mask(nu_a, nu_b,
+                                      by_size(all_upsets(nu_a.space)))
 
 
 def push_weights(f, nu: Valuation) -> Valuation:

@@ -5,11 +5,34 @@ of the contract and asserted, not advisory.  Run with -s to see the
 lines; a red test prints its line in the failure body either way.
 """
 
+import dataclasses
+import re
+
 import pytest
 
+from valim import suites
+from valim.extreal import ONE, ZERO
 from valim.suites import SUITES, run_suite
+from valim.valuation import Valuation
+
+from _oracles import brute_first_differing_mask
 
 BUDGETS = {1: 30, 2: 30, 3: 60, 4: 60, 5: 30, 6: 60, 7: 30, 8: 10}
+
+# The corpus counts pin the gate's coverage: a comparison path that
+# quietly skipped cases would change them.
+DETAILS = {
+    1: "500 valuations, exhaustive laws; round trip exact on all 408 "
+       "invertible tables",
+    2: "100 systems, all three laws exhaustive",
+    3: "100 chains, marginals exact on every open",
+    4: "100 products (92 with full open enumeration)",
+    5: "200 valuations, composite identity + witnesses",
+    6: "100 chains, 56 cross-checked against the projection route on all "
+       "cylinders",
+    7: "200 threads verified; empty-limit criterion holds both ways",
+    8: "65 finite + 35 with infinite weights, all four conditions agree",
+}
 
 
 def test_the_gate_has_eight_criteria():
@@ -24,3 +47,74 @@ def test_criterion(number):
     assert r.budget == BUDGETS[number]
     assert r.passed, r.line()
     assert r.within_budget, r.line()
+    assert r.detail == DETAILS[number]
+
+
+def skewed(nu, k=-1):
+    """nu with the weight of point k moved, so that some open disagrees."""
+    w = nu.weights[k]
+    weights = list(nu.weights)
+    weights[k] = w + ONE if w.is_finite else ZERO
+    return Valuation(nu.space, tuple(weights))
+
+
+def first_marginal_difference(lv, vs):
+    for i in vs.system.indices():
+        m = brute_first_differing_mask(lv.marginal(i), vs.val(i),
+                                       vs.system.space(i).open_masks())
+        if m is not None:
+            return i, m
+    return None
+
+
+@pytest.mark.parametrize("number, route, detail", [
+    (3, "ep_limit_valuation", "open {m:#b} at level {i}"),
+    (6, "prohorov_limit", "marginal {i} open {m:#b}"),
+])
+def test_marginal_criteria_name_the_first_differing_open(
+        monkeypatch, number, route, detail):
+    real = getattr(suites, route)
+    seen = []
+
+    def skew_limit(vs, *args, **kwargs):
+        lv = real(vs, *args, **kwargs)
+        lv = dataclasses.replace(lv, valuation=skewed(lv.valuation))
+        seen.append((lv, vs))
+        return lv
+
+    monkeypatch.setattr(suites, route, skew_limit)
+    r = run_suite(number)
+    assert not r.passed
+    i, m = first_marginal_difference(*seen[-1])
+    assert r.detail == detail.format(i=i, m=m)
+    assert re.search(r"open 0b[01]+", r.detail)
+
+
+def test_products_compare_every_open(monkeypatch):
+    # with the 2n-candidate check silenced, only the comparison over
+    # every open can catch a disagreement
+    monkeypatch.setattr(suites, "first_differing_open", lambda a, b: None)
+    real = suites.dk_product
+    # only the first product of 8 or more points with a least point is
+    # skewed.  Moving the (finite) weight of its point k first shows on
+    # the up-set of k, so trying every k spreads the first difference
+    # over that product's opens, up to the last one, the whole space.
+    k, points = 0, 1
+    while k < points:
+        cases, target = [], []
+
+        def skew_product(*args, **kwargs):
+            dk = real(*args, **kwargs)
+            cases.append(dk)
+            if target or dk.space.n < 8 or dk.space.bottom() is None:
+                return dk
+            target.append(len(cases) - 1)
+            return dataclasses.replace(dk, valuation=skewed(dk.valuation, k))
+
+        monkeypatch.setattr(suites, "dk_product", skew_product)
+        r = run_suite(4)
+        (case,) = target
+        space = cases[case].space
+        assert not r.passed
+        assert r.detail == f"open {space.up[k]:#b} (case {case})"
+        k, points = k + 1, space.n

@@ -117,6 +117,40 @@ def test_product_query_flow(tmp_path, capsys):
     assert doc["weights"] == ["1/4", "1/4", "1/4", "1/4"]
 
 
+@pytest.mark.parametrize("left, right, elements", [
+    # joined with a bare "," both ("a", "b,c") and ("a,b", "c") read
+    # "a,b,c"
+    (["a", "a,b"], ["b,c", "c"],
+     ["a,b\\,c", "a,c", "a\\,b,b\\,c", "a\\,b,c"]),
+    # with only the commas escaped both ("a\\", "b,c") and ("a,b\\", "c")
+    # read a\,b\,c
+    (["a\\", "a,b\\"], ["b,c", "c"],
+     ["a\\\\,b\\,c", "a\\\\,c", "a\\,b\\\\,b\\,c", "a\\,b\\\\,c"]),
+])
+def test_product_labels_stay_distinct(tmp_path, capsys, left, right,
+                                      elements):
+    quarter = ["1/4"] * 4
+    body = {
+        "schema": 1,
+        "kind": "query",
+        "operation": "product",
+        "arguments": {
+            "factors": [{"elements": left, "covers": []},
+                        {"elements": right, "covers": []}],
+            "marginals": [
+                {"positions": [0], "weights": ["1/2", "1/2"]},
+                {"positions": [1], "weights": ["1/2", "1/2"]},
+                {"positions": [0, 1], "weights": quarter},
+            ],
+        },
+    }
+    path = write(tmp_path, "labels.json", json.dumps(body))
+    assert main(["--format", "json", "product", path]) == 0
+    doc = json.loads(capsys.readouterr().out)["document"]
+    assert doc["space"]["elements"] == elements
+    assert doc["weights"] == quarter
+
+
 def test_product_incompatible_family(tmp_path, capsys):
     body = {
         "schema": 1,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valim import (
+    BondLawViolation,
     CylinderOpen,
     ExtRat,
     FiniteSpace,
@@ -14,6 +15,7 @@ from valim import (
     NoWitness,
     NotPointed,
     NotUniformlyTight,
+    PosetSystem,
     PrefixChain,
     UpSet,
     Valuation,
@@ -29,6 +31,7 @@ from valim import (
     pointed_product_valuation,
     prohorov_limit,
     subset_product_system,
+    check_system,
     uniform_tightness_check,
     valuations_equal,
     way_below,
@@ -105,6 +108,24 @@ def test_ep_limit_valuation_refuses_incompatible_family():
     )
     with pytest.raises(Incompatible):
         ep_limit_valuation(vs)
+
+
+def test_both_limit_routes_refuse_a_broken_composition():
+    # the bonds a <- b <- c are identities but a <- c swaps; zero
+    # valuations are compatible over any bonds, so the bond laws decide
+    idx = FiniteSpace(("a", "b", "c"), (0b111, 0b110, 0b100))
+    ident = MonotoneMap(ANTI, ANTI, (0, 1))
+    swap = MonotoneMap(ANTI, ANTI, (1, 0))
+    sys = PosetSystem(idx, (ANTI, ANTI, ANTI),
+                      {(0, 1): ident, (1, 2): ident, (0, 2): swap})
+    with pytest.raises(BondLawViolation) as want:
+        check_system(sys)
+    vs = ValuedSystem(sys, (zero_valuation(ANTI),) * 3)
+    for route in (ep_limit_valuation, prohorov_limit):
+        with pytest.raises(BondLawViolation) as got:
+            route(vs)
+        assert got.value.law == want.value.law == "composition"
+        assert got.value.witness == want.value.witness == ("a", "b", "c")
 
 
 def test_eval_cylinder_agrees_with_the_base_level():

@@ -117,6 +117,12 @@ def test_query_roundtrip():
     assert doc.value.arguments == q.arguments
 
 
+def test_extreme_weights_roundtrip():
+    nu = Valuation(DIAMOND, (ExtRat(0), ExtRat(10**40),
+                             ExtRat(7**30, 2**64 + 1), INF))
+    assert roundtrip(nu).value.weights == nu.weights
+
+
 def test_seeded_valuation_roundtrips():
     rng = random.Random(2026)
     for _ in range(30):
@@ -149,6 +155,14 @@ def test_input_sha256_is_plain_sha256():
         (lambda d: d["weights"].__setitem__(0, "1/0"), "bad weight"),
         (lambda d: d["weights"].__setitem__(0, "-1/2"), "bad weight"),
         (lambda d: d["weights"].__setitem__(0, 0.5), "must be a string"),
+        # only integers, num/den and inf: no decimals, exponents, signs,
+        # spaces or other spellings of infinity
+        (lambda d: d["weights"].__setitem__(0, "0.5"), "bad weight"),
+        (lambda d: d["weights"].__setitem__(0, "1e5"), "bad weight"),
+        (lambda d: d["weights"].__setitem__(0, "1e3000000"), "bad weight"),
+        (lambda d: d["weights"].__setitem__(0, "+1"), "bad weight"),
+        (lambda d: d["weights"].__setitem__(0, " 1/2"), "bad weight"),
+        (lambda d: d["weights"].__setitem__(0, "oo"), "bad weight"),
     ],
 )
 def test_valuation_rejections(mutate, hint):

@@ -18,6 +18,7 @@ from valim import (
     Valuation,
     check_valuation,
     decompose_simple,
+    first_differing_mask,
     first_differing_open,
     image_valuation,
     is_locally_finite,
@@ -40,6 +41,7 @@ from _oracles import (
     brute_check_valuation,
     brute_decompose,
     brute_first_differing,
+    brute_first_differing_mask,
     brute_inf_above,
     brute_sup_below,
     brute_tightness,
@@ -520,3 +522,47 @@ def test_image_valuation_matches_push_weights(seed):
     assert pushed.space == dst
     assert pushed.weights == push_weights(f, nu).weights
     check_evaluate_against_oracle(pushed)
+
+
+@given(seeds, st.integers(min_value=0, max_value=7))
+@settings(max_examples=60, deadline=None)
+def test_first_differing_mask_matches_brute_scan(seed, n):
+    rng = random.Random(seed)
+    sp = rand_poset(rng, n, edge_prob=rng.uniform(0.1, 0.7))
+    nu_a = Valuation(sp, mixed_weights(rng, n))
+    # redraw some weights, so that the first difference can land anywhere
+    weights = list(nu_a.weights)
+    for i in rng.sample(range(n), rng.randint(0, n)):
+        weights[i] = mixed_weights(rng, 1)[0]
+    nu_b = Valuation(sp, tuple(weights))
+    masks = all_upsets(sp)
+    rng.shuffle(masks)
+    masks = masks[:rng.randint(0, len(masks))]
+    assert (first_differing_mask(nu_a, nu_b, masks)
+            == brute_first_differing_mask(nu_a, nu_b, masks))
+
+
+def test_first_differing_mask_edge_cases():
+    chain = FiniteSpace(("a", "b", "c"), (0b111, 0b110, 0b100))
+    opens = [0b000, 0b100, 0b110, 0b111]
+    weights = (ExtRat(1, 2**61 - 1), ExtRat(2, 10**9 + 7),
+               ExtRat(5, 2**31 - 1))
+    nu = Valuation(chain, weights)
+    b_moved = Valuation(chain, (weights[0], ExtRat(3, 10**9 + 7), weights[2]))
+    # the lcm of the denominators outgrows a machine word
+    assert first_differing_mask(nu, b_moved, opens) == 0b110
+    assert first_differing_mask(nu, nu, opens) is None
+    # the first mask in the given order, not in (size, mask) order
+    assert first_differing_mask(nu, b_moved, opens[::-1]) == 0b111
+    assert first_differing_mask(nu, b_moved, [0b000, 0b100]) is None
+    # infinity against a finite weight, and infinite weights on both sides
+    # hiding different finite weights below them
+    c_inf = Valuation(chain, weights[:2] + (INF,))
+    assert first_differing_mask(nu, c_inf, opens) == 0b100
+    hidden = Valuation(chain, (ONE, ExtRat(7), INF))
+    assert first_differing_mask(c_inf, hidden, opens) is None
+    for got, other in ((nu, b_moved), (nu, c_inf), (c_inf, hidden)):
+        assert (first_differing_mask(got, other, opens[::-1])
+                == brute_first_differing_mask(got, other, opens[::-1]))
+    with pytest.raises(ValimError, match="different spaces"):
+        first_differing_mask(nu, Valuation(SIER, (ONE, ONE)), [0])
