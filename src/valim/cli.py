@@ -30,7 +30,7 @@ from .projective import (
     check_ep_system,
     check_system,
 )
-from .suites import run_all
+from .suites import SUITES, run_all
 from .valuation import (
     NotOnLattice,
     NotSimple,
@@ -382,6 +382,15 @@ def _cmd_suite(args) -> int:
     return 0 if ok else 1
 
 
+def criterion(text: str) -> int:
+    """argparse type for a criterion number; out of range is malformed."""
+    number = int(text)
+    if not 1 <= number <= len(SUITES):
+        raise argparse.ArgumentTypeError(
+            f"no criterion {number}; 1..{len(SUITES)}")
+    return number
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="valim",
@@ -430,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gallery)
 
     p = sub.add_parser("suite", help="run the acceptance suites")
-    p.add_argument("numbers", nargs="*", type=int,
+    p.add_argument("numbers", nargs="*", type=criterion,
                    help="criteria to run (default: all)")
     p.set_defaults(fn=_cmd_suite)
     return ap

@@ -41,7 +41,9 @@ from .order import (
 from .projective import (
     CompactFamily,
     CylinderOpen,
+    EpLawViolation,
     LimitSpace,
+    NotAProjection,
     PosetSystem,
     ValuedSystem,
     check_compatibility,
@@ -160,6 +162,14 @@ def marginal_family_from_joint(sys, joint: Valuation) -> ValuedSystem:
     return ValuedSystem(sys, vals)
 
 
+def _ep_valuation(vs: ValuedSystem, limit: LimitSpace) -> Valuation:
+    """The ep route's limit valuation: a materialized carrier is the top
+    space in thread clothing, so the top marginal transports verbatim."""
+    sys = vs.system
+    top = sys.top_index() if sys.kind == "poset" else sys.last
+    return Valuation(limit.space, vs.val(top).weights)
+
+
 def _assert_marginals(lv: LimitValuation):
     for i in lv.source.system.indices():
         w = first_differing_open(lv.marginal(i), lv.source.val(i))
@@ -187,10 +197,10 @@ def ep_limit_valuation(vs: ValuedSystem,
     # checked once and the limit is built without re-checking them
     check_ep_system(sys)
     limit = _materialize(sys, max_points)
-    top = sys.top_index() if sys.kind == "poset" else sys.last
-    nu = Valuation(limit.space, vs.val(top).weights)
+    # every marginal of nu is the top valuation pushed down bond(i, top),
+    # which check_compatibility has just compared with the family
+    nu = _ep_valuation(vs, limit)
     lv = LimitValuation(vs, limit, nu, "ep")
-    _assert_marginals(lv)
     if validate:
         idxs = list(sys.indices())
         for w in limit.space.open_masks(max_opens):
@@ -555,8 +565,8 @@ def prohorov_limit(vs: ValuedSystem, report: UniformTightnessReport = None,
     of the outer set function mu is certified as a valuation by the full
     axiom check, its marginals are verified to reproduce the family, the
     result is checked tight, and whenever the system is also ep the
-    output is asserted equal to the ep route (there is only one limit
-    valuation to find).
+    output is asserted equal to the ep route's valuation on the same
+    limit (there is only one limit valuation to find).
 
     verify_compatibility=False lets a deliberately broken family through
     to the tightness stage, where it fails as NotUniformlyTight instead
@@ -580,13 +590,12 @@ def prohorov_limit(vs: ValuedSystem, report: UniformTightnessReport = None,
     if not tightness.verdict:
         raise LimitLawViolation("result not tight", tightness.failure)
     try:
-        other = ep_limit_valuation(vs, max_points, max_opens, validate=False)
-    except ValimError:
-        other = None
-    if other is not None:
-        w = first_differing_open(nu, other.valuation)
-        if w is not None:
-            raise LimitLawViolation("uniqueness", w.members)
+        check_ep_system(vs.system)
+    except (NotAProjection, EpLawViolation):
+        return lv
+    w = first_differing_open(nu, _ep_valuation(vs, limit))
+    if w is not None:
+        raise LimitLawViolation("uniqueness", w.members)
     return lv
 
 

@@ -108,13 +108,9 @@ def _parse_space(obj, where="space") -> FiniteSpace:
         raise BadDocument(f"{where}: {err}")
 
 
-def _space_body(space: FiniteSpace) -> dict:
-    for lab in space.labels:
-        if not isinstance(lab, str):
-            raise ValimError(f"label {lab!r} is not a string; documents "
-                             f"carry string labels only")
+def _hasse_covers(space: FiniteSpace):
+    """Yield the index pairs (i, j) in which j covers i."""
     strict = [space.up[i] & ~(1 << i) for i in range(space.n)]
-    covers = []
     for i in range(space.n):
         m = strict[i]
         while m:
@@ -126,8 +122,16 @@ def _space_body(space: FiniteSpace) -> dict:
                 (strict[i] >> k) & 1 and (strict[k] >> j) & 1
                 for k in range(space.n) if k != j
             ):
-                covers.append([space.labels[i], space.labels[j]])
-    covers.sort()
+                yield i, j
+
+
+def _space_body(space: FiniteSpace) -> dict:
+    for lab in space.labels:
+        if not isinstance(lab, str):
+            raise ValimError(f"label {lab!r} is not a string; documents "
+                             f"carry string labels only")
+    covers = sorted([space.labels[i], space.labels[j]]
+                    for i, j in _hasse_covers(space))
     return {"elements": list(space.labels), "covers": covers}
 
 
@@ -276,23 +280,11 @@ def _system_body(sys) -> dict:
     if sys.kind != "poset":
         raise ValimError("only explicit systems serialize")
     index = sys.index_poset
-    strict = [index.up[i] & ~(1 << i) for i in range(index.n)]
-    bonds = []
-    for i in range(index.n):
-        m = strict[i]
-        while m:
-            b = m & -m
-            j = b.bit_length() - 1
-            m ^= b
-            if not any(
-                (strict[i] >> k) & 1 and (strict[k] >> j) & 1
-                for k in range(index.n) if k != j
-            ):
-                bonds.append({
-                    "below": index.labels[i],
-                    "above": index.labels[j],
-                    "graph": _graph_body(sys.bond(i, j)),
-                })
+    bonds = [{
+        "below": index.labels[i],
+        "above": index.labels[j],
+        "graph": _graph_body(sys.bond(i, j)),
+    } for i, j in _hasse_covers(index)]
     bonds.sort(key=lambda b: (b["below"], b["above"]))
     return {
         "style": "poset",

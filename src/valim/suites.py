@@ -1,9 +1,13 @@
 """The eight acceptance suites: seeded, exact, time-budgeted.
 
-Each suite returns a SuiteResult; run_all executes them in order.  The
-suites are deliberately independent of the unit tests: they regenerate
-their own corpora from the seed and re-verify the laws from scratch, so
-a pass is reproducible from the command line (`valim suite`) alone.
+Each suite returns its detail string on a pass and raises _Fail with the
+detail otherwise.  run_suite owns the rest: it times the criterion,
+names it, holds it to its budget and turns any ValimError escaping the
+criterion into that criterion's FAIL line, so run_all always reports
+every criterion asked for.  The suites are deliberately independent of
+the unit tests: they regenerate their own corpora from the seed and
+re-verify the laws from scratch, so a pass is reproducible from the
+command line (`valim suite`) alone.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .constructions import (
     prohorov_limit,
     uniform_tightness_check,
 )
-from .errors import ValimError
+from .errors import SizeLimit, ValimError
 from .extreal import ZERO, ExtRat
 from .generators import (
     rand_ep_prefix_chain,
@@ -32,8 +36,9 @@ from .generators import (
 )
 from .order import UpSet, product_space
 from .projective import (
-    CylinderOpen,
+    EpLawViolation,
     Incompatible,
+    NotAProjection,
     PrefixChain,
     ValuedSystem,
     check_compatibility,
@@ -79,16 +84,14 @@ class SuiteResult:
         )
 
 
-def _result(number, name, budget, t0, passed, detail) -> SuiteResult:
-    return SuiteResult(number, name, passed, detail, time.monotonic() - t0,
-                       budget)
+class _Fail(Exception):
+    """A criterion's check failed; the argument is the detail."""
 
 
-def suite_axioms(seed: int = 20207) -> SuiteResult:
+def suite_axioms(seed: int = 20207) -> str:
     """500 random simple valuations on posets of up to 8 points: the
     full table passes strictness, monotonicity and modularity over every
     open, and inverting the table recovers the weights exactly."""
-    t0 = time.monotonic()
     rng = Random(seed)
     checked = 0
     masked = 0
@@ -107,29 +110,24 @@ def suite_axioms(seed: int = 20207) -> SuiteResult:
             back = check_valuation(table)
         except NotSimple:
             if not shadow:
-                return _result(1, "valuation axioms", 30.0, t0, False,
-                               f"inversion refused a clean table ({checked})")
+                raise _Fail(f"inversion refused a clean table ({checked})")
             masked += 1
             checked += 1
             continue
         if shadow:
-            return _result(1, "valuation axioms", 30.0, t0, False,
-                           f"inversion accepted a shadowed table ({checked})")
+            raise _Fail(f"inversion accepted a shadowed table ({checked})")
         if back.weights != nu.weights:
-            return _result(1, "valuation axioms", 30.0, t0, False,
-                           f"round trip broke on seed case {checked}")
+            raise _Fail(f"round trip broke on seed case {checked}")
         checked += 1
-    return _result(1, "valuation axioms", 30.0, t0, True,
-                   f"{checked} valuations, exhaustive laws; round trip "
-                   f"exact on all {checked - masked} invertible tables")
+    return (f"{checked} valuations, exhaustive laws; round trip exact on all "
+            f"{checked - masked} invertible tables")
 
 
-def suite_projection_approximation(seed: int = 20211) -> SuiteResult:
+def suite_projection_approximation(seed: int = 20211) -> str:
     """On materialized systems with 2 to 4 indices: the saturated level
     approximations of any limit open are monotone under the bonds,
     increase along the index order, and their preimages exhaust the open
     exactly."""
-    t0 = time.monotonic()
     rng = Random(seed)
     systems = 0
     for _ in range(100):
@@ -151,26 +149,20 @@ def suite_projection_approximation(seed: int = 20211) -> SuiteResult:
                     # inside the higher one
                     lifted = sys.bond(i, j).preimage_mask(adj[i].mask)
                     if lifted & ~adj[j].mask:
-                        return _result(
-                            2, "level approximation", 30.0, t0, False,
-                            f"bond monotonicity failed at {(i, j)}")
+                        raise _Fail(f"bond monotonicity failed at {(i, j)}")
                     pre_j = limit.projection(j).preimage_mask(adj[j].mask)
                     if pre_i & ~pre_j:
-                        return _result(
-                            2, "level approximation", 30.0, t0, False,
+                        raise _Fail(
                             f"approximants not increasing at {(i, j)}")
             if union != w:
-                return _result(2, "level approximation", 30.0, t0, False,
-                               "preimages do not exhaust the open")
+                raise _Fail("preimages do not exhaust the open")
         systems += 1
-    return _result(2, "level approximation", 30.0, t0, True,
-                   f"{systems} systems, all three laws exhaustive")
+    return f"{systems} systems, all three laws exhaustive"
 
 
-def suite_ep_limits(seed: int = 20219) -> SuiteResult:
+def suite_ep_limits(seed: int = 20219) -> str:
     """100 random projection chains with pushed-down weight families:
     the limit valuation reproduces every marginal on every open."""
-    t0 = time.monotonic()
     rng = Random(seed)
     chains = 0
     for _ in range(100):
@@ -181,20 +173,17 @@ def suite_ep_limits(seed: int = 20219) -> SuiteResult:
             m = first_differing_mask(lv.marginal(i), vs.val(i),
                                      ch.space(i).open_masks())
             if m is not None:
-                return _result(3, "ep limit marginals", 60.0, t0, False,
-                               f"open {m:#b} at level {i}")
+                raise _Fail(f"open {m:#b} at level {i}")
         chains += 1
-    return _result(3, "ep limit marginals", 60.0, t0, True,
-                   f"{chains} chains, marginals exact on every open")
+    return f"{chains} chains, marginals exact on every open"
 
 
-def suite_products(seed: int = 20231) -> SuiteResult:
+def suite_products(seed: int = 20231) -> str:
     """Products of 2 or 3 factors of up to 4 points, marginal families
     read off a random joint: the extension equals the joint on every
     open of the materialized product (exhaustively when the open lattice
     is small enough to list, and by the weight-determination argument in
     every case)."""
-    t0 = time.monotonic()
     rng = Random(seed)
     cases = 0
     enumerated = 0
@@ -215,29 +204,24 @@ def suite_products(seed: int = 20231) -> SuiteResult:
         )
         w = first_differing_open(dk.valuation, aligned)
         if w is not None:
-            return _result(4, "product extension", 60.0, t0, False,
-                           f"differs on {w.members} (case {cases})")
+            raise _Fail(f"differs on {w.members} (case {cases})")
         try:
             masks = dk.space.open_masks(1 << 14)
-        except ValimError:
+        except SizeLimit:
             masks = None
         if masks is not None:
             m = first_differing_mask(dk.valuation, aligned, masks)
             if m is not None:
-                return _result(4, "product extension", 60.0, t0, False,
-                               f"open {m:#b} (case {cases})")
+                raise _Fail(f"open {m:#b} (case {cases})")
             enumerated += 1
         cases += 1
-    return _result(4, "product extension", 60.0, t0, True,
-                   f"{cases} products ({enumerated} with full open "
-                   "enumeration)")
+    return f"{cases} products ({enumerated} with full open enumeration)"
 
 
-def suite_tightness(seed: int = 20233) -> SuiteResult:
+def suite_tightness(seed: int = 20233) -> str:
     """Inner regularization of the outer approximation is the identity
     on valuations, and every valuation is tight with explicit compact
     witnesses."""
-    t0 = time.monotonic()
     rng = Random(seed)
     checked = 0
     for _ in range(200):
@@ -248,25 +232,20 @@ def suite_tightness(seed: int = 20233) -> SuiteResult:
         composite = mu_circ(nb)
         for m in masks:
             if composite.lookup(m) != nu.evaluate(m):
-                return _result(5, "tightness", 30.0, t0, False,
-                               f"composite differs on {m:#b}")
+                raise _Fail(f"composite differs on {m:#b}")
         rep = is_tight(nu)
         if not (rep.verdict and rep.composite_matches):
-            return _result(5, "tightness", 30.0, t0, False,
-                           f"not tight at case {checked}: {rep.failure}")
+            raise _Fail(f"not tight at case {checked}: {rep.failure}")
         if any(q is None for q in rep.witnesses.values()):
-            return _result(5, "tightness", 30.0, t0, False,
-                           "missing witness")
+            raise _Fail("missing witness")
         checked += 1
-    return _result(5, "tightness", 30.0, t0, True,
-                   f"{checked} valuations, composite identity + witnesses")
+    return f"{checked} valuations, composite identity + witnesses"
 
 
-def suite_tight_limits(seed: int = 20249) -> SuiteResult:
+def suite_tight_limits(seed: int = 20249) -> str:
     """Uniform tightness and the tight-route limit on 100 random
     compatible chains; against the projection route wherever that one
-    applies, cylinder by cylinder."""
-    t0 = time.monotonic()
+    applies, on every open of the limit."""
     rng = Random(seed)
     chains = 0
     ep_compared = 0
@@ -278,62 +257,49 @@ def suite_tight_limits(seed: int = 20249) -> SuiteResult:
         vs = rand_valued_chain(rng, ch)
         rep = uniform_tightness_check(vs)
         if not rep.verdict:
-            return _result(6, "tight-route limits", 60.0, t0, False,
-                           f"chain {t} not uniformly tight: {rep.failure}")
+            raise _Fail(f"chain {t} not uniformly tight: {rep.failure}")
         lv = prohorov_limit(vs, rep)
         for i in ch.indices():
             m = first_differing_mask(lv.marginal(i), vs.val(i),
                                      ch.space(i).open_masks())
             if m is not None:
-                return _result(6, "tight-route limits", 60.0, t0,
-                               False, f"marginal {i} open {m:#b}")
+                raise _Fail(f"marginal {i} open {m:#b}")
+        chains += 1
         try:
             check_ep_system(ch)
-            has_ep = True
-        except ValimError:
-            has_ep = False
-        if has_ep:
-            other = ep_limit_valuation(vs, validate=False)
-            for i in ch.indices():
-                xi = ch.space(i)
-                for m in xi.open_masks():
-                    cyl = CylinderOpen(ch, i, UpSet(xi, m))
-                    if lv.eval_cylinder(cyl) != other.eval_cylinder(cyl):
-                        return _result(6, "tight-route limits", 60.0, t0,
-                                       False,
-                                       f"routes disagree on ({i}, {m:#b})")
-            ep_compared += 1
-        chains += 1
-    return _result(6, "tight-route limits", 60.0, t0, True,
-                   f"{chains} chains, {ep_compared} cross-checked against "
-                   "the projection route on all cylinders")
+        except (NotAProjection, EpLawViolation):
+            continue
+        other = ep_limit_valuation(vs, validate=False)
+        m = first_differing_mask(lv.valuation, other.valuation,
+                                 lv.limit.space.open_masks())
+        if m is not None:
+            raise _Fail(f"routes disagree on open {m:#b}")
+        ep_compared += 1
+    return (f"{chains} chains, {ep_compared} cross-checked against the "
+            "projection route on every open")
 
 
-def suite_threads(seed: int = 20261) -> SuiteResult:
+def suite_threads(seed: int = 20261) -> str:
     """200 random chains of nonempty posets all yield a verified witness
     thread; the shrinking-injection chain has an empty limit; a weight
     family on it is solvable exactly when every marginal is zero."""
-    t0 = time.monotonic()
     rng = Random(seed)
     threads = 0
     for t in range(200):
         ch = rand_prefix_chain(rng, rng.randint(1, 5), 6)
         verdict = steenrod_nonempty(ch)
         if not verdict.nonempty:
-            return _result(7, "thread search", 30.0, t0, False,
-                           f"chain {t} claimed empty at {verdict.empty_at}")
+            raise _Fail(f"chain {t} claimed empty at {verdict.empty_at}")
         th = verdict.thread
         for k in range(len(ch.spaces) - 1):
             if ch.steps[k](th[k + 1]) != th[k]:
-                return _result(7, "thread search", 30.0, t0, False,
-                               f"thread broken at step {k}")
+                raise _Fail(f"thread broken at step {k}")
         threads += 1
     start = 4
     lazy = shrinking_injection_chain(start, depth=start + 3)
     verdict = steenrod_nonempty(lazy)
     if verdict.nonempty or verdict.empty_at != start:
-        return _result(7, "thread search", 30.0, t0, False,
-                       "injection chain not recognized as empty")
+        raise _Fail("injection chain not recognized as empty")
     levels = start + 2
     chain = PrefixChain(
         tuple(lazy.space(n) for n in range(levels)),
@@ -345,8 +311,7 @@ def suite_threads(seed: int = 20261) -> SuiteResult:
     check_compatibility(zero)
     lv = prohorov_limit(zero)
     if lv.limit.space.n != 0 or lv.valuation.total() != ZERO:
-        return _result(7, "thread search", 30.0, t0, False,
-                       "zero family did not extend over the empty limit")
+        raise _Fail("zero family did not extend over the empty limit")
     w = [ExtRat(0)] * chain.spaces[0].n
     w[0] = ExtRat(1)
     vals = [Valuation(chain.spaces[0], tuple(w))] + [
@@ -354,19 +319,15 @@ def suite_threads(seed: int = 20261) -> SuiteResult:
     ]
     try:
         check_compatibility(ValuedSystem(chain, tuple(vals)))
-        return _result(7, "thread search", 30.0, t0, False,
-                       "nonzero family passed compatibility")
     except Incompatible:
-        pass
-    return _result(7, "thread search", 30.0, t0, True,
-                   f"{threads} threads verified; empty-limit criterion "
-                   "holds both ways")
+        return (f"{threads} threads verified; empty-limit criterion holds "
+                "both ways")
+    raise _Fail("nonzero family passed compatibility")
 
 
-def suite_local_finiteness(seed: int = 20269) -> SuiteResult:
+def suite_local_finiteness(seed: int = 20269) -> str:
     """The four readings of local finiteness agree on 100 random
     valuations, infinite weights included."""
-    t0 = time.monotonic()
     rng = Random(seed)
     finite_count = 0
     infinite_count = 0
@@ -375,20 +336,18 @@ def suite_local_finiteness(seed: int = 20269) -> SuiteResult:
         nu = rand_valuation(rng, sp, inf_prob=0.35 if t % 2 else 0.0)
         rep = is_locally_finite(nu)
         if len(set(rep.conditions)) != 1:
-            return _result(8, "local finiteness", 10.0, t0, False,
-                           f"conditions split: {rep.conditions}")
+            raise _Fail(f"conditions split: {rep.conditions}")
         if rep.verdict != rep.conditions[0]:
-            return _result(8, "local finiteness", 10.0, t0, False,
-                           "verdict does not match the conditions")
+            raise _Fail("verdict does not match the conditions")
         if any(not w.is_finite for w in nu.weights):
             infinite_count += 1
         else:
             finite_count += 1
-    return _result(8, "local finiteness", 10.0, t0, True,
-                   f"{finite_count} finite + {infinite_count} with "
-                   "infinite weights, all four conditions agree")
+    return (f"{finite_count} finite + {infinite_count} with infinite "
+            "weights, all four conditions agree")
 
 
+# Looked up at call time: a tracer may rebind SUITES with wrapped callables.
 SUITES = (
     suite_axioms,
     suite_projection_approximation,
@@ -400,12 +359,35 @@ SUITES = (
     suite_local_finiteness,
 )
 
+# (name, budget in seconds) per criterion, in SUITES order
+_CRITERIA = (
+    ("valuation axioms", 30.0),
+    ("level approximation", 30.0),
+    ("ep limit marginals", 60.0),
+    ("product extension", 60.0),
+    ("tightness", 30.0),
+    ("tight-route limits", 60.0),
+    ("thread search", 30.0),
+    ("local finiteness", 10.0),
+)
+
 
 def run_suite(number: int, seed: int = None) -> SuiteResult:
+    """Run one criterion; a failed check or a ValimError is its FAIL."""
     if not 1 <= number <= len(SUITES):
         raise ValimError(f"no criterion {number}; 1..{len(SUITES)}")
     fn = SUITES[number - 1]
-    return fn() if seed is None else fn(seed)
+    name, budget = _CRITERIA[number - 1]
+    t0 = time.monotonic()
+    try:
+        detail = fn() if seed is None else fn(seed)
+        passed = True
+    except _Fail as fail:
+        detail, passed = str(fail), False
+    except ValimError as err:
+        detail, passed = f"{type(err).__name__}: {err}", False
+    return SuiteResult(number, name, passed, detail, time.monotonic() - t0,
+                       budget)
 
 
 def run_all(numbers=None) -> list:

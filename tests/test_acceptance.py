@@ -11,7 +11,10 @@ import re
 import pytest
 
 from valim import suites
+from valim.constructions import LimitLawViolation
+from valim.errors import ValimError
 from valim.extreal import ONE, ZERO
+from valim.order import DEFAULT_MAX_OPENS, FiniteSpace, UpSet
 from valim.suites import SUITES, run_suite
 from valim.valuation import Valuation
 
@@ -28,8 +31,8 @@ DETAILS = {
     3: "100 chains, marginals exact on every open",
     4: "100 products (92 with full open enumeration)",
     5: "200 valuations, composite identity + witnesses",
-    6: "100 chains, 56 cross-checked against the projection route on all "
-       "cylinders",
+    6: "100 chains, 56 cross-checked against the projection route on every "
+       "open",
     7: "200 threads verified; empty-limit criterion holds both ways",
     8: "65 finite + 35 with infinite weights, all four conditions agree",
 }
@@ -118,3 +121,100 @@ def test_products_compare_every_open(monkeypatch):
         assert not r.passed
         assert r.detail == f"open {space.up[k]:#b} (case {case})"
         k, points = k + 1, space.n
+
+
+def test_tight_limits_compare_the_routes_on_every_open(monkeypatch):
+    real = suites.ep_limit_valuation
+    seen = []
+
+    def skew_ep_route(vs, *args, **kwargs):
+        lv = real(vs, *args, **kwargs)
+        seen.append((lv.valuation, skewed(lv.valuation)))
+        return dataclasses.replace(lv, valuation=seen[-1][1])
+
+    monkeypatch.setattr(suites, "ep_limit_valuation", skew_ep_route)
+    r = run_suite(6)
+    assert not r.passed
+    nu, skew = seen[-1]
+    m = brute_first_differing_mask(nu, skew, nu.space.open_masks())
+    assert m is not None
+    assert r.detail == f"routes disagree on open {m:#b}"
+
+
+def flip_verdict(rep):
+    return dataclasses.replace(rep, verdict=not rep.verdict)
+
+
+# One injected fault per remaining criterion: fault(real, *args) stands
+# in for a function the criterion calls and corrupts its result, so the
+# detail names the check that caught it.  Deleting that check makes the
+# criterion PASS and the test fail.  Criteria 3, 4 and 6 are covered by
+# the tests above.
+FAULTS = [
+    (1, "check_valuation", lambda real, table: skewed(real(table)),
+     "round trip broke on seed case 1"),
+    (2, "upper_adjoint",
+     lambda real, limit, i, u: UpSet(real(limit, i, u).space, 0),
+     "preimages do not exhaust the open"),
+    (5, "is_tight",
+     lambda real, nu: dataclasses.replace(real(nu), verdict=False,
+                                          failure="injected"),
+     "not tight at case 0: injected"),
+    (7, "check_compatibility", lambda real, vs: vs,
+     "nonzero family passed compatibility"),
+    (8, "is_locally_finite", lambda real, nu: flip_verdict(real(nu)),
+     "verdict does not match the conditions"),
+]
+
+
+@pytest.mark.parametrize("number, name, fault, detail", FAULTS,
+                         ids=[f"{n}-{name}" for n, name, _, _ in FAULTS])
+def test_injected_fault_fails_its_criterion(monkeypatch, number, name, fault,
+                                            detail):
+    real = getattr(suites, name)
+    monkeypatch.setattr(suites, name, lambda *args: fault(real, *args))
+    r = run_suite(number)
+    assert not r.passed
+    assert r.detail == detail
+    assert r.line().startswith(f"criterion {number} (")
+    assert " FAIL " in r.line()
+
+
+# the first library call of each criterion
+ENTRY = {1: "check_valuation", 2: "materialize_limit",
+         3: "ep_limit_valuation", 4: "dk_product", 5: "is_tight",
+         6: "uniform_tightness_check", 7: "steenrod_nonempty",
+         8: "is_locally_finite"}
+
+
+@pytest.mark.parametrize("number", sorted(ENTRY))
+def test_a_law_violation_is_the_criterion_s_fail(monkeypatch, number):
+    def violate(*args, **kwargs):
+        raise LimitLawViolation("injected", number)
+
+    monkeypatch.setattr(suites, ENTRY[number], violate)
+    r = run_suite(number)
+    assert (r.number, r.passed) == (number, False)
+    assert r.detail == (
+        f"LimitLawViolation: limit law injected fails at {number}")
+
+
+def test_only_the_expected_refusals_are_skipped(monkeypatch):
+    # criterion 4 skips full enumeration only on SizeLimit, criterion 6
+    # the route cross-check only on a chain that is not ep
+    def refuse(*args, **kwargs):
+        raise ValimError("injected")
+
+    real = FiniteSpace.open_masks
+
+    def open_masks(space, max_opens=DEFAULT_MAX_OPENS):
+        if max_opens == 1 << 14:
+            refuse()
+        return real(space, max_opens)
+
+    monkeypatch.setattr(FiniteSpace, "open_masks", open_masks)
+    monkeypatch.setattr(suites, "check_ep_system", refuse)
+    for number in (4, 6):
+        r = run_suite(number)
+        assert (r.passed, r.detail) == (False, "ValimError: injected")
+

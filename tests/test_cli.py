@@ -12,7 +12,9 @@ from valim import (
     Valuation,
     ValuedSystem,
 )
+from valim import suites
 from valim.cli import main
+from valim.constructions import LimitLawViolation
 from valim.documents import dumps
 from valim.extreal import ExtRat
 
@@ -263,6 +265,33 @@ def test_suite_json_report(capsys):
     assert row["criterion"] == 7
     assert row["passed"] is True
     assert row["elapsed_s"] <= row["budget_s"]
+
+
+@pytest.mark.parametrize("number", ["9", "0", "-1"])
+def test_suite_out_of_range_is_malformed(number, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", number])
+    assert exc.value.code == 2
+    assert f"no criterion {number}; 1..8" in capsys.readouterr().err
+
+
+def test_suite_reports_every_criterion_around_a_violation(capsys,
+                                                          monkeypatch):
+    def violate(*args, **kwargs):
+        raise LimitLawViolation("injected", 6)
+
+    monkeypatch.setattr(suites, "uniform_tightness_check", violate)
+    assert main(["suite", "5", "6", "7"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == [
+        "criterion 5 (tightness)",
+        "criterion 6 (tight-route limits)",
+        "criterion 7 (thread search)",
+    ]
+    assert " PASS " in lines[0] and " PASS " in lines[2]
+    assert lines[1].endswith(
+        "] LimitLawViolation: limit law injected fails at 6")
+    assert lines[3].endswith("FAILURES above]")
 
 
 def test_list_image_in_a_map_is_a_parse_error(tmp_path, capsys):

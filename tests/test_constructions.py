@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from valim import (
     BondLawViolation,
+    LimitLawViolation,
     CylinderOpen,
     ExtRat,
     FiniteSpace,
@@ -37,6 +38,7 @@ from valim import (
     way_below,
     zero_valuation,
 )
+from valim import constructions
 from valim.extreal import INF, ONE, ZERO
 from valim.generators import (
     rand_ep_prefix_chain,
@@ -302,6 +304,32 @@ def test_prohorov_limit_agrees_with_ep_route():
     assert valuations_equal(tight.valuation, ep.valuation)
     for i in vs.system.indices():
         assert valuations_equal(tight.marginal(i), vs.val(i))
+
+
+@pytest.mark.parametrize("limits", [{}, {"max_points": 2}])
+def test_prohorov_limit_checks_uniqueness_on_its_own_limit(monkeypatch,
+                                                           limits):
+    # a precomputed report on a 4-point product: the ep comparison runs on
+    # report.limit, so a point bound below the product cannot skip it
+    half = Valuation(SIER, (frac(1, 2), frac(1, 2)))
+    joint = independent_joint([SIER, SIER], [half, half])
+    sys, _ = subset_product_system([SIER, SIER])
+    vs = marginal_family_from_joint(sys, joint)
+    report = uniform_tightness_check(vs)
+    assert report.limit.space.n == 4
+    assert valuations_equal(prohorov_limit(vs, report, **limits).valuation,
+                            Valuation(report.limit.space, joint.weights))
+
+    real = constructions._ep_valuation
+
+    def skewed_ep(vs, limit):
+        nu = real(vs, limit)
+        return Valuation(nu.space, nu.weights[:-1] + (nu.weights[-1] + ONE,))
+
+    monkeypatch.setattr(constructions, "_ep_valuation", skewed_ep)
+    with pytest.raises(LimitLawViolation) as e:
+        prohorov_limit(vs, report, **limits)
+    assert e.value.law == "uniqueness"
 
 
 @given(seeds)
