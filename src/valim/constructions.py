@@ -23,9 +23,12 @@ object find_dominating_level and the tightness check consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
+from operator import gt, ne
 
+from . import _kernels
 from .errors import ValimError
-from .extreal import ZERO, ExtRat, inf_of, sup_of, way_below
+from .extreal import INF, ZERO, ExtRat, inf_of, sup_of, way_below
 from .order import (
     DEFAULT_MAX_OPENS,
     DEFAULT_MAX_POINTS,
@@ -41,13 +44,13 @@ from .order import (
 from .projective import (
     CompactFamily,
     CylinderOpen,
-    EpLawViolation,
     LimitSpace,
-    NotAProjection,
     PosetSystem,
     ValuedSystem,
     check_compatibility,
     check_ep_system,
+    embedding_from_projection,
+    _bonds_to,
     _materialize,
     materialize_limit,
     upper_adjoint,
@@ -56,6 +59,7 @@ from .valuation import (
     Restriction,
     TabulatedSetFunction,
     Valuation,
+    _scale,
     check_valuation,
     first_differing_open,
     image_valuation,
@@ -156,9 +160,8 @@ def marginal_family_from_joint(sys, joint: Valuation) -> ValuedSystem:
     top = sys.top_index() if sys.kind == "poset" else sys.last
     if joint.space != sys.space(top):
         raise ValimError("joint valuation must live on the top space")
-    vals = tuple(
-        image_valuation(sys.bond(i, top), joint) for i in sys.indices()
-    )
+    down = _bonds_to(sys, top)
+    vals = tuple(image_valuation(down[i], joint) for i in sys.indices())
     return ValuedSystem(sys, vals)
 
 
@@ -183,44 +186,108 @@ def ep_limit_valuation(vs: ValuedSystem,
                        validate: bool = True) -> LimitValuation:
     """The unique limit valuation of a compatible family over ep bonds.
 
-    The carrier of the limit is the top space in thread clothing, so the
-    top marginal transports verbatim.  With validate on, the value of
-    every limit open is checked to be the increasing-along-the-index
-    supremum of marginal values of its best level approximations: the
-    upper adjoints, which for ep bonds coincide with the embedding
-    preimages.  The net's value at an index above a cylinder's own level
-    is already the cylinder's worth, which makes evaluation exact.
+    Checks the family's compatibility, then the system's bond and ep
+    laws (check_ep_system).  The carrier of the limit is the top space in
+    thread clothing, so the top marginal transports verbatim.  With
+    validate on, the value of every limit open is checked to be the
+    increasing-along-the-index supremum of marginal values of its best
+    level approximations: the upper adjoints, which for ep bonds coincide
+    with the embedding preimages (Abramsky and Jung, Domain Theory, 3.1).
+    The net's value at an index above a cylinder's own level is already
+    the cylinder's worth, which makes evaluation exact.  A refusal is
+    LimitLawViolation at the first failing open in open_masks order.
     """
-    sys = vs.system
     check_compatibility(vs)
     # check_ep_system runs check_system first, so the bond laws are
     # checked once and the limit is built without re-checking them
-    check_ep_system(sys)
-    limit = _materialize(sys, max_points)
+    check_ep_system(vs.system)
+    return _ep_limit(vs, max_points, max_opens, validate)
+
+
+def _ep_limit(vs: ValuedSystem, max_points, max_opens,
+              validate) -> LimitValuation:
+    """ep_limit_valuation on a compatible family over a system whose bond
+    and ep laws hold, by a check or by construction."""
+    limit = _materialize(vs.system, max_points)
     # every marginal of nu is the top valuation pushed down bond(i, top),
-    # which check_compatibility has just compared with the family
+    # which compatibility compared with the family
     nu = _ep_valuation(vs, limit)
-    lv = LimitValuation(vs, limit, nu, "ep")
     if validate:
-        idxs = list(sys.indices())
-        for w in limit.space.open_masks(max_opens):
-            wset = UpSet(limit.space, w)
-            approx = [
-                vs.val(i).evaluate(upper_adjoint(limit, i, wset))
-                for i in idxs
-            ]
-            for a in idxs:
-                for b in idxs:
-                    if sys.index_leq(a, b) and approx[a] > approx[b]:
-                        raise LimitLawViolation(
-                            "approximants not increasing",
-                            (a, b, wset.members),
-                        )
-            if sup_of(approx) != nu.evaluate(w):
-                raise LimitLawViolation(
-                    "stabilization", (wset.members, sup_of(approx))
-                )
-    return lv
+        _check_approximants(vs, limit, nu, max_opens)
+    return LimitValuation(vs, limit, nu, "ep")
+
+
+def _check_approximants(vs, limit, nu, max_opens):
+    """Every limit open W must be worth the increasing supremum of the
+    marginal values of its upper adjoints V_i(W).
+
+    A level point x lies in V_i(W) exactly when its cylinder
+    p_i^-1(up x) sits inside W.  Over ep bonds that cylinder is the
+    principal up-set of its least point e_i(x), so nu_i(V_i(W)) is nu_i
+    pushed along e_i and evaluated at W: each index's column over all
+    limit opens is one eval_weights call.  e_i is recovered from the
+    cylinders by embedding_from_projection, which refuses a projection
+    without one.  The columns share one scale and are compared as
+    integers (-1 is infinity); ExtRat and UpSet are built only for a
+    refusal.
+    """
+    sys = vs.system
+    space = limit.space
+    idxs = list(sys.indices())
+    opens = space.open_masks(max_opens)
+    weights = [w for i in idxs for w in vs.val(i).weights]
+    _, ints = _scale(tuple(weights) + nu.weights)
+    cols = []
+    start = 0
+    for i in idxs:
+        e = embedding_from_projection(limit.projection(i)).embedding
+        pushed = [0] * space.n
+        for w, t in zip(ints[start:start + e.source.n], e.graph):
+            pushed[t] = -1 if w < 0 or pushed[t] < 0 else pushed[t] + w
+        start += e.source.n
+        cols.append(_infinite_last(_kernels.eval_weights(pushed, opens)))
+    nu_col = _infinite_last(_kernels.eval_weights(ints[start:], opens))
+    # the first open where approximants decrease along some comparable
+    # pair, or where the top one (their supremum, when they increase)
+    # misses nu
+    bad = [_first_difference(cols[sys.top_index()], nu_col, ne)]
+    for a in idxs:
+        for b in idxs:
+            if a != b and sys.index_leq(a, b):
+                bad.append(_first_difference(cols[a], cols[b], gt))
+    k = min(bad)
+    if k < len(opens):
+        raise _approximant_refusal(vs, limit, nu, opens[k])
+
+
+def _infinite_last(column):
+    """Scaled integers with -1 (infinity) made the largest, for ordering."""
+    if -1 not in column:
+        return column
+    return [inf if v < 0 else v for v in column]
+
+
+def _first_difference(col_a, col_b, op) -> int:
+    """First position where op(a, b) holds; len(col_a) when none does."""
+    if not any(map(op, col_a, col_b)):
+        return len(col_a)
+    return next(k for k, (a, b) in enumerate(zip(col_a, col_b)) if op(a, b))
+
+
+def _approximant_refusal(vs, limit, nu, w) -> LimitLawViolation:
+    """The refusal at a failing limit open, in ExtRat, with the witness
+    the per-open scan names: the first decreasing pair in index order,
+    else the supremum that misses nu."""
+    sys = vs.system
+    idxs = list(sys.indices())
+    wset = UpSet(limit.space, w)
+    approx = [vs.val(i).evaluate(upper_adjoint(limit, i, wset)) for i in idxs]
+    for a in idxs:
+        for b in idxs:
+            if sys.index_leq(a, b) and approx[a] > approx[b]:
+                return LimitLawViolation("approximants not increasing",
+                                         (a, b, wset.members))
+    return LimitLawViolation("stabilization", (wset.members, sup_of(approx)))
 
 
 def subset_product_system(spaces,
@@ -287,9 +354,12 @@ def pointed_product_valuation(spaces, marginals,
     valuation on the product of those factors.  Dropping coordinates
     admits padding-with-bottom embeddings exactly because every factor
     is pointed (NotPointed names the first factor that is not), so the
-    family rides the ep route to the full product: the subset system is
-    built once and handed to ep_limit_valuation, which checks the
-    family's compatibility and the system's bond and ep laws once each.
+    family rides the ep route to the full product.  The subset system is
+    built once, and only the family's compatibility is checked: the
+    coordinate-dropping bonds compose and are ep by construction, so
+    check_system and check_ep_system would only re-prove that.  With
+    validate on, every open of the product is checked as in
+    ep_limit_valuation.
     """
     spaces = tuple(spaces)
     for pos, sp in enumerate(spaces):
@@ -303,14 +373,16 @@ def pointed_product_valuation(spaces, marginals,
 def _pointed_extension(sys, subsets, marginals, max_points, max_opens,
                        validate) -> LimitValuation:
     """The ep-route extension of a marginal family over the subset system
-    (sys, subsets) of pointed factors."""
+    (sys, subsets) of pointed factors.  Its bonds drop coordinates, and
+    their embeddings pad with the factors' bottoms, so the system is ep
+    by construction and only compatibility is checked."""
     marginals = _with_empty_marginal(marginals, sys, subsets)
     try:
         vals = tuple(marginals[s] for s in subsets)
     except KeyError as missing:
         raise ValimError(f"marginal missing for subset {missing.args[0]!r}")
-    vs = ValuedSystem(sys, vals)
-    return ep_limit_valuation(vs, max_points, max_opens, validate)
+    vs = check_compatibility(ValuedSystem(sys, vals))
+    return _ep_limit(vs, max_points, max_opens, validate)
 
 
 def _with_empty_marginal(marginals, sys, subsets):
@@ -363,7 +435,10 @@ def dk_product(spaces, marginals, max_points: int = DEFAULT_MAX_POINTS,
     Each factor is lifted below a fresh bottom, each marginal is pushed
     along the coordinatewise inclusion into the lifted partial product,
     and the lifted family extends by the pointed construction over the
-    lifted subset system, built once.  The lifted joint gives every
+    lifted subset system, built once: its compatibility is checked
+    (Incompatible names the first differing pair), its bond and ep laws
+    hold by construction, and validate checks every open of the lifted
+    limit as ep_limit_valuation does.  The lifted joint gives every
     tuple that touches a bottom weight zero, so it is supported on the
     bottom-free tuples; restricting to that support is the product
     valuation, and the marginal law is re-checked against the original
@@ -464,12 +539,19 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
     inner regularization of mu must reproduce every marginal.  The first
     realizing Q per (i, U) is recorded.
 
+    mu and the marginal values are compared as integers on one common
+    scale, and the realizing Q is found by a dynamic program over the
+    lower covers of the opens at index i rather than by a scan of the
+    limit per open; report.mu, the witnesses and the failure are the
+    ExtRat values the scan gives.
+
     Compatibility of vs is a precondition, not re-verified here: the
     check is meaningful (and fails honestly) on engineered families,
     e.g. nonzero marginals over an empty limit.
 
     supplier, when given, is consulted as (i, U, r) -> CompactFamily
-    before the exhaustive scan and its thread set used as the witness;
+    wherever the limit's up-sets fall short of the marginal value, and
+    its thread set becomes the witness when mu values it higher;
     loccomp_certificate produces suitable families.
     """
     sys = vs.system
@@ -477,15 +559,22 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
         limit = materialize_limit(sys, max_points)
     idxs = list(sys.indices())
     qmasks = limit.space.open_masks(max_opens)
+    # one scale for every marginal, so that mu, its witnesses and the
+    # marginal values compare as integers (-1 is infinity)
+    den, ints = _scale(tuple(w for i in idxs for w in vs.val(i).weights))
+    level_ints = {}
     proj_up = {}
+    mu_keys = None
+    start = 0
     for i in idxs:
         p = limit.projection(i)
         xi = sys.space(i)
+        level_ints[i] = ints[start:start + xi.n]
+        start += xi.n
         proj_up[i] = [xi.up_close(p.image_mask(q)) for q in qmasks]
-    mu_values = [
-        inf_of(vs.val(i).evaluate(proj_up[i][pos]) for i in idxs)
-        for pos in range(len(qmasks))
-    ]
+        col = _infinite_last(_kernels.eval_weights(level_ints[i], proj_up[i]))
+        mu_keys = col if mu_keys is None else list(map(min, mu_keys, col))
+    mu_values = [_ext(k, den) for k in mu_keys]
     mu = TabulatedSetFunction(limit.space, tuple(qmasks), tuple(mu_values),
                               on="upsets")
     experimental = any(
@@ -499,28 +588,24 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
             break
         xi = sys.space(i)
         nu_i = vs.val(i)
-        rationals = sorted({ZERO} | {
-            nu_i.evaluate(m) for m in xi.open_masks(max_opens)
-        })
-        for u in xi.open_masks(max_opens):
+        opens_i = xi.open_masks(max_opens)
+        raw = _kernels.eval_weights(level_ints[i], opens_i)
+        rationals = sorted({ZERO} | {_ext(v, den) for v in set(raw)})
+        first = _first_best_below(xi, opens_i, proj_up[i], mu_keys)
+        for u, target_key in zip(opens_i, _infinite_last(raw)):
+            # every q inside u has mu(q) <= nu_i(u), so the scan's running
+            # max stops at the first q attaining the largest mu inside u
+            pos = first[u]
+            best, best_q = mu_values[pos], qmasks[pos]
+            witnesses[(i, u)] = (best_q, best)
+            if mu_keys[pos] == target_key:
+                continue
             target = nu_i.evaluate(u)
-            best = None
-            best_q = None
-            for pos, q in enumerate(qmasks):
-                if proj_up[i][pos] & ~u:
-                    continue
-                if best is None or mu_values[pos] > best:
-                    best = mu_values[pos]
-                    best_q = q
-                if best == target:
-                    break
-            if best_q is not None:
-                witnesses[(i, u)] = (best_q, best)
-            if supplier is not None and best != target:
+            if supplier is not None:
                 for r in rationals:
                     if not way_below(r, target):
                         continue
-                    if best is not None and r <= best:
+                    if r <= best:
                         continue
                     fam = supplier(i, UpSet(xi, u), r)
                     q = fam.limit_mask(limit)
@@ -529,7 +614,7 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
                     )
                     if sat & ~u == 0:
                         val = mu.lookup(q)
-                        if best is None or val > best:
+                        if val > best:
                             best, best_q = val, q
                             witnesses[(i, u)] = (best_q, best)
             # every way-below rational must be dominated; on a finite
@@ -554,6 +639,42 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
                                   failure, experimental)
 
 
+def _ext(v, den) -> ExtRat:
+    """A scaled integer (-1 or inf for infinity) back in ExtRat."""
+    return INF if v < 0 or v == inf else ExtRat(v, den)
+
+
+def _first_best_below(xi, opens_i, images, keys) -> dict:
+    """u -> the first position, in limit-open order, of an up-set whose
+    image lies inside u with the largest key among such up-sets.
+
+    Every up-set inside u is reached from u by removing minimal points
+    one at a time, so the best below u is the best of its own images and
+    of the best below each lower cover; opens_i, in (size, mask) order,
+    lists the covers first.  O(opens x points) instead of a scan of the
+    limit per open.
+    """
+    own = {}
+    for pos, (s, k) in enumerate(zip(images, keys)):
+        cur = own.get(s)
+        if cur is None or k > keys[cur]:
+            own[s] = pos
+    best = {}
+    for u in opens_i:
+        b = own.get(u)
+        m = u
+        while m:
+            bit = m & -m
+            m ^= bit
+            if xi.down[bit.bit_length() - 1] & u != bit:
+                continue
+            c = best[u ^ bit]
+            if b is None or (keys[c], -c) > (keys[b], -b):
+                b = c
+        best[u] = b
+    return best
+
+
 def prohorov_limit(vs: ValuedSystem, report: UniformTightnessReport = None,
                    max_points: int = DEFAULT_MAX_POINTS,
                    max_opens: int = DEFAULT_MAX_OPENS,
@@ -564,9 +685,11 @@ def prohorov_limit(vs: ValuedSystem, report: UniformTightnessReport = None,
     failure; a precomputed report is accepted).  The inner regularization
     of the outer set function mu is certified as a valuation by the full
     axiom check, its marginals are verified to reproduce the family, the
-    result is checked tight, and whenever the system is also ep the
-    output is asserted equal to the ep route's valuation on the same
-    limit (there is only one limit valuation to find).
+    result is checked tight, and the output is asserted equal to the top
+    marginal transported to the limit, the ep route's valuation: on a
+    materialized limit the top projection is the identity, so that is
+    the only candidate, ep bonds or not (there is only one limit
+    valuation to find).
 
     verify_compatibility=False lets a deliberately broken family through
     to the tightness stage, where it fails as NotUniformlyTight instead
@@ -589,10 +712,6 @@ def prohorov_limit(vs: ValuedSystem, report: UniformTightnessReport = None,
     tightness = is_tight(nu, max_opens)
     if not tightness.verdict:
         raise LimitLawViolation("result not tight", tightness.failure)
-    try:
-        check_ep_system(vs.system)
-    except (NotAProjection, EpLawViolation):
-        return lv
     w = first_differing_open(nu, _ep_valuation(vs, limit))
     if w is not None:
         raise LimitLawViolation("uniqueness", w.members)

@@ -393,11 +393,14 @@ def check_compatibility(vs: ValuedSystem) -> ValuedSystem:
     recovered as the Incompatible witness when it fails.
     """
     sys = vs.system
+    down = {}  # j -> bonds into j, walked when j is first reached
     for i in sys.indices():
         for j in sys.indices():
             if not sys.index_leq(i, j):
                 continue
-            pushed = image_valuation(sys.bond(i, j), vs.val(j))
+            if j not in down:
+                down[j] = _bonds_to(sys, j)
+            pushed = image_valuation(down[j][i], vs.val(j))
             w = first_differing_open(vs.val(i), pushed)
             if w is not None:
                 raise Incompatible(i, j, w)
@@ -436,28 +439,48 @@ def materialize_limit(sys, max_points: int = DEFAULT_MAX_POINTS) -> LimitSpace:
 
 def _materialize(sys, max_points) -> LimitSpace:
     """materialize_limit on a system whose bond laws were already checked."""
-    if sys.kind == "prefix":
-        top = sys.last
-        projections = tuple(sys.bond(i, top) for i in sys.indices())
-        return LimitSpace(sys, sys.space(top), projections)
-    if sys.kind != "poset":
+    if sys.kind not in ("prefix", "poset"):
         raise ValimError("only poset systems and prefix chains materialize")
     top = sys.top_index()
     xt = sys.space(top)
+    idxs = list(sys.indices())
+    down = _bonds_to(sys, top)
+    if sys.kind == "prefix":
+        return LimitSpace(sys, xt, tuple(down[i] for i in idxs))
     if xt.n > max_points:
         raise SizeLimit("limit points", max_points)
-    idxs = list(sys.indices())
+    graphs = [down[i].graph for i in idxs]
     labels = tuple(
-        tuple(sys.bond(i, top)(xt.labels[x]) for i in idxs)
+        tuple(sys.space(i).labels[g[x]] for i, g in zip(idxs, graphs))
         for x in range(xt.n)
     )
     carrier = FiniteSpace(labels, xt.up)
     # the carrier carries the top's order, so each bond stays monotone
     projections = tuple(
-        MonotoneMap._trusted(carrier, sys.space(i), sys.bond(i, top).graph)
-        for i in idxs
+        MonotoneMap._trusted(carrier, sys.space(i), g)
+        for i, g in zip(idxs, graphs)
     )
     return LimitSpace(sys, carrier, projections)
+
+
+def _bonds_to(sys, j) -> dict:
+    """bond(i, j) for every index i below j.
+
+    A chain composes its steps in one walk down from j, each bond
+    extending the one above it by a single step, where calling bond per
+    index would recompose the whole stretch every time.  Nothing is
+    stored on the system: chains are pickled as inputs, and a filled
+    cache would travel with them.
+    """
+    if sys.kind == "poset":
+        return {i: sys.bond(i, j) for i in sys.indices()
+                if sys.index_leq(i, j)}
+    f = identity_map(sys.space(j))
+    down = {j: f}
+    for k in range(j - 1, -1, -1):
+        f = compose(_chain_step(sys, k), f)
+        down[k] = f
+    return down
 
 
 def upper_adjoint(limit: LimitSpace, i, u: UpSet) -> UpSet:
@@ -815,7 +838,9 @@ def steenrod_nonempty(sys, max_points: int = DEFAULT_MAX_POINTS) -> SteenrodResu
             label = (sys.index_poset.labels[i] if sys.kind == "poset" else i)
             return SteenrodResult(None, label)
     if sys.kind == "prefix":
-        imgs = [eventual_images(sys, i).mask for i in sys.indices()]
+        full = sys.space(sys.last).full_mask
+        down = _bonds_to(sys, sys.last)
+        imgs = [down[i].image_mask(full) for i in sys.indices()]
         thread = []
         prev = None
         for i in sys.indices():

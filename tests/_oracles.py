@@ -12,12 +12,14 @@ from valim import (
     AxiomViolation,
     ExtRat,
     FiniteSpace,
+    LimitLawViolation,
     NotSimple,
     UpSet,
     ValimError,
     Valuation,
+    upper_adjoint,
 )
-from valim.extreal import INF, ZERO, way_below
+from valim.extreal import INF, ZERO, inf_of, sup_of, way_below
 
 
 def all_upsets(space: FiniteSpace):
@@ -242,3 +244,96 @@ def brute_is_monotone(f) -> bool:
         dst.leq(f(a), f(b))
         for a in src.labels for b in src.labels if src.leq(a, b)
     )
+
+
+def brute_ep_approximants(vs, limit, nu):
+    """The ep route's limit law, open by open in ExtRat: at every limit
+    open W, in open_masks order, the marginal values of the upper
+    adjoints must increase along the index order (else the first
+    decreasing pair (a, b) is named), and their supremum must be nu(W).
+    Raises LimitLawViolation as ep_limit_valuation does."""
+    sys = vs.system
+    idxs = list(sys.indices())
+    for w in limit.space.open_masks():
+        wset = UpSet(limit.space, w)
+        approx = [mask_value(vs.val(i), upper_adjoint(limit, i, wset).mask)
+                  for i in idxs]
+        for a in idxs:
+            for b in idxs:
+                if sys.index_leq(a, b) and approx[a] > approx[b]:
+                    raise LimitLawViolation(
+                        "approximants not increasing", (a, b, wset.members)
+                    )
+        if sup_of(approx) != mask_value(nu, w):
+            raise LimitLawViolation(
+                "stabilization", (wset.members, sup_of(approx))
+            )
+
+
+def brute_uniform_tightness(vs, limit, supplier=None):
+    """(mu values, verdict, witnesses, failure) of the uniform tightness
+    test, by an ExtRat scan of every limit up-set for each (index, open):
+    mu(Q) is the least marginal value of Q's saturated projections, and
+    the witness is where the running max of mu over the up-sets whose
+    projection fits the open first stops growing or reaches the open's
+    value.  The supplier and the gap rational are treated as
+    uniform_tightness_check documents them."""
+    sys = vs.system
+    idxs = list(sys.indices())
+    qmasks = limit.space.open_masks()
+    proj_up = {}
+    for i in idxs:
+        p = limit.projection(i)
+        xi = sys.space(i)
+        proj_up[i] = [xi.up_close(p.image_mask(q)) for q in qmasks]
+    mu_values = [
+        inf_of(mask_value(vs.val(i), proj_up[i][pos]) for i in idxs)
+        for pos in range(len(qmasks))
+    ]
+    mu = dict(zip(qmasks, mu_values))
+    witnesses = {}
+    for i in idxs:
+        xi = sys.space(i)
+        nu_i = vs.val(i)
+        opens_i = by_size(all_upsets(xi))
+        rationals = sorted({ZERO} | {mask_value(nu_i, m) for m in opens_i})
+        for u in opens_i:
+            target = mask_value(nu_i, u)
+            best = None
+            best_q = None
+            for pos, q in enumerate(qmasks):
+                if proj_up[i][pos] & ~u:
+                    continue
+                if best is None or mu_values[pos] > best:
+                    best = mu_values[pos]
+                    best_q = q
+                if best == target:
+                    break
+            if best_q is not None:
+                witnesses[(i, u)] = (best_q, best)
+            if supplier is not None and best != target:
+                for r in rationals:
+                    if not way_below(r, target):
+                        continue
+                    if best is not None and r <= best:
+                        continue
+                    q = supplier(i, UpSet(xi, u), r).limit_mask(limit)
+                    sat = xi.up_close(limit.projection(i).image_mask(q))
+                    if sat & ~u == 0:
+                        val = mu[q]
+                        if best is None or val > best:
+                            best, best_q = val, q
+                            witnesses[(i, u)] = (best_q, best)
+            if best != target:
+                gap = next(
+                    (r for r in reversed(rationals)
+                     if way_below(r, target) and r > best),
+                    None,
+                )
+                if gap is None:
+                    if target.is_finite:
+                        gap = ExtRat((best.frac + target.frac) / 2)
+                    else:
+                        gap = ExtRat(best.frac + 1)
+                return mu_values, False, witnesses, (i, u, gap)
+    return mu_values, True, witnesses, None

@@ -1,0 +1,357 @@
+"""The limit constructions against their brute-force oracles.
+
+ep_limit_valuation validates the limit law on integer columns and
+uniform_tightness_check searches its witnesses with a cover dynamic
+program; _oracles keeps both as per-open ExtRat scans.  Lawful and
+corrupted inputs must give the same results, refusals and witnesses.
+The subset systems of pointed factors skip check_ep_system at run time,
+so their ep laws are proven here instead.
+"""
+
+import pickle
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from valim import (
+    CompactFamily,
+    ExtRat,
+    FiniteSpace,
+    Incompatible,
+    LimitLawViolation,
+    MonotoneMap,
+    NotUniformlyTight,
+    PrefixChain,
+    UpSet,
+    Valuation,
+    ValuedSystem,
+    check_ep_system,
+    dk_product,
+    embedding_from_projection,
+    ep_limit_valuation,
+    first_differing_open,
+    lift,
+    marginal_family_from_joint,
+    marginals_from_joint,
+    materialize_limit,
+    pointed_product_valuation,
+    product_space,
+    prohorov_limit,
+    steenrod_nonempty,
+    subset_product_system,
+    uniform_tightness_check,
+)
+from valim import constructions
+from valim.extreal import INF, ONE, ZERO
+from valim.generators import (
+    rand_ep_prefix_chain,
+    rand_monotone_map,
+    rand_poset,
+    rand_prefix_chain,
+    rand_valuation,
+    rand_valued_chain,
+    rand_valued_poset_system,
+)
+from valim.projective import _materialize
+
+from _oracles import (
+    brute_ep_approximants,
+    brute_uniform_tightness,
+    independent_joint,
+    push_weights,
+)
+
+seeds = st.integers(min_value=0, max_value=10_000)
+
+SIER = FiniteSpace(("bot", "top"), (0b11, 0b10))
+ANTI = FiniteSpace(("x", "y"), (0b01, 0b10))
+
+SKEWS = (ZERO, ExtRat(1, 3), ExtRat(2), INF)
+
+
+def pointed_factors(rng, count):
+    """Factors of at most 4 points with a least point: drawn pointed, or
+    lifted below a fresh bottom as dk_product does."""
+    out = []
+    for p in range(count):
+        sp = rand_poset(rng, rng.randint(1, 4), edge_prob=0.7,
+                        prefix=f"f{p}_")
+        if sp.bottom() is None or rng.random() < 0.5:
+            sp = lift(rand_poset(rng, rng.randint(1, 3), prefix=f"f{p}_"))
+        out.append(sp)
+    return out
+
+
+def lawful_ep_family(rng):
+    """An ep chain, or the subset system of pointed factors, with the
+    marginals of one joint (infinite weights included)."""
+    if rng.random() < 0.5:
+        sys = rand_ep_prefix_chain(rng, rng.randint(1, 4), 5)
+    else:
+        sys, _ = subset_product_system(pointed_factors(rng, rng.randint(1, 2)))
+    top = sys.space(sys.top_index())
+    return marginal_family_from_joint(
+        sys, rand_valuation(rng, top, inf_prob=0.15))
+
+
+def skewed(vs, i, x, weight) -> ValuedSystem:
+    vals = list(vs.valuations)
+    ws = list(vals[i].weights)
+    ws[x] = weight
+    vals[i] = Valuation(vals[i].space, tuple(ws))
+    return ValuedSystem(vs.system, tuple(vals))
+
+
+def outcome(fn, *args):
+    """('ok', result) or (law, witness) of a LimitLawViolation."""
+    try:
+        return ("ok", fn(*args))
+    except LimitLawViolation as e:
+        return (e.law, e.witness)
+
+
+# --- ep route: integer columns against the per-open scan ----------------
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_ep_limit_matches_the_oracle_on_lawful_families(seed):
+    vs = lawful_ep_family(random.Random(seed))
+    lv = ep_limit_valuation(vs)
+    top = vs.system.top_index()
+    assert lv.valuation.weights == vs.val(top).weights
+    brute_ep_approximants(vs, lv.limit, lv.valuation)
+
+
+def ep_refusal(vs, nu_skew):
+    """ep_limit_valuation on a family whose compatibility is not checked,
+    with nu optionally skewed at (point, weight)."""
+    real = constructions._ep_valuation
+
+    def ep_valuation(vs, limit):
+        nu = real(vs, limit)
+        if nu_skew is None:
+            return nu
+        x, weight = nu_skew
+        ws = list(nu.weights)
+        ws[x] = weight
+        return Valuation(nu.space, tuple(ws))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "check_compatibility", lambda vs: vs)
+        mp.setattr(constructions, "_ep_valuation", ep_valuation)
+        got = outcome(lambda: ep_limit_valuation(vs).valuation)
+        limit = materialize_limit(vs.system)
+        nu = ep_valuation(vs, limit)
+    want = outcome(brute_ep_approximants, vs, limit, nu)
+    return got, want
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_ep_limit_refuses_skewed_families_as_the_oracle_does(seed):
+    rng = random.Random(seed)
+    vs = lawful_ep_family(rng)
+    sys = vs.system
+    i = rng.choice(list(sys.indices()))
+    vs = skewed(vs, i, rng.randrange(sys.space(i).n), rng.choice(SKEWS))
+    nu_skew = None
+    if rng.random() < 0.3:
+        top = sys.space(sys.top_index())
+        nu_skew = (rng.randrange(top.n), rng.choice(SKEWS))
+    got, want = ep_refusal(vs, nu_skew)
+    if want[0] == "ok":
+        assert got[0] == "ok"
+    else:
+        assert got == want
+
+
+def sier_chain():
+    ch = PrefixChain((SIER, SIER), (MonotoneMap(SIER, SIER, (0, 1)),))
+    return marginal_family_from_joint(
+        ch, Valuation(SIER, (ExtRat(1, 3), ExtRat(2, 3))))
+
+
+@pytest.mark.parametrize("case", ["increasing", "stabilization"])
+def test_ep_limit_names_each_law_and_witness(case):
+    vs = sier_chain()
+    if case == "increasing":
+        # level 0 outweighs level 1 on the open {top}
+        got, want = ep_refusal(skewed(vs, 0, 1, ExtRat(2)), None)
+        assert want == ("approximants not increasing", (0, 1, ("top",)))
+    else:
+        got, want = ep_refusal(vs, (1, INF))
+        assert want == ("stabilization", (("top",), ExtRat(2, 3)))
+    assert got == want
+
+
+# --- uniform tightness: cover DP against the scan ----------------------
+
+
+def report_tuple(rep):
+    return list(rep.mu.values), rep.verdict, rep.witnesses, rep.failure
+
+
+def full_supplier(sys):
+    family = CompactFamily(sys, tuple(
+        UpSet(sys.space(i), sys.space(i).full_mask) for i in sys.indices()
+    ))
+    return lambda i, u, r: family
+
+
+@given(seeds, st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_uniform_tightness_matches_the_oracle_on_lawful_families(seed, poset):
+    rng = random.Random(seed)
+    if poset:
+        vs = rand_valued_poset_system(rng, max_top=5, inf_prob=0.15)
+    else:
+        ch = rand_prefix_chain(rng, rng.randint(1, 4), 5)
+        vs = rand_valued_chain(rng, ch, inf_prob=0.15)
+    rep = uniform_tightness_check(vs)
+    assert report_tuple(rep) == brute_uniform_tightness(vs, rep.limit)
+    assert rep.verdict
+
+
+@given(seeds, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_uniform_tightness_matches_the_oracle_on_broken_families(seed,
+                                                                 supply):
+    # a marginal per level drawn on its own, over bonds that need not be
+    # surjective: families that are neither compatible nor tight
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+    spaces = [rand_poset(rng, n, prefix=f"l{k}_") for k, n in enumerate(sizes)]
+    steps = [rand_monotone_map(rng, spaces[k + 1], spaces[k])
+             for k in range(len(spaces) - 1)]
+    ch = PrefixChain(tuple(spaces), tuple(steps))
+    vs = ValuedSystem(ch, tuple(
+        rand_valuation(rng, sp, inf_prob=0.1) for sp in spaces))
+    supplier = full_supplier(ch) if supply else None
+    rep = uniform_tightness_check(vs, supplier)
+    want = brute_uniform_tightness(vs, rep.limit, supplier)
+    assert report_tuple(rep) == want
+    if rep.verdict:
+        return
+    i, u, r = want[3]
+    with pytest.raises(NotUniformlyTight) as e:
+        prohorov_limit(vs, verify_compatibility=False)
+    assert (e.value.index, e.value.u_members, e.value.rational) == (
+        i, ch.space(i).points_of(u), r)
+
+
+# --- the trusted subset-system path -------------------------------------
+
+
+@given(seeds)
+@settings(max_examples=25, deadline=None)
+def test_subset_systems_of_pointed_factors_are_ep(seed):
+    # pointed_product_valuation and dk_product skip check_ep_system on
+    # these systems: the laws hold, and every embedding pads with bottoms
+    rng = random.Random(seed)
+    factors = pointed_factors(rng, rng.randint(1, 3))
+    sys, subsets = subset_product_system(factors)
+    check_ep_system(sys)
+    bottoms = [f.bottom() for f in factors]
+    for j, t in enumerate(subsets):
+        big = sys.space(j)
+        for i, s in enumerate(subsets):
+            if not sys.index_leq(i, j):
+                continue
+            pad = tuple(
+                big.index[tuple(lab[s.index(p)] if p in s else bottoms[p]
+                                for p in t)]
+                for lab in sys.space(i).labels
+            )
+            e = embedding_from_projection(sys.bond(i, j)).embedding
+            assert e.graph == pad
+
+
+def first_incompatible(sys, vals):
+    """The first index pair, in scan order, whose pushforward differs,
+    with the first differing candidate open."""
+    for i in sys.indices():
+        for j in sys.indices():
+            if sys.index_leq(i, j):
+                w = first_differing_open(
+                    vals[i], push_weights(sys.bond(i, j), vals[j]))
+                if w is not None:
+                    return (i, j), w
+    return None
+
+
+@given(seeds)
+@settings(max_examples=25, deadline=None)
+def test_incompatible_products_name_the_first_pair(seed):
+    rng = random.Random(seed)
+    factors = [rand_poset(rng, rng.randint(1, 3), prefix=f"f{p}_")
+               for p in range(rng.randint(1, 2))]
+    prod, _ = product_space(factors)
+    family = marginals_from_joint(factors, rand_valuation(rng, prod))
+    broken = rng.choice([s for s in family if s])
+    family[broken] = rand_valuation(rng, family[broken].space)
+    # dk_product runs the pointed construction on the lifted factors
+    lifted = [lift(f) for f in factors]
+    sys, subsets = subset_product_system(lifted)
+    vals = []
+    for k, s in enumerate(subsets):
+        space = sys.space(k)
+        ws = [ZERO] * space.n
+        for lab, w in family[s].labels_weights():
+            ws[space.index[lab]] = w
+        vals.append(Valuation(space, tuple(ws)))
+    want = first_incompatible(sys, vals)
+    if want is None:
+        return
+    with pytest.raises(Incompatible) as e:
+        dk_product(factors, family, validate=False)
+    assert (e.value.pair, e.value.witness) == want
+    with pytest.raises(Incompatible) as e:
+        pointed_product_valuation(lifted, dict(zip(subsets, vals)),
+                                  validate=False)
+    assert (e.value.pair, e.value.witness) == want
+
+
+def test_incompatible_product_pair_and_witness_are_pinned():
+    # a deterministic pair joint against uniform singles; pair and
+    # witness as reported while the product also ran check_ep_system
+    half = Valuation(ANTI, (ExtRat(1, 2), ExtRat(1, 2)))
+    fam = marginals_from_joint(
+        [ANTI, ANTI], independent_joint([ANTI, ANTI], [half, half]))
+    fam[(0, 1)] = Valuation(fam[(0, 1)].space, (ONE, ZERO, ZERO, ZERO))
+    with pytest.raises(Incompatible) as e:
+        dk_product([ANTI, ANTI], fam)
+    assert e.value.pair == (1, 3)
+    assert e.value.witness.members == (("x",),)
+
+
+# --- no memo travels with a pickled chain --------------------------------
+
+
+def warm(vs):
+    """Fill every per-object cache the calls below may fill: the spaces'
+    orders and open lattices and the valuations' scaled weights."""
+    for sp in vs.system.spaces:
+        sp.open_masks(), sp.index, sp.down, sp.full_mask
+    for nu in vs.valuations:
+        nu._scaled
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chain_calls_leave_the_pickled_inputs_unchanged(seed):
+    rng = random.Random(seed)
+    ch = rand_ep_prefix_chain(rng, 4, 5)
+    vs = rand_valued_chain(rng, ch)
+    warm(vs)
+    chain_blob, vs_blob = pickle.dumps(ch), pickle.dumps(vs)
+    ep_limit_valuation(vs)
+    prohorov_limit(vs)
+    steenrod_nonempty(ch)
+    ch.bond(0, ch.last)
+    assert pickle.dumps(ch) == chain_blob
+    assert pickle.dumps(vs) == vs_blob
+    limit = _materialize(ch, 1 << 12)
+    for i in ch.indices():
+        assert limit.projection(i).graph == ch.bond(i, ch.last).graph
