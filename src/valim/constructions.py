@@ -23,12 +23,13 @@ object find_dominating_level and the tightness check consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from math import inf
 from operator import gt, ne
 
 from . import _kernels
 from .errors import ValimError
-from .extreal import INF, ZERO, ExtRat, inf_of, sup_of, way_below
+from .extreal import INF, ZERO, ExtRat, inf_of, way_below
 from .order import (
     DEFAULT_MAX_OPENS,
     DEFAULT_MAX_POINTS,
@@ -53,7 +54,6 @@ from .projective import (
     _bonds_to,
     _materialize,
     materialize_limit,
-    upper_adjoint,
 )
 from .valuation import (
     Restriction,
@@ -228,15 +228,18 @@ def _check_approximants(vs, limit, nu, max_opens):
     limit opens is one eval_weights call.  e_i is recovered from the
     cylinders by embedding_from_projection, which refuses a projection
     without one.  The columns share one scale and are compared as
-    integers (-1 is infinity); ExtRat and UpSet are built only for a
-    refusal.
+    integers (infinity is float inf); ExtRat is built only for the
+    refusal, from the columns at the first failing open in open_masks
+    order: the first decreasing comparable pair in index order, else the
+    supremum of the increasing approximants (the top one) that misses nu.
     """
     sys = vs.system
     space = limit.space
     idxs = list(sys.indices())
+    top = sys.top_index()
     opens = space.open_masks(max_opens)
     weights = [w for i in idxs for w in vs.val(i).weights]
-    _, ints = _scale(tuple(weights) + nu.weights)
+    den, ints = _scale(tuple(weights) + nu.weights)
     cols = []
     start = 0
     for i in idxs:
@@ -247,21 +250,23 @@ def _check_approximants(vs, limit, nu, max_opens):
         start += e.source.n
         cols.append(_infinite_last(_kernels.eval_weights(pushed, opens)))
     nu_col = _infinite_last(_kernels.eval_weights(ints[start:], opens))
-    # the first open where approximants decrease along some comparable
-    # pair, or where the top one (their supremum, when they increase)
-    # misses nu
-    bad = [_first_difference(cols[sys.top_index()], nu_col, ne)]
-    for a in idxs:
-        for b in idxs:
-            if a != b and sys.index_leq(a, b):
-                bad.append(_first_difference(cols[a], cols[b], gt))
-    k = min(bad)
-    if k < len(opens):
-        raise _approximant_refusal(vs, limit, nu, opens[k])
+    pairs = [(a, b) for a in idxs for b in idxs
+             if a != b and sys.index_leq(a, b)]
+    k = min([_first_difference(cols[top], nu_col, ne)]
+            + [_first_difference(cols[a], cols[b], gt) for a, b in pairs])
+    if k == len(opens):
+        return
+    members = space.points_of(opens[k])
+    for a, b in pairs:
+        if cols[a][k] > cols[b][k]:
+            raise LimitLawViolation("approximants not increasing",
+                                    (a, b, members))
+    raise LimitLawViolation("stabilization",
+                            (members, _ext(cols[top][k], den)))
 
 
 def _infinite_last(column):
-    """Scaled integers with -1 (infinity) made the largest, for ordering."""
+    """Scaled integers with -1 (infinity) replaced by inf, the largest."""
     if -1 not in column:
         return column
     return [inf if v < 0 else v for v in column]
@@ -269,25 +274,7 @@ def _infinite_last(column):
 
 def _first_difference(col_a, col_b, op) -> int:
     """First position where op(a, b) holds; len(col_a) when none does."""
-    if not any(map(op, col_a, col_b)):
-        return len(col_a)
-    return next(k for k, (a, b) in enumerate(zip(col_a, col_b)) if op(a, b))
-
-
-def _approximant_refusal(vs, limit, nu, w) -> LimitLawViolation:
-    """The refusal at a failing limit open, in ExtRat, with the witness
-    the per-open scan names: the first decreasing pair in index order,
-    else the supremum that misses nu."""
-    sys = vs.system
-    idxs = list(sys.indices())
-    wset = UpSet(limit.space, w)
-    approx = [vs.val(i).evaluate(upper_adjoint(limit, i, wset)) for i in idxs]
-    for a in idxs:
-        for b in idxs:
-            if sys.index_leq(a, b) and approx[a] > approx[b]:
-                return LimitLawViolation("approximants not increasing",
-                                         (a, b, wset.members))
-    return LimitLawViolation("stabilization", (wset.members, sup_of(approx)))
+    return next(compress(count(), map(op, col_a, col_b)), len(col_a))
 
 
 def subset_product_system(spaces,
@@ -560,7 +547,7 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
     idxs = list(sys.indices())
     qmasks = limit.space.open_masks(max_opens)
     # one scale for every marginal, so that mu, its witnesses and the
-    # marginal values compare as integers (-1 is infinity)
+    # marginal values compare as integers (inf is infinity)
     den, ints = _scale(tuple(w for i in idxs for w in vs.val(i).weights))
     level_ints = {}
     proj_up = {}
@@ -589,10 +576,10 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
         xi = sys.space(i)
         nu_i = vs.val(i)
         opens_i = xi.open_masks(max_opens)
-        raw = _kernels.eval_weights(level_ints[i], opens_i)
+        raw = _infinite_last(_kernels.eval_weights(level_ints[i], opens_i))
         rationals = sorted({ZERO} | {_ext(v, den) for v in set(raw)})
         first = _first_best_below(xi, opens_i, proj_up[i], mu_keys)
-        for u, target_key in zip(opens_i, _infinite_last(raw)):
+        for u, target_key in zip(opens_i, raw):
             # every q inside u has mu(q) <= nu_i(u), so the scan's running
             # max stops at the first q attaining the largest mu inside u
             pos = first[u]
@@ -640,8 +627,8 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
 
 
 def _ext(v, den) -> ExtRat:
-    """A scaled integer (-1 or inf for infinity) back in ExtRat."""
-    return INF if v < 0 or v == inf else ExtRat(v, den)
+    """A scaled integer (inf for infinity) back in ExtRat."""
+    return INF if v == inf else ExtRat(v, den)
 
 
 def _first_best_below(xi, opens_i, images, keys) -> dict:
