@@ -202,7 +202,6 @@ def _cmd_limit_eval(args) -> int:
     if doc.kind != "valued-system":
         raise BadDocument("limit-eval expects a valued-system document")
     vs = doc.value
-    check_compatibility(vs)
     route = args.route
     if route in ("auto", "ep"):
         try:

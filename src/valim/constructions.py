@@ -59,6 +59,8 @@ from .valuation import (
     Restriction,
     TabulatedSetFunction,
     Valuation,
+    _first_best_below,
+    _infinite_last,
     _scale,
     check_valuation,
     first_differing_open,
@@ -263,13 +265,6 @@ def _check_approximants(vs, limit, nu, max_opens):
                                     (a, b, members))
     raise LimitLawViolation("stabilization",
                             (members, _ext(cols[top][k], den)))
-
-
-def _infinite_last(column):
-    """Scaled integers with -1 (infinity) replaced by inf, the largest."""
-    if -1 not in column:
-        return column
-    return [inf if v < 0 else v for v in column]
 
 
 def _first_difference(col_a, col_b, op) -> int:
@@ -527,10 +522,10 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
     realizing Q per (i, U) is recorded.
 
     mu and the marginal values are compared as integers on one common
-    scale, and the realizing Q is found by a dynamic program over the
-    lower covers of the opens at index i rather than by a scan of the
-    limit per open; report.mu, the witnesses and the failure are the
-    ExtRat values the scan gives.
+    scale, and the realizing Q is found by the lower-cover walk of the
+    opens at index i that mu_circ uses (_first_best_below) rather than
+    by a scan of the limit per open; report.mu, the witnesses and the
+    failure are the ExtRat values the scan gives.
 
     Compatibility of vs is a precondition, not re-verified here: the
     check is meaningful (and fails honestly) on engineered families,
@@ -629,37 +624,6 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
 def _ext(v, den) -> ExtRat:
     """A scaled integer (inf for infinity) back in ExtRat."""
     return INF if v == inf else ExtRat(v, den)
-
-
-def _first_best_below(xi, opens_i, images, keys) -> dict:
-    """u -> the first position, in limit-open order, of an up-set whose
-    image lies inside u with the largest key among such up-sets.
-
-    Every up-set inside u is reached from u by removing minimal points
-    one at a time, so the best below u is the best of its own images and
-    of the best below each lower cover; opens_i, in (size, mask) order,
-    lists the covers first.  O(opens x points) instead of a scan of the
-    limit per open.
-    """
-    own = {}
-    for pos, (s, k) in enumerate(zip(images, keys)):
-        cur = own.get(s)
-        if cur is None or k > keys[cur]:
-            own[s] = pos
-    best = {}
-    for u in opens_i:
-        b = own.get(u)
-        m = u
-        while m:
-            bit = m & -m
-            m ^= bit
-            if xi.down[bit.bit_length() - 1] & u != bit:
-                continue
-            c = best[u ^ bit]
-            if b is None or (keys[c], -c) > (keys[b], -b):
-                b = c
-        best[u] = b
-    return best
 
 
 def prohorov_limit(vs: ValuedSystem, report: UniformTightnessReport = None,

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import inf, lcm
+from operator import or_
 
 from . import _kernels
 from .errors import ValimError
@@ -227,6 +228,56 @@ def _scale(values) -> tuple:
     return den, ints
 
 
+def _infinite_last(column):
+    """Scaled integers with -1 (infinity) replaced by inf, the largest."""
+    if -1 not in column:
+        return column
+    return [inf if v < 0 else v for v in column]
+
+
+def _walk_below(space, opens, step) -> dict:
+    """u -> step(u, [the result at each lower cover of u]) for every u of
+    opens, the open lattice of space in (size, mask) order.
+
+    The lower covers of u are the u minus x, x minimal in u.  An up-set
+    q inside u other than u lies inside one: a point minimal in u minus
+    q is minimal in u, as q is an up-set (Birkhoff's representation;
+    Rota 1964).  So an extreme over the up-sets inside u combines u with
+    the extremes at its covers, in O(opens x points).
+    """
+    down = space.down
+    out = {}
+    for u in opens:
+        below = []
+        m = u
+        while m:
+            bit = m & -m
+            m ^= bit
+            if down[bit.bit_length() - 1] & u == bit:
+                below.append(out[u ^ bit])
+        out[u] = step(u, below)
+    return out
+
+
+def _first_best_below(space, opens, images, keys) -> dict:
+    """u -> the first position, in images order, of the largest key
+    among those whose image (an open of space) lies inside u, for every
+    u of opens (_walk_below); infinite keys are inf (_infinite_last)."""
+    own = {}
+    for pos, (s, k) in enumerate(zip(images, keys)):
+        cur = own.get(s)
+        if cur is None or k > keys[cur]:
+            own[s] = pos
+
+    def best(u, below):
+        b = own.get(u)
+        for c in below:
+            if b is None or (keys[c], -c) > (keys[b], -b):
+                b = c
+        return b
+    return _walk_below(space, opens, best)
+
+
 def check_valuation(table: TabulatedSetFunction,
                     max_opens: int = DEFAULT_MAX_OPENS) -> Valuation:
     """Verify the three valuation laws on a total table and invert it.
@@ -242,9 +293,7 @@ def check_valuation(table: TabulatedSetFunction,
     infinite weight shadows the finite ones below it).
     """
     space = table.space
-    lattice = space.open_masks(max_opens)
-    if set(table.masks) != set(lattice):
-        raise NotOnLattice()
+    _, lattice = _as_table(table, max_opens)
     den, ints = _scale(table.values)
     try:
         return _decompose(table, den, ints, masks_are_opens=True)
@@ -453,46 +502,54 @@ def support_check(nu: Valuation, points,
 
 
 def _as_table(nu, max_opens):
-    if isinstance(nu, TabulatedSetFunction):
-        return nu
-    return nu.tabulate(max_opens)
+    """nu as a table, and its open lattice in (size, mask) order;
+    NotOnLattice for a table whose masks are not exactly the opens."""
+    if not isinstance(nu, TabulatedSetFunction):
+        table = nu.tabulate(max_opens)
+        return table, table.masks
+    lattice = nu.space.open_masks(max_opens)
+    if set(nu.masks) != set(lattice):
+        raise NotOnLattice()
+    return nu, lattice
 
 
 def nu_bullet(nu, max_opens: int = DEFAULT_MAX_OPENS) -> TabulatedSetFunction:
     """Outer approximation on compact saturated sets.
 
-    value(Q) = inf of nu over opens containing Q.  On a finite space every
-    up-set is itself open, so the inf is attained at Q; both computations
-    are run and asserted equal.
+    value(Q) = inf of nu over opens containing Q.  Every up-set of a
+    finite space is open, so the inf is attained at Q, and the table's
+    own values are returned, exactly when nu is monotone: when no lower
+    cover is worth more than its open (ValimError otherwise).  nu is a
+    Valuation or a table on exactly the open lattice (NotOnLattice;
+    SizeLimit past max_opens).
     """
-    table = _as_table(nu, max_opens)
-    masks = table.masks
+    table, opens = _as_table(nu, max_opens)
     _, ints = _scale(table.values)
-    for q, own in zip(masks, ints):
-        low = min((v for u, v in zip(masks, ints)
-                   if q & ~u == 0 and v >= 0), default=-1)
-        if low != own:
+    key_of = dict(zip(table.masks, _infinite_last(ints)))
+
+    def check(u, below):
+        own = key_of[u]
+        if any(k > own for k in below):
             raise ValimError("inf over neighborhoods missed the direct value")
-    return TabulatedSetFunction(table.space, tuple(masks),
-                                tuple(table.values), "upsets")
+        return own
+    _walk_below(table.space, opens, check)
+    return TabulatedSetFunction(table.space, table.masks, table.values,
+                                "upsets")
 
 
 def mu_circ(mu: TabulatedSetFunction,
             max_opens: int = DEFAULT_MAX_OPENS) -> TabulatedSetFunction:
-    """Inner approximation on opens: sup of mu over up-sets inside.
+    """Inner approximation on opens: sup of mu over up-sets inside, the
+    best of mu(u) and the sups at u's lower covers (_first_best_below).
 
-    mu may be any raw table on up-sets; no laws are assumed."""
-    masks = mu.masks
+    mu may be any raw table on exactly the open lattice (NotOnLattice;
+    SizeLimit past max_opens); no laws are assumed."""
+    _, opens = _as_table(mu, max_opens)
     _, ints = _scale(mu.values)
-    keys = [inf if v < 0 else v for v in ints]
-    value_of = {}
-    for key, value in zip(keys, mu.values):
-        value_of.setdefault(key, value)
-    out = []
-    for u in masks:
-        out.append(value_of[max(k for q, k in zip(masks, keys)
-                                if q & ~u == 0)])
-    return TabulatedSetFunction(mu.space, tuple(masks), tuple(out), "opens")
+    best = _first_best_below(mu.space, opens, mu.masks, _infinite_last(ints))
+    return TabulatedSetFunction(mu.space, mu.masks,
+                                tuple(mu.values[best[u]] for u in mu.masks),
+                                "opens")
 
 
 @dataclass(frozen=True)
@@ -516,55 +573,47 @@ def is_tight(nu, max_opens: int = DEFAULT_MAX_OPENS) -> TightnessReport:
     Witness values are 0 plus every attained table value; between two
     attained values the witness for the larger one serves, so this set is
     complete at finite scale.  Also checks the composite law: the inner
-    approximation of the outer approximation reproduces nu.
+    approximation of the outer approximation reproduces nu.  nu is as
+    for nu_bullet.
+
+    The witness for (U, r) is the first Q inside U, in (size, mask)
+    order, with r <= nu(Q): the first step of U's staircase (the
+    running-max records of nu over the up-sets inside U) to reach r.
+    U's staircase is its lower covers' merged, then U (_walk_below).
     """
-    table = _as_table(nu, max_opens)
-    nb = nu_bullet(table, max_opens)
-    composite = mu_circ(nb, max_opens)
-    composite_matches = all(
-        composite.lookup(m) == table.lookup(m) for m in table.masks
-    )
+    table, opens = _as_table(nu, max_opens)
+    composite = mu_circ(nu_bullet(table, max_opens), max_opens)
+    composite_matches = composite.values == table.values
     rationals = {ZERO}
-    for v in table.values:
-        if v.is_finite:
-            rationals.add(v)
-    # the witness for (u, r) is the first q inside u, in (size, mask)
-    # order, with r <= nb(q): the q where the running max of nb over the
-    # up-sets inside u first reaches r.  Scaled integers throughout, so
-    # the cost follows the table's size, not the number of its values.
-    size = len(table.values)
-    _, ints = _scale(tuple(table.values) + tuple(nb.values))
-    bound_of = dict(zip(table.masks, ints[:size]))
-    value_of = dict(zip(nb.masks, ints[size:]))
-    scaled = {ZERO: 0}
-    scaled.update(zip(table.values, ints[:size]))
-    ranked = [(r, scaled[r]) for r in rationals]
-    masks = sorted(table.masks, key=lambda m: (m.bit_count(), m))
+    rationals.update(v for v in table.values if v.is_finite)
+    _, ints = _scale(table.values)
+    scaled = dict(zip(table.values, ints))
+    ranked = [(r, scaled.get(r, 0)) for r in rationals]
+    # values and staircases by position in opens, which is their order
+    keys = _infinite_last([ints[table._index[u]] for u in opens])
+    pos = {u: p for p, u in enumerate(opens)}
+
+    def records(u, below):
+        stair, top = [], -1
+        for p in sorted(set().union(*below)):
+            if keys[p] > top:
+                stair.append(p)
+                top = keys[p]
+        if keys[pos[u]] > top:
+            stair.append(pos[u])
+        return stair
+    staircase = _walk_below(table.space, opens, records)
     witnesses = {}
-    for u in masks:
-        bound = bound_of[u]
-        tops, reached_at = [], []
-        for q in masks:
-            if q & ~u == 0:
-                v = value_of[q]
-                top = inf if v < 0 else v
-                if not tops or top > tops[-1]:
-                    tops.append(top)
-                    reached_at.append(q)
-        for r, ri in ranked:
-            # way_below(r, bound)
-            if not (ri == 0 or bound < 0 or ri < bound):
-                continue
-            k = bisect_left(tops, ri)
-            if k == len(tops):
-                return TightnessReport(
-                    table.space, False, composite_matches, witnesses, (u, r)
-                )
-            witnesses[(u, r)] = reached_at[k]
-    # the witness search succeeded; tightness then rides on the composite law
-    return TightnessReport(
-        table.space, composite_matches, composite_matches, witnesses, None
-    )
+    for u, top in zip(opens, keys):
+        stair = staircase[u]
+        tops = [keys[p] for p in stair]
+        # way_below(r, nu(u)); the last step is worth at least nu(u), so
+        # some step reaches r and the search cannot fail
+        witnesses.update(((u, r), opens[stair[bisect_left(tops, ri)]])
+                         for r, ri in ranked if ri < top or ri == 0)
+    # tightness then rides on the composite law
+    return TightnessReport(table.space, composite_matches, composite_matches,
+                           witnesses, None)
 
 
 @dataclass(frozen=True)
@@ -583,7 +632,10 @@ def is_locally_finite(nu: Valuation,
     2. the space is covered by opens of finite measure;
     3. every open is covered by opens of finite measure;
     4. every open is the directed union of its finite-measure opens.
-    The four booleans must agree; the report carries them all.
+    The four booleans must agree; the report carries them all.  The
+    family in 4 is directed as it stands (two opens that avoid every
+    infinite weight have a union that avoids them), so only its union is
+    computed, over lower covers (_walk_below).
     """
     space = nu.space
     inf_points = 0
@@ -606,29 +658,10 @@ def is_locally_finite(nu: Valuation,
     cond2 = finite_hull == space.full_mask
     masks = space.open_masks(max_opens)
     cond3 = all(u & ~finite_hull == 0 for u in masks)
-    cond4 = True
-    for u in masks:
-        family = [v for v in masks if v & ~u == 0 and v & inf_points == 0]
-        union = 0
-        for v in family:
-            union |= v
-        if union != u:
-            cond4 = False
-            break
-        # directedness of the family: closed under pairwise union
-        # (structural: a union of opens avoiding every infinite weight
-        # still avoids them); spot-checked on a bounded sample
-        fam = set(family)
-        checked = 0
-        for a in family:
-            for b in family:
-                if checked >= 64:
-                    break
-                if (a | b) not in fam:
-                    raise ValimError("finite-measure family not directed")
-                checked += 1
-            if checked >= 64:
-                break
+    # the union of the finite-measure opens inside each open
+    union = _walk_below(space, masks, lambda u, below: (
+        u if u & inf_points == 0 else reduce(or_, below, 0)))
+    cond4 = all(union[u] == u for u in masks)
     conditions = (cond1, cond2, cond3, cond4)
     if len(set(conditions)) != 1:
         raise ValimError(f"local finiteness readings disagree: {conditions}")

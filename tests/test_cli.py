@@ -178,7 +178,9 @@ def test_product_requires_query_document(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_limit_eval_on_a_delta_chain(tmp_path, capsys):
+def delta_chain(top_weights):
+    """The three-level prefix chain of growing chains, valued by point
+    masses at the top points, the last level by top_weights."""
     x0 = FiniteSpace(("x0",), (0b1,))
     x1 = FiniteSpace(("x0", "x1"), (0b11, 0b10))
     x2 = FiniteSpace(("x0", "x1", "x2"), (0b111, 0b110, 0b100))
@@ -187,15 +189,18 @@ def test_limit_eval_on_a_delta_chain(tmp_path, capsys):
         (MonotoneMap(x1, x0, (0, 0)), MonotoneMap(x2, x1, (0, 1, 1))),
     )
     one, zero = ExtRat(1), ExtRat(0)
-    vs = ValuedSystem(
+    return ValuedSystem(
         ch,
         (
             Valuation(x0, (one,)),
             Valuation(x1, (zero, one)),
-            Valuation(x2, (zero, zero, one)),
+            Valuation(x2, tuple(map(ExtRat, top_weights))),
         ),
     )
-    path = write(tmp_path, "chain.json", dumps(vs))
+
+
+def test_limit_eval_on_a_delta_chain(tmp_path, capsys):
+    path = write(tmp_path, "chain.json", dumps(delta_chain((0, 0, 1))))
     rc = main([
         "--format", "json", "limit-eval", path,
         "--cylinder", "2:x2", "--cylinder", "0:x0",
@@ -206,6 +211,16 @@ def test_limit_eval_on_a_delta_chain(tmp_path, capsys):
     got = {v["cylinder"]: v["value"] for v in rep["values"]}
     assert got == {"2:x2": "1", "0:x0": "1"}
     assert all(v["status"] == "exact" for v in rep["values"])
+
+
+@pytest.mark.parametrize("route", ["auto", "ep", "tight"])
+def test_limit_eval_refuses_an_incompatible_family(tmp_path, capsys, route):
+    # the top mass sits at x0, which the bond keeps at x0, while level 1
+    # puts it at x1; every route checks compatibility before anything else
+    path = write(tmp_path, "chain.json", dumps(delta_chain((1, 0, 0))))
+    assert main(["limit-eval", path, "--route", route]) == 1
+    err = capsys.readouterr().err
+    assert "law violation: marginals at 1 and 2 disagree on" in err
 
 
 def test_support_echo_and_refusal(tmp_path, capsys):

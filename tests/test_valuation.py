@@ -13,6 +13,7 @@ from valim import (
     NotOnLattice,
     NotSimple,
     NotSupported,
+    SizeLimit,
     TabulatedSetFunction,
     UpSet,
     Valuation,
@@ -424,6 +425,48 @@ def test_nu_bullet_refuses_a_table_that_is_not_monotone():
     table = TabulatedSetFunction(SIER, (0, 0b10, 0b11), (ZERO, ONE, ZERO))
     with pytest.raises(ValimError, match="inf over neighborhoods"):
         nu_bullet(table)
+
+
+# 1,728 opens on 12 points: big enough for long staircases and many
+# covers per open, small enough for the oracles' quadratic scans
+SCALE_WEIGHTS = (ZERO, ExtRat(1, 2), ONE, ExtRat(3, 2), INF)
+
+
+def test_whole_lattice_extremes_match_the_oracles_at_scale():
+    rng = random.Random(0)
+    sp = rand_poset(rng, 12, edge_prob=0.1)
+    nu = Valuation(sp, tuple(rng.choice(SCALE_WEIGHTS) for _ in range(12)))
+    table = nu.tabulate()
+    assert len(table.masks) == 1728
+    assert 0 < sum(not v.is_finite for v in table.values) < 1728
+    assert dict(nu_bullet(table).items()) == brute_inf_above(table)
+    raw = TabulatedSetFunction(sp, table.masks, tuple(
+        INF if rng.random() < 0.1 else ExtRat(rng.randint(0, 99), 4)
+        for _ in table.masks), "upsets")
+    assert dict(mu_circ(raw).items()) == brute_sup_below(raw)
+    rep = is_tight(table)
+    matches, witnesses, failure = brute_tightness(table)
+    assert (rep.composite_matches, rep.failure) == (matches, failure)
+    assert list(rep.witnesses.items()) == list(witnesses.items())
+
+
+ANTICHAIN3 = FiniteSpace(("a", "b", "c"), (0b001, 0b010, 0b100))
+
+
+@pytest.mark.parametrize("op", [nu_bullet, mu_circ, is_tight])
+def test_whole_lattice_operations_hold_tables_to_the_size_guard(op):
+    # as check_valuation does, and as the Valuation path always did
+    table = Valuation(ANTICHAIN3, (ONE, ZERO, ONE)).tabulate()
+    with pytest.raises(SizeLimit):
+        op(table, max_opens=4)
+
+
+@pytest.mark.parametrize("op", [nu_bullet, mu_circ, is_tight])
+def test_whole_lattice_operations_refuse_tables_off_the_lattice(op):
+    full = Valuation(ANTICHAIN3, (ONE, ZERO, ONE)).tabulate()
+    table = TabulatedSetFunction(ANTICHAIN3, full.masks[:3], full.values[:3])
+    with pytest.raises(NotOnLattice):
+        op(table)
 
 
 def test_tightness_witness_lookup():
