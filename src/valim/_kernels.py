@@ -1,9 +1,11 @@
 """Bitmask kernels for whole-table work.
 
 Subsets of a space with n points are Python ints with bit i standing for
-point i.  Values are arbitrary-precision non-negative ints with -1
+point i.  Values are arbitrary-precision non-negative ints, with math.inf
 standing for infinity: the scaled-integer currency of valim.valuation.
 """
+
+from math import inf
 
 __all__ = ["enumerate_upsets", "scan_axioms", "eval_weights"]
 
@@ -60,8 +62,7 @@ def scan_axioms(opens, values):
             vj = values[j]
             if mi & ~mj == 0:
                 # comparable pair: modularity is automatic, order matters
-                # (-1 is infinity)
-                if vj != -1 and (vi == -1 or vi > vj):
+                if vi > vj:
                     return (2, i, j)
                 continue
             ku = idx.get(mi | mj)
@@ -70,41 +71,40 @@ def scan_axioms(opens, values):
                 return (4, i, j)
             vu = values[ku]
             vw = values[kw]
-            if vu == -1 or vw == -1:
-                if vi != -1 and vj != -1:
+            try:
+                if vu + vw != vi + vj:
                     return (3, i, j)
-            elif vi == -1 or vj == -1 or vu + vw != vi + vj:
-                return (3, i, j)
+            except OverflowError:
+                # inf plus an int past float range: where the infs sit decides
+                if (vu == inf or vw == inf) != (vi == inf or vj == inf):
+                    return (3, i, j)
     return (0, -1, -1)
 
 
 def eval_weights(weights, opens):
-    """Table of a weighted sum over each mask; weight -1 makes a value -1.
+    """Table of a weighted sum over each mask; an inf weight makes it inf.
 
     The weights are cut into bytes, and each byte's 256 subset sums are
     tabulated once, so a mask costs one lookup per byte of points
     whatever its popcount.
     """
-    inf_mask = 0
-    for i, w in enumerate(weights):
-        if w < 0:
-            inf_mask |= 1 << i
+    inf_mask = sum(1 << i for i, w in enumerate(weights) if w == inf)
     parts = []
     # at least two bytes, so that up to 16 points take the fast path
     for lo in range(0, max(len(weights), 16), 8):
         sums = [0]
         for w in weights[lo:lo + 8]:
-            w = max(w, 0)  # infinite points are caught by inf_mask
+            w = 0 if w == inf else w  # caught by inf_mask
             sums += [s + w for s in sums]
         parts.append(sums)
     if len(parts) == 2:
         low, high = parts
-        return [-1 if m & inf_mask else low[m & 255] + high[m >> 8]
+        return [inf if m & inf_mask else low[m & 255] + high[m >> 8]
                 for m in opens]
     out = []
     for m in opens:
         if m & inf_mask:
-            out.append(-1)
+            out.append(inf)
             continue
         s = 0
         rest = m

@@ -10,6 +10,7 @@ for I/O or parse trouble, 3 for a size limit.
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import sys
 
@@ -299,20 +300,20 @@ def _cmd_tight(args) -> int:
     nu = v if isinstance(v, Valuation) else _table_valuation(
         v, args.max_opens)
     report = is_tight(nu, args.max_opens)
-    witnesses = []
-    for (u, r), q in sorted(report.witnesses.items(),
-                            key=lambda kv: (kv[0][0].bit_count(), kv[0])):
-        witnesses.append({
-            "open": list(nu.space.points_of(u)),
-            "rational": _ext_to_str(r),
-            "compact_witness": list(nu.space.points_of(q)),
-        })
+    # only the printed witnesses are sorted out and formatted
+    shown = heapq.nsmallest(args.max_witnesses, report.witnesses.items(),
+                            key=lambda kv: (kv[0][0].bit_count(), kv[0]))
+    witnesses = [{
+        "open": list(nu.space.points_of(u)),
+        "rational": _ext_to_str(r),
+        "compact_witness": list(nu.space.points_of(q)),
+    } for (u, r), q in shown]
     rep = _report(
         "tight", text,
         verdict="ok" if report.verdict else "violation",
         composite_identity=report.composite_matches,
-        witnesses=witnesses[: args.max_witnesses],
-        witness_count=len(witnesses),
+        witnesses=witnesses,
+        witness_count=len(report.witnesses),
     )
     _print_report(rep, args.format)
     return 0 if (report.verdict and report.composite_matches) else 1
@@ -390,6 +391,15 @@ def criterion(text: str) -> int:
     return number
 
 
+def witness_cap(text: str) -> int:
+    """argparse type for --max-witnesses; a negative cap is malformed."""
+    number = int(text)
+    if number < 0:
+        raise argparse.ArgumentTypeError(
+            f"cannot show {number} witnesses; 0 or more")
+    return number
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="valim",
@@ -425,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tight", help="tightness certificate")
     p.add_argument("path")
-    p.add_argument("--max-witnesses", type=int, default=32)
+    p.add_argument("--max-witnesses", type=witness_cap, default=32)
     p.set_defaults(fn=_cmd_tight)
 
     p = sub.add_parser("support", help="restrict to a supporting subset")

@@ -247,11 +247,7 @@ class PrefixChain:
     def bond(self, i, j) -> MonotoneMap:
         if i > j:
             raise ValimError(f"indices not comparable: {i}, {j}")
-        lo, hi = min(i, self.last), min(j, self.last)
-        f = identity_map(self.spaces[hi])
-        for k in range(hi - 1, lo - 1, -1):
-            f = compose(self.steps[k], f)
-        return f
+        return _compose_steps(self, min(i, self.last), min(j, self.last))
 
 
 @dataclass
@@ -309,10 +305,7 @@ class LazyChain:
     def bond(self, i, j) -> MonotoneMap:
         if i > j:
             raise ValimError(f"indices not comparable: {i}, {j}")
-        f = identity_map(self.space(j))
-        for k in range(j - 1, i - 1, -1):
-            f = compose(self.step(k), f)
-        return f
+        return _compose_steps(self, i, j)
 
 
 def check_system(sys):
@@ -732,6 +725,14 @@ def _chain_step(sys, k) -> MonotoneMap:
             return identity_map(sys.space(sys.last))
         return sys.steps[k]
     return sys.step(k)
+
+
+def _compose_steps(sys, i, j) -> MonotoneMap:
+    """A chain's bond(i, j), i <= j: its steps from j down to i composed."""
+    f = identity_map(sys.space(j))
+    for k in range(j - 1, i - 1, -1):
+        f = compose(_chain_step(sys, k), f)
+    return f
 
 
 def _common_level(c1: CylinderOpen, c2: CylinderOpen) -> int:

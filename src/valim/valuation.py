@@ -8,10 +8,10 @@ table is derived.  decompose_simple inverts a table back to weights and
 validates that inversion on every call; check_valuation accepts a table
 exactly when that inversion succeeds.  Whole-table work and single
 evaluations run on one currency: the values scaled to a common
-denominator as integers, -1 standing for infinity (see _scale); a
-Valuation caches its weights in that form, and evaluate, total and
-image_valuation sum those integers, building an ExtRat only for the
-result.
+denominator as integers, math.inf standing for infinity (see _scale).
+A Valuation caches its weights in that form and a table its values;
+evaluate, total and image_valuation (_push) sum those integers, and _ext
+turns one back into an ExtRat, built only for results.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import compress, count
 from math import inf, lcm
-from operator import or_
+from operator import ne, or_
 
 from . import _kernels
 from .errors import ValimError
@@ -133,7 +134,7 @@ class Valuation:
         while m:
             b = m & -m
             w = ints[b.bit_length() - 1]
-            if w < 0:
+            if w == inf:
                 return INF
             total += w
             m ^= b
@@ -156,9 +157,7 @@ class Valuation:
         masks = self.space.open_masks(max_opens)
         den, ints = self._scaled
         raw = _kernels.eval_weights(ints, masks)
-        values = tuple(
-            INF if v < 0 else ExtRat(v, den) for v in raw
-        )
+        values = tuple([_ext(v, den) for v in raw])
         return TabulatedSetFunction(self.space, tuple(masks), values, "opens")
 
 
@@ -189,6 +188,10 @@ class TabulatedSetFunction:
     def _index(self) -> dict:
         return {m: k for k, m in enumerate(self.masks)}
 
+    @cached_property
+    def _scaled(self):
+        return _scale(self.values)
+
     def _row(self, mask) -> int:
         k = self._index.get(mask)
         if k is None:
@@ -215,24 +218,37 @@ def zero_valuation(space) -> Valuation:
 
 def _scale(values) -> tuple:
     """(den, ints): ExtRat values over their least common denominator,
-    ints[k] = values[k] * den, with -1 standing for infinity."""
+    ints[k] = values[k] * den, with inf standing for infinity."""
     den = 1
     for v in values:
         if v.is_finite:
             den = lcm(den, v.frac.denominator)
     ints = tuple(
-        -1 if not v.is_finite
+        inf if not v.is_finite
         else v.frac.numerator * (den // v.frac.denominator)
         for v in values
     )
     return den, ints
 
 
-def _infinite_last(column):
-    """Scaled integers with -1 (infinity) replaced by inf, the largest."""
-    if -1 not in column:
-        return column
-    return [inf if v < 0 else v for v in column]
+def _ext(v, den) -> ExtRat:
+    """A scaled integer (inf for infinity) back in ExtRat."""
+    return INF if v == inf else ZERO if v == 0 else ExtRat(v, den)
+
+
+def _push(ints, graph, n) -> list:
+    """Scaled weights pushed along a map's graph onto its n target points;
+    inf is tested for, as inf plus an int past float range overflows."""
+    out = [0] * n
+    for w, j in zip(ints, graph):
+        if w:
+            out[j] = inf if w == inf or out[j] == inf else out[j] + w
+    return out
+
+
+def _first_difference(col_a, col_b, op) -> int:
+    """First position where op(a, b) holds; len(col_a) when none does."""
+    return next(compress(count(), map(op, col_a, col_b)), len(col_a))
 
 
 def _walk_below(space, opens, step) -> dict:
@@ -262,7 +278,7 @@ def _walk_below(space, opens, step) -> dict:
 def _first_best_below(space, opens, images, keys) -> dict:
     """u -> the first position, in images order, of the largest key
     among those whose image (an open of space) lies inside u, for every
-    u of opens (_walk_below); infinite keys are inf (_infinite_last)."""
+    u of opens (_walk_below); keys are scaled integers (inf above all)."""
     own = {}
     for pos, (s, k) in enumerate(zip(images, keys)):
         cur = own.get(s)
@@ -294,12 +310,12 @@ def check_valuation(table: TabulatedSetFunction,
     """
     space = table.space
     _, lattice = _as_table(table, max_opens)
-    den, ints = _scale(table.values)
     try:
-        return _decompose(table, den, ints, masks_are_opens=True)
+        return _decompose(table, masks_are_opens=True)
     except NotSimple as err:
         refusal = err
     # the lattice comes sorted by (size, mask), the scan order
+    ints = table._scaled[1]
     values = [ints[table._index[m]] for m in lattice]
     code, i, j = _kernels.scan_axioms(lattice, values)
     if code == 1:
@@ -328,28 +344,26 @@ def decompose_simple(table: TabulatedSetFunction) -> Valuation:
     Birkhoff's representation of the lattice of up-sets (Rota 1964) is
     why the principal up-sets and their punctured variants suffice.
     """
-    den, ints = _scale(table.values)
-    return _decompose(table, den, ints, masks_are_opens=False)
+    return _decompose(table, masks_are_opens=False)
 
 
-def _decompose(table, den, ints, masks_are_opens) -> Valuation:
+def _decompose(table, masks_are_opens) -> Valuation:
     space = table.space
+    den, ints = table._scaled
     weights = []
     for x in range(space.n):
         whole = ints[table._row(space.up[x])]
         punct = ints[table._row(space.up[x] & ~(1 << x))]
-        if whole < 0 and punct < 0:
-            raise NotSimple(NotSimple.SHADOWED, space.labels[x])
-        if whole < 0:
-            weights.append(-1)
-        elif punct < 0 or whole < punct:
+        if whole == inf:
+            if punct == inf:
+                raise NotSimple(NotSimple.SHADOWED, space.labels[x])
+            weights.append(inf)
+        elif whole < punct:
             raise NotSimple("negative weight", space.labels[x])
         else:
             weights.append(whole - punct)
     got = _kernels.eval_weights(weights, table.masks)
-    bad = len(got)
-    if tuple(got) != ints:
-        bad = next(k for k, (a, b) in enumerate(zip(got, ints)) if a != b)
+    bad = len(got) if tuple(got) == ints else _first_difference(got, ints, ne)
     if not masks_are_opens:
         for mask in table.masks[:bad + 1]:
             if not space.is_upset(mask):
@@ -357,9 +371,7 @@ def _decompose(table, den, ints, masks_are_opens) -> Valuation:
     if bad < len(got):
         raise NotSimple("weights do not reproduce the table",
                         space.points_of(table.masks[bad]))
-    return Valuation(space, tuple(
-        INF if w < 0 else ExtRat(w, den) for w in weights
-    ))
+    return Valuation(space, tuple([_ext(w, den) for w in weights]))
 
 
 def image_valuation(f: MonotoneMap, nu: Valuation) -> Valuation:
@@ -367,14 +379,8 @@ def image_valuation(f: MonotoneMap, nu: Valuation) -> Valuation:
     if nu.space != f.source:
         raise ValimError("valuation does not live on the map's source")
     den, ints = nu._scaled
-    out = [0] * f.target.n
-    for i, w in enumerate(ints):
-        if w:
-            j = f.graph[i]
-            out[j] = -1 if w < 0 or out[j] < 0 else out[j] + w
-    return Valuation(f.target, tuple(
-        INF if v < 0 else ZERO if v == 0 else ExtRat(v, den) for v in out
-    ))
+    out = _push(ints, f.graph, f.target.n)
+    return Valuation(f.target, tuple([_ext(v, den) for v in out]))
 
 
 def restrict_to_open(nu: Valuation, u: UpSet) -> Valuation:
@@ -475,29 +481,28 @@ def support_check(nu: Valuation, points,
         sub, inclusion = subspace(space, a_mask)
         weights = tuple(nu.weights[i] for i in inclusion.graph)
         return Restriction(sub, inclusion, Valuation(sub, weights))
-    # infinite weights can hide each other; scan traces honestly
+    # infinite weights can hide each other; scan traces honestly, both
+    # ends of every sandwich as one eval_weights column
     sub, inclusion = subspace(space, a_mask)
     sub_masks = sub.open_masks(max_opens)
-    table_masks = []
-    table_values = []
+    smalls = []
+    bigs = []
     for tm in sub_masks:
-        trace = 0
-        for p, i in enumerate(inclusion.graph):
-            if (tm >> p) & 1:
-                trace |= 1 << i
-        small = space.up_close(trace)
+        trace = inclusion.image_mask(tm)
+        smalls.append(space.up_close(trace))
         big = 0
         for y in range(space.n):
             if space.up[y] & a_mask & ~trace == 0:
                 big |= 1 << y
-        lo = nu.evaluate(small)
-        hi = nu.evaluate(big)
-        if lo != hi:
-            raise NotSupported(UpSet(space, small), UpSet(space, big))
-        table_masks.append(tm)
-        table_values.append(lo)
-    table = TabulatedSetFunction(sub, tuple(table_masks),
-                                 tuple(table_values), "opens")
+        bigs.append(big)
+    den, ints = nu._scaled
+    lo = _kernels.eval_weights(ints, smalls)
+    hi = _kernels.eval_weights(ints, bigs)
+    k = _first_difference(lo, hi, ne)
+    if k < len(lo):
+        raise NotSupported(UpSet(space, smalls[k]), UpSet(space, bigs[k]))
+    table = TabulatedSetFunction(sub, tuple(sub_masks),
+                                 tuple([_ext(v, den) for v in lo]), "opens")
     return Restriction(sub, inclusion, decompose_simple(table))
 
 
@@ -524,8 +529,7 @@ def nu_bullet(nu, max_opens: int = DEFAULT_MAX_OPENS) -> TabulatedSetFunction:
     SizeLimit past max_opens).
     """
     table, opens = _as_table(nu, max_opens)
-    _, ints = _scale(table.values)
-    key_of = dict(zip(table.masks, _infinite_last(ints)))
+    key_of = dict(zip(table.masks, table._scaled[1]))
 
     def check(u, below):
         own = key_of[u]
@@ -545,8 +549,7 @@ def mu_circ(mu: TabulatedSetFunction,
     mu may be any raw table on exactly the open lattice (NotOnLattice;
     SizeLimit past max_opens); no laws are assumed."""
     _, opens = _as_table(mu, max_opens)
-    _, ints = _scale(mu.values)
-    best = _first_best_below(mu.space, opens, mu.masks, _infinite_last(ints))
+    best = _first_best_below(mu.space, opens, mu.masks, mu._scaled[1])
     return TabulatedSetFunction(mu.space, mu.masks,
                                 tuple(mu.values[best[u]] for u in mu.masks),
                                 "opens")
@@ -586,11 +589,11 @@ def is_tight(nu, max_opens: int = DEFAULT_MAX_OPENS) -> TightnessReport:
     composite_matches = composite.values == table.values
     rationals = {ZERO}
     rationals.update(v for v in table.values if v.is_finite)
-    _, ints = _scale(table.values)
+    _, ints = table._scaled
     scaled = dict(zip(table.values, ints))
     ranked = [(r, scaled.get(r, 0)) for r in rationals]
     # values and staircases by position in opens, which is their order
-    keys = _infinite_last([ints[table._index[u]] for u in opens])
+    keys = [ints[table._index[u]] for u in opens]
     pos = {u: p for p, u in enumerate(opens)}
 
     def records(u, below):

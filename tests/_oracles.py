@@ -14,9 +14,12 @@ from valim import (
     FiniteSpace,
     LimitLawViolation,
     NotSimple,
+    NotSupported,
+    TabulatedSetFunction,
     UpSet,
     ValimError,
     Valuation,
+    subspace,
     upper_adjoint,
 )
 from valim.extreal import INF, ZERO, inf_of, sup_of, way_below
@@ -166,6 +169,38 @@ def brute_check_valuation(table):
         witness = ((UpSet(space, 0),) if b is None
                    else (UpSet(space, a), UpSet(space, b)))
         raise AxiomViolation(axiom, witness)
+    return brute_decompose(table)
+
+
+def brute_support(nu: Valuation, a_mask: int) -> Valuation:
+    """The support test by an ExtRat scan of the traces on A, infinite
+    weights or not: the opens with trace T on A run from up(T) to M(T),
+    and nu must agree at the two ends.  NotSupported names the first
+    pair that differs; else the restriction, decomposed by
+    brute_decompose."""
+    space = nu.space
+    sub, inclusion = subspace(space, a_mask)
+    sub_masks = by_size(all_upsets(sub))
+    table_masks = []
+    table_values = []
+    for tm in sub_masks:
+        trace = 0
+        for p, i in enumerate(inclusion.graph):
+            if (tm >> p) & 1:
+                trace |= 1 << i
+        small = space.up_close(trace)
+        big = 0
+        for y in range(space.n):
+            if space.up[y] & a_mask & ~trace == 0:
+                big |= 1 << y
+        lo = nu.evaluate(small)
+        hi = nu.evaluate(big)
+        if lo != hi:
+            raise NotSupported(UpSet(space, small), UpSet(space, big))
+        table_masks.append(tm)
+        table_values.append(lo)
+    table = TabulatedSetFunction(sub, tuple(table_masks),
+                                 tuple(table_values), "opens")
     return brute_decompose(table)
 
 

@@ -11,6 +11,7 @@ from valim import (
     TabulatedSetFunction,
     Valuation,
     ValuedSystem,
+    is_tight,
 )
 from valim import suites
 from valim.cli import main
@@ -240,6 +241,36 @@ def test_support_unknown_point(tmp_path, capsys):
     path = write(tmp_path, "nu.json", dumps(nu))
     assert main(["support", path, "--subset", "zap"]) == 2
     capsys.readouterr()
+
+
+def test_tight_prints_the_first_witnesses_in_order(tmp_path, capsys):
+    nu = Valuation(DIAMOND, (ExtRat("1/4"), ExtRat("1/2"), ExtRat("1/8"),
+                             ExtRat(1)))
+    path = write(tmp_path, "nu.json", dumps(nu))
+    report = is_tight(nu)
+    # by open size, then by (open mask, rational)
+    ordered = sorted(report.witnesses.items(),
+                     key=lambda kv: (kv[0][0].bit_count(), kv[0]))
+    want = [{"open": list(DIAMOND.points_of(u)), "rational": str(r),
+             "compact_witness": list(DIAMOND.points_of(q))}
+            for (u, r), q in ordered]
+    assert len(want) > 3
+    for cap in (0, 3, len(want), len(want) + 5):
+        assert main(["--format", "json", "tight", path,
+                     "--max-witnesses", str(cap)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["witnesses"] == want[:cap]
+        assert rep["witness_count"] == len(want)
+
+
+@pytest.mark.parametrize("cap", ["-3", "-1"])
+def test_tight_refuses_a_negative_witness_cap(tmp_path, capsys, cap):
+    nu = Valuation(CHAIN2, (ExtRat("1/2"), ExtRat("1/2")))
+    path = write(tmp_path, "nu.json", dumps(nu))
+    with pytest.raises(SystemExit) as exc:
+        main(["tight", path, "--max-witnesses", cap])
+    assert exc.value.code == 2
+    assert f"cannot show {cap} witnesses; 0 or more" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", [

@@ -1,6 +1,7 @@
 """The bitmask kernels against the brute-force oracles, including which
 witness a failing scan reports first."""
 
+import math
 import random
 
 import pytest
@@ -23,7 +24,7 @@ def lattice_of(seed, n):
 
 
 def as_ext(v):
-    return INF if v == -1 else ExtRat(v)
+    return INF if v == math.inf else ExtRat(v)
 
 
 @given(seeds, st.integers(min_value=1, max_value=9))
@@ -49,7 +50,7 @@ def test_eval_weights_matches_mask_value(seed, n):
     rng = random.Random(seed)
     sp, opens = lattice_of(seed, n)
     weights = [
-        -1 if rng.random() < 0.2 else rng.randint(0, 1 << 70)
+        math.inf if rng.random() < 0.2 else rng.randint(0, 1 << 70)
         for _ in range(sp.n)
     ]
     nu = Valuation(sp, tuple(as_ext(w) for w in weights))
@@ -62,13 +63,13 @@ def test_eval_weights_matches_mask_value(seed, n):
 def test_eval_weights_on_any_masks_of_many_points(seed, n):
     # up to four bytes of points; masks need not be up-sets
     rng = random.Random(seed)
-    weights = [-1 if rng.random() < 0.1 else rng.randint(0, 1 << 70)
+    weights = [math.inf if rng.random() < 0.1 else rng.randint(0, 1 << 70)
                for _ in range(n)]
     masks = [rng.getrandbits(n) for _ in range(40)]
     want = []
     for m in masks:
         picked = [weights[i] for i in range(n) if (m >> i) & 1]
-        want.append(-1 if -1 in picked else sum(picked))
+        want.append(math.inf if math.inf in picked else sum(picked))
     assert eval_weights(weights, masks) == want
 
 
@@ -93,7 +94,7 @@ def _kernel_witness(opens, values):
 def test_scan_axioms_passes_lawful_tables(seed, n):
     rng = random.Random(seed)
     sp, opens = lattice_of(seed, n)
-    weights = [-1 if rng.random() < 0.1 else rng.randint(0, 1 << 70)
+    weights = [math.inf if rng.random() < 0.1 else rng.randint(0, 1 << 70)
                for _ in range(sp.n)]
     assert scan_axioms(opens, eval_weights(weights, opens)) == (0, -1, -1)
 
@@ -104,11 +105,11 @@ def test_scan_axioms_reports_the_first_witness(seed, n):
     # corrupt one entry; the scan must name the brute-force first witness
     rng = random.Random(seed)
     sp, opens = lattice_of(seed, n)
-    weights = [-1 if rng.random() < 0.1 else rng.randint(0, 9)
+    weights = [math.inf if rng.random() < 0.1 else rng.randint(0, 9)
                for _ in range(sp.n)]
     values = eval_weights(weights, opens)
     k = rng.randrange(len(values))
-    values[k] = -1 if rng.random() < 0.1 else rng.randint(0, 60)
+    values[k] = math.inf if rng.random() < 0.1 else rng.randint(0, 60)
     want = brute_axiom_witness(opens, dict(zip(opens, map(as_ext, values))))
     assert _kernel_witness(opens, values) == want
 

@@ -13,12 +13,16 @@ from valim import (
     NotOnLattice,
     NotSimple,
     NotSupported,
+    PrefixChain,
     SizeLimit,
     TabulatedSetFunction,
     UpSet,
     Valuation,
+    ValuedSystem,
+    check_space,
     check_valuation,
     decompose_simple,
+    ep_limit_valuation,
     first_differing_mask,
     first_differing_open,
     image_valuation,
@@ -45,6 +49,7 @@ from _oracles import (
     brute_first_differing_mask,
     brute_inf_above,
     brute_sup_below,
+    brute_support,
     brute_tightness,
     mask_value,
     push_weights,
@@ -359,6 +364,124 @@ def test_support_check_on_weighted_points_roundtrips(seed, n):
     for lab, w in zip(res.space.labels, res.valuation.weights):
         back[sp.index[lab]] = w
     assert valuations_equal(nu, Valuation(sp, tuple(back)))
+
+
+def support_outcome(call):
+    """What a support test gives, in terms both routes share."""
+    try:
+        nu = call()
+    except NotSupported as err:
+        return ("not supported", tuple(u.mask for u in err.witness))
+    except NotSimple as err:
+        return ("not simple", err.reason, err.witness)
+    return ("supported", nu.space.labels, nu.weights)
+
+
+@given(seeds, st.integers(min_value=1, max_value=6))
+@settings(max_examples=80)
+def test_support_check_with_infinite_weights_matches_the_trace_scan(seed, n):
+    rng = random.Random(seed)
+    sp = rand_poset(rng, n)
+    weights = list(rand_valuation(rng, sp, inf_prob=0.3).weights)
+    weights[rng.randrange(n)] = INF
+    nu = Valuation(sp, tuple(weights))
+    # half the subsets hold every weighted point, so both verdicts occur
+    a_mask = rng.getrandbits(n)
+    if rng.random() < 0.5:
+        a_mask |= sp.mask_of(nu.support_points())
+    want = support_outcome(lambda: brute_support(nu, a_mask))
+    assert support_outcome(
+        lambda: support_check(nu, a_mask).valuation) == want
+
+
+# --- a weight beyond float range next to an infinite one -------------------
+
+# scaled by the denominator 3, a's weight is past 2**1024, where adding it
+# to float inf raises OverflowError
+BIG = ExtRat(2 ** 1100)
+BIG_X = check_space(("a", "b", "c"), [("c", "a")])
+BIG_NU = Valuation(BIG_X, (BIG, INF, ExtRat(1, 3)))
+
+
+def test_beyond_float_weight_next_to_infinity_in_check_valuation():
+    table = BIG_NU.tabulate()
+    assert table.values == (ZERO, BIG, INF, INF, BIG + ExtRat(1, 3), INF)
+    assert check_valuation(table).weights == BIG_NU.weights
+    verdicts = []
+    for k, v in enumerate(table.values):
+        values = list(table.values)
+        values[k] = BIG if not v.is_finite else INF
+        try:
+            nu = check_valuation(
+                TabulatedSetFunction(BIG_X, table.masks, tuple(values)))
+        except AxiomViolation as err:
+            verdicts.append((err.axiom, [u.members for u in err.witness]))
+        else:
+            verdicts.append(nu.weights)
+    assert verdicts == [
+        ("strictness", [()]),
+        ("monotonicity", [("a",), ("a", "c")]),
+        ("modularity", [("a",), ("b",)]),
+        ("modularity", [("a",), ("b",)]),
+        # an infinite {a, c} is lawful: c weighs inf
+        (BIG, INF, INF),
+        ("modularity", [("b",), ("a", "c")]),
+    ]
+
+
+def test_beyond_float_weight_next_to_infinity_pushed_tight_and_limited():
+    line = check_space(("q", "p"), [("q", "p")])
+    both = MonotoneMap.from_dict(BIG_X, line, {"a": "p", "b": "p", "c": "q"})
+    assert image_valuation(both, BIG_NU).weights == (ExtRat(1, 3), INF)
+    for nu in (BIG_NU, BIG_NU.tabulate()):
+        report = is_tight(nu)
+        assert (report.verdict, report.composite_matches) == (True, True)
+        assert sorted(
+            (BIG_X.points_of(u), r, BIG_X.points_of(q))
+            for (u, r), q in report.witnesses.items()) == sorted([
+                ((), ZERO, ()),
+                (("a",), ZERO, ()),
+                (("b",), ZERO, ()),
+                (("b",), BIG, ("b",)),
+                (("b",), BIG + ExtRat(1, 3), ("b",)),
+                (("a", "b"), ZERO, ()),
+                (("a", "b"), BIG, ("a",)),
+                (("a", "b"), BIG + ExtRat(1, 3), ("b",)),
+                (("a", "c"), ZERO, ()),
+                (("a", "c"), BIG, ("a",)),
+                (("a", "b", "c"), ZERO, ()),
+                (("a", "b", "c"), BIG, ("a",)),
+                (("a", "b", "c"), BIG + ExtRat(1, 3), ("b",)),
+            ])
+    # an ep step folding c onto a
+    pair = check_space(("p", "q"), [])
+    fold = MonotoneMap.from_dict(BIG_X, pair, {"a": "p", "b": "q", "c": "p"})
+    vs = ValuedSystem(PrefixChain((pair, BIG_X), (fold,)),
+                      (image_valuation(fold, BIG_NU), BIG_NU))
+    assert vs.valuations[0].weights == (BIG + ExtRat(1, 3), INF)
+    lv = ep_limit_valuation(vs, validate=True)
+    assert lv.valuation.weights == BIG_NU.weights
+
+
+def test_beyond_float_weight_next_to_infinity_in_support_check():
+    got = {}
+    for a_mask in range(1 << BIG_X.n):
+        got[BIG_X.points_of(a_mask)] = support_outcome(
+            lambda: support_check(BIG_NU, a_mask).valuation)
+    refused = {
+        (): ((), ("a", "b", "c")),
+        ("a",): ((), ("b",)),
+        ("b",): ((), ("a", "c")),
+        ("c",): ((), ("a", "b")),
+        ("a", "b"): (("a",), ("a", "c")),
+        ("a", "c"): ((), ("b",)),
+        ("b", "c"): ((), ("a",)),
+    }
+    assert got == {
+        **{a: ("not supported", tuple(map(BIG_X.mask_of, pair)))
+           for a, pair in refused.items()},
+        ("a", "b", "c"): ("supported", ("a", "b", "c"), BIG_NU.weights),
+    }
 
 
 def test_nu_bullet_equals_table_on_upsets():
