@@ -10,6 +10,7 @@ for I/O or parse trouble, 3 for a size limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import heapq
 import json
 import sys
@@ -400,7 +401,10 @@ def witness_cap(text: str) -> int:
     return number
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no
+    state on it, and every call gets a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="valim",
         description="Exact valuations on finite T0 spaces, their "

@@ -23,6 +23,7 @@ object find_dominating_level and the tightness check consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import inf
 from operator import gt, ne
 
@@ -517,8 +518,9 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
     mu and the marginal values are compared as integers on one common
     scale, and the realizing Q is found by the lower-cover walk of the
     opens at index i that mu_circ uses (_first_best_below) rather than
-    by a scan of the limit per open; report.mu, the witnesses and the
-    failure are the ExtRat values the scan gives.
+    by a scan of the limit per open.  report.mu holds those integers
+    and decodes its values on read; only the witnesses' values and the
+    failure are built as ExtRat.
 
     Compatibility of vs is a precondition, not re-verified here: the
     check is meaningful (and fails honestly) on engineered families,
@@ -549,9 +551,10 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
         proj_up[i] = [xi.up_close(p.image_mask(q)) for q in qmasks]
         col = _kernels.eval_weights(level_ints[i], proj_up[i])
         mu_keys = col if mu_keys is None else list(map(min, mu_keys, col))
-    mu_values = [_ext(k, den) for k in mu_keys]
-    mu = TabulatedSetFunction(limit.space, tuple(qmasks), tuple(mu_values),
-                              on="upsets")
+    mu = TabulatedSetFunction._from_scaled(limit.space, tuple(qmasks), den,
+                                           tuple(mu_keys), "upsets")
+    # mu's value at a position in qmasks, decoded once, for witnesses
+    value_at = cache(lambda pos: _ext(mu_keys[pos], den))
     experimental = inf in ints
     witnesses = {}
     verdict = True
@@ -569,7 +572,7 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
             # every q inside u has mu(q) <= nu_i(u), so the scan's running
             # max stops at the first q attaining the largest mu inside u
             pos = first[u]
-            best, best_q = mu_values[pos], qmasks[pos]
+            best, best_q = value_at(pos), qmasks[pos]
             witnesses[(i, u)] = (best_q, best)
             if mu_keys[pos] == target_key:
                 continue
@@ -586,7 +589,7 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
                         limit.projection(i).image_mask(q)
                     )
                     if sat & ~u == 0:
-                        val = mu.lookup(q)
+                        val = value_at(mu._row(q))
                         if val > best:
                             best, best_q = val, q
                             witnesses[(i, u)] = (best_q, best)
@@ -707,15 +710,7 @@ def loccomp_certificate(vs: ValuedSystem, i, u: UpSet, r,
     if not way_below(r, nu_i.evaluate(u)):
         raise NoWitness(r, nu_i.evaluate(u))
     sub, inclusion = subspace(xi, u.mask)
-    candidates = []
-    for m in sub.open_masks(max_opens):
-        g = 0
-        mm = m
-        while mm:
-            b = mm & -mm
-            g |= 1 << inclusion.graph[b.bit_length() - 1]
-            mm ^= b
-        candidates.append(g)
+    candidates = [inclusion.image_mask(m) for m in sub.open_masks(max_opens)]
     candidates.sort(key=lambda m: (m.bit_count(), m))
     core = None
     for g in candidates:

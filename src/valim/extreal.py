@@ -38,6 +38,13 @@ class ExtRat:
             raise ValueError(f"negative value not allowed: {frac}")
         self.frac = frac
 
+    @classmethod
+    def _trusted(cls, frac) -> "ExtRat":
+        """A value from a Fraction known to be non-negative, not re-checked."""
+        x = object.__new__(cls)
+        x.frac = frac
+        return x
+
     @property
     def is_finite(self) -> bool:
         return self.frac is not None

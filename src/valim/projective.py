@@ -531,10 +531,14 @@ class EpSystem:
     def _cache(self) -> dict:
         return {}
 
-    def pair(self, i, j) -> EpPair:
+    def pair(self, i, j, bond=None) -> EpPair:
+        """The ep-pair of bond(i, j); bond, when given, is that bond
+        already composed."""
         key = (i, j)
         if key not in self._cache:
-            self._cache[key] = embedding_from_projection(self.system.bond(i, j))
+            if bond is None:
+                bond = self.system.bond(i, j)
+            self._cache[key] = embedding_from_projection(bond)
         return self._cache[key]
 
     def embedding(self, i, j) -> MonotoneMap:
@@ -550,19 +554,25 @@ def check_ep_system(sys) -> EpSystem:
     check_system(sys)
     eps = EpSystem(sys)
     idxs = list(sys.indices())
+    # every bond from one walk down per upper index (_bonds_to); the
+    # pairs are still built, and so refused, in the order of the scan
+    bonds = {(i, j): f for j in idxs for i, f in _bonds_to(sys, j).items()}
+
+    def embedding(i, j):
+        return eps.pair(i, j, bonds[i, j]).embedding
     for i in idxs:
-        if not eps.embedding(i, i).is_identity():
+        if not embedding(i, i).is_identity():
             raise EpLawViolation("identity embedding", i)
     for i in idxs:
         for j in idxs:
             if not (sys.index_leq(i, j) and i != j):
                 continue
-            eps.pair(i, j)  # EpPair construction validates both laws
+            embedding(i, j)  # EpPair construction validates both laws
             for k in idxs:
                 if not (sys.index_leq(j, k) and j != k):
                     continue
-                left = compose(eps.embedding(j, k), eps.embedding(i, j))
-                if left != eps.embedding(i, k):
+                left = compose(embedding(j, k), embedding(i, j))
+                if left != embedding(i, k):
                     raise EpLawViolation("embedding composition", (i, j, k))
     return eps
 

@@ -9,15 +9,20 @@ validates that inversion on every call; check_valuation accepts a table
 exactly when that inversion succeeds.  Whole-table work and single
 evaluations run on one currency: the values scaled to a common
 denominator as integers, math.inf standing for infinity (see _scale).
-A Valuation caches its weights in that form and a table its values;
-evaluate, total and image_valuation (_push) sum those integers, and _ext
-turns one back into an ExtRat, built only for results.
+A Valuation caches its weights in that form; evaluate, total and
+image_valuation (_push) sum those integers, and _ext turns one back into
+an ExtRat, built only for results.  Tables the library derives
+(tabulate, nu_bullet, mu_circ, support_check's restriction) are held in
+that form too (TabulatedSetFunction._from_scaled) and decode their
+values on first read; a publicly built table is scaled once, on first
+use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress, count
 from math import inf, lcm
@@ -156,9 +161,9 @@ class Valuation:
     def tabulate(self, max_opens: int = DEFAULT_MAX_OPENS) -> "TabulatedSetFunction":
         masks = self.space.open_masks(max_opens)
         den, ints = self._scaled
-        raw = _kernels.eval_weights(ints, masks)
-        values = tuple([_ext(v, den) for v in raw])
-        return TabulatedSetFunction(self.space, tuple(masks), values, "opens")
+        return TabulatedSetFunction._from_scaled(
+            self.space, tuple(masks), den,
+            tuple(_kernels.eval_weights(ints, masks)))
 
 
 @dataclass(frozen=True)
@@ -168,6 +173,11 @@ class TabulatedSetFunction:
     `on` records what the domain is meant to be: "opens" or "upsets"
     (the same sets on a finite space; the tag keeps intent explicit).
     No laws are assumed; run check_valuation to promote a table.
+
+    Public construction validates and stores the given values; tables
+    derived inside the library (tabulate, nu_bullet, mu_circ, ...) are
+    built by _from_scaled from their scaled integers, and decode values
+    only when they are first read.
     """
 
     space: FiniteSpace
@@ -183,6 +193,29 @@ class TabulatedSetFunction:
         for v in self.values:
             if not isinstance(v, ExtRat):
                 raise ValimError(f"values must be ExtRat, got {v!r}")
+
+    @classmethod
+    def _from_scaled(cls, space, masks, den, ints,
+                     on="opens") -> "TabulatedSetFunction":
+        """A table held as its scaled integers (_scale): ints is a tuple
+        parallel to masks, non-negative by construction; not re-validated."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "space", space)
+        object.__setattr__(t, "masks", masks)
+        object.__setattr__(t, "on", on)
+        object.__setattr__(t, "_scaled", (den, ints))
+        return t
+
+    def __getattr__(self, name):
+        # reached only when lookup fails: the values of a _from_scaled
+        # table, decoded on first read and kept
+        if name != "values" or "_scaled" not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        den, ints = self._scaled
+        values = tuple([_ext(v, den) for v in ints])
+        object.__setattr__(self, "values", values)
+        return values
 
     @cached_property
     def _index(self) -> dict:
@@ -219,21 +252,17 @@ def zero_valuation(space) -> Valuation:
 def _scale(values) -> tuple:
     """(den, ints): ExtRat values over their least common denominator,
     ints[k] = values[k] * den, with inf standing for infinity."""
-    den = 1
-    for v in values:
-        if v.is_finite:
-            den = lcm(den, v.frac.denominator)
-    ints = tuple(
-        inf if not v.is_finite
-        else v.frac.numerator * (den // v.frac.denominator)
-        for v in values
-    )
-    return den, ints
+    fracs = [v.frac for v in values]
+    den = lcm(*{f.denominator for f in fracs if f is not None})
+    return den, tuple([inf if f is None
+                       else f.numerator * (den // f.denominator)
+                       for f in fracs])
 
 
 def _ext(v, den) -> ExtRat:
     """A scaled integer (inf for infinity) back in ExtRat."""
-    return INF if v == inf else ZERO if v == 0 else ExtRat(v, den)
+    return INF if v == inf else ZERO if v == 0 \
+        else ExtRat._trusted(Fraction(v, den))
 
 
 def _push(ints, graph, n) -> list:
@@ -501,8 +530,8 @@ def support_check(nu: Valuation, points,
     k = _first_difference(lo, hi, ne)
     if k < len(lo):
         raise NotSupported(UpSet(space, smalls[k]), UpSet(space, bigs[k]))
-    table = TabulatedSetFunction(sub, tuple(sub_masks),
-                                 tuple([_ext(v, den) for v in lo]), "opens")
+    table = TabulatedSetFunction._from_scaled(sub, tuple(sub_masks), den,
+                                              tuple(lo))
     return Restriction(sub, inclusion, decompose_simple(table))
 
 
@@ -513,7 +542,9 @@ def _as_table(nu, max_opens):
         table = nu.tabulate(max_opens)
         return table, table.masks
     lattice = nu.space.open_masks(max_opens)
-    if set(nu.masks) != set(lattice):
+    # a table listed in lattice order, as derived tables are, is compared
+    # without building sets
+    if nu.masks != tuple(lattice) and set(nu.masks) != set(lattice):
         raise NotOnLattice()
     return nu, lattice
 
@@ -529,7 +560,8 @@ def nu_bullet(nu, max_opens: int = DEFAULT_MAX_OPENS) -> TabulatedSetFunction:
     SizeLimit past max_opens).
     """
     table, opens = _as_table(nu, max_opens)
-    key_of = dict(zip(table.masks, table._scaled[1]))
+    den, ints = table._scaled
+    key_of = dict(zip(table.masks, ints))
 
     def check(u, below):
         own = key_of[u]
@@ -537,8 +569,8 @@ def nu_bullet(nu, max_opens: int = DEFAULT_MAX_OPENS) -> TabulatedSetFunction:
             raise ValimError("inf over neighborhoods missed the direct value")
         return own
     _walk_below(table.space, opens, check)
-    return TabulatedSetFunction(table.space, table.masks, table.values,
-                                "upsets")
+    return TabulatedSetFunction._from_scaled(table.space, table.masks, den,
+                                             ints, "upsets")
 
 
 def mu_circ(mu: TabulatedSetFunction,
@@ -549,10 +581,10 @@ def mu_circ(mu: TabulatedSetFunction,
     mu may be any raw table on exactly the open lattice (NotOnLattice;
     SizeLimit past max_opens); no laws are assumed."""
     _, opens = _as_table(mu, max_opens)
-    best = _first_best_below(mu.space, opens, mu.masks, mu._scaled[1])
-    return TabulatedSetFunction(mu.space, mu.masks,
-                                tuple(mu.values[best[u]] for u in mu.masks),
-                                "opens")
+    den, ints = mu._scaled
+    best = _first_best_below(mu.space, opens, mu.masks, ints)
+    return TabulatedSetFunction._from_scaled(
+        mu.space, mu.masks, den, tuple([ints[best[u]] for u in mu.masks]))
 
 
 @dataclass(frozen=True)
@@ -586,11 +618,14 @@ def is_tight(nu, max_opens: int = DEFAULT_MAX_OPENS) -> TightnessReport:
     """
     table, opens = _as_table(nu, max_opens)
     composite = mu_circ(nu_bullet(table, max_opens), max_opens)
-    composite_matches = composite.values == table.values
+    # both columns are on the table's scale
+    den, ints = table._scaled
+    composite_matches = composite._scaled[1] == ints
+    # each distinct finite value decoded once; they join the set one at a
+    # time in table order, as the set's order is the witnesses' order
+    scaled = {_ext(v, den): v for v in dict.fromkeys(ints) if v != inf}
     rationals = {ZERO}
-    rationals.update(v for v in table.values if v.is_finite)
-    _, ints = table._scaled
-    scaled = dict(zip(table.values, ints))
+    rationals.update(r for r in scaled)
     ranked = [(r, scaled.get(r, 0)) for r in rationals]
     # values and staircases by position in opens, which is their order
     keys = [ints[table._index[u]] for u in opens]

@@ -415,3 +415,55 @@ def test_non_monotone_map_document_is_a_law_violation(tmp_path, capsys):
     path = write(tmp_path, "map.json", json.dumps(body))
     assert main(["check", path]) == 1
     assert "map not monotone" in capsys.readouterr().err
+
+
+def test_repeated_calls_carry_nothing_over(tmp_path, capsys):
+    # main parses with one parser per process; no call may see the
+    # options, cylinders or defaults of the one before
+    from valim.cli import _build_parser
+
+    chain = write(tmp_path, "chain.json", dumps(delta_chain((0, 0, 1))))
+    nu = write(tmp_path, "nu.json", dumps(Valuation(
+        DIAMOND, (ExtRat("1/4"), ExtRat("1/2"), ExtRat("1/8"), ExtRat(1)))))
+
+    def limit_eval(*extra):
+        assert main(["--format", "json", "limit-eval", chain, *extra]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        return rep["route"], [v["cylinder"] for v in rep["values"]]
+
+    def usage_error(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    def help_text(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    assert limit_eval("--cylinder", "2:x2", "--cylinder", "0:x0",
+                      "--route", "tight") == ("tight", ["2:x2", "0:x0"])
+    assert limit_eval("--cylinder", "1:x1") == ("ep", ["1:x1"])
+    assert limit_eval() == ("ep", [])
+    assert main(["--format", "json", "tight", nu, "--max-witnesses", "1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["witnesses"]) == 1
+    assert main(["tight", nu]) == 0
+    assert capsys.readouterr().out.startswith("verdict: ok\n")
+    assert main(["--format", "json", "tight", nu]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert len(rep["witnesses"]) == min(32, rep["witness_count"])
+    fresh = _build_parser.__wrapped__()
+    for argv in (["gallery", "escher-stairs"], ["suite", "99"], ["tight"]):
+        first = usage_error(argv)
+        assert usage_error(argv) == first
+        with pytest.raises(SystemExit):
+            fresh.parse_args(argv)
+        assert capsys.readouterr().err == first
+    for argv in (["--help"], ["limit-eval", "--help"]):
+        first = help_text(argv)
+        assert help_text(argv) == first
+        with pytest.raises(SystemExit):
+            fresh.parse_args(argv)
+        assert capsys.readouterr().out == first

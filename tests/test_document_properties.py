@@ -10,6 +10,7 @@ point.
 """
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -115,7 +116,9 @@ def mutate(text, rng, count) -> str:
         if op == 0:
             del parent[key]
         elif op == 1:
-            parent[key] = rng.choice(PALETTE)
+            # a copy: an entry shared between slots or examples could be
+            # mutated into a cycle
+            parent[key] = copy.deepcopy(rng.choice(PALETTE))
         elif op == 2:
             # another string of the same document: a label or a weight
             parent[key] = rng.choice(_strings(obj, []) or [""])

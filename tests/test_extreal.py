@@ -95,3 +95,11 @@ def test_hashable_and_str():
     assert hash(ExtRat(Fraction(6, 4))) == hash(ExtRat(3, 2))
     assert str(ExtRat(1, 3)) == "1/3"
     assert str(INF) == "inf"
+
+
+@given(rationals)
+def test_trusted_construction_matches_the_public_one(q):
+    x = ExtRat._trusted(q)
+    assert type(x) is ExtRat
+    assert x == ExtRat(q) and hash(x) == hash(ExtRat(q))
+    assert repr(x) == repr(ExtRat(q))

@@ -207,6 +207,24 @@ def test_ep_chains_satisfy_limit_laws(seed):
     verify_ep_limit_laws(lim, pairs)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_check_ep_system_walks_a_chain_s_bonds_once(seed, monkeypatch):
+    rng = random.Random(seed)
+    ch = rand_ep_prefix_chain(rng, levels=5, max_n=4)
+    calls = []
+    real = PrefixChain.bond
+    with monkeypatch.context() as m:
+        m.setattr(PrefixChain, "bond",
+                  lambda self, i, j: calls.append((i, j)) or real(self, i, j))
+        eps = check_ep_system(ch)
+    # the bonds come from one walk down per upper index, not from bond
+    assert calls == []
+    idxs = ch.indices()
+    assert set(eps._cache) == {(i, j) for i in idxs for j in idxs if i <= j}
+    for (i, j), pair in eps._cache.items():
+        assert pair == embedding_from_projection(ch.bond(i, j))
+
+
 def test_non_ep_bond_is_refused():
     big = FiniteSpace(("x", "y"), (0b01, 0b10))
     small = FiniteSpace(("pt",), (1,))
