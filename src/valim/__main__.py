@@ -1,0 +1,8 @@
+"""``python -m valim``: the command line of valim.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import inf
-from operator import gt, ne
 
 from . import _kernels
 from .errors import ValimError
@@ -50,7 +49,6 @@ from .projective import (
     ValuedSystem,
     check_compatibility,
     check_ep_system,
-    embedding_from_projection,
     _bonds_to,
     _materialize,
     materialize_limit,
@@ -61,8 +59,6 @@ from .valuation import (
     Valuation,
     _ext,
     _first_best_below,
-    _first_difference,
-    _push,
     _scale,
     check_valuation,
     first_differing_open,
@@ -185,85 +181,47 @@ def _assert_marginals(lv: LimitValuation):
 
 def ep_limit_valuation(vs: ValuedSystem,
                        max_points: int = DEFAULT_MAX_POINTS,
-                       max_opens: int = DEFAULT_MAX_OPENS,
-                       validate: bool = True) -> LimitValuation:
+                       max_opens: int = DEFAULT_MAX_OPENS) -> LimitValuation:
     """The unique limit valuation of a compatible family over ep bonds.
 
     Checks the family's compatibility, then the system's bond and ep
     laws (check_ep_system).  The carrier of the limit is the top space in
-    thread clothing, so the top marginal transports verbatim.  With
-    validate on, the value of every limit open is checked to be the
-    increasing-along-the-index supremum of marginal values of its best
-    level approximations: the upper adjoints, which for ep bonds coincide
-    with the embedding preimages (Abramsky and Jung, Domain Theory, 3.1).
-    The net's value at an index above a cylinder's own level is already
-    the cylinder's worth, which makes evaluation exact.  A refusal is
-    LimitLawViolation at the first failing open in open_masks order.
+    thread clothing, so the top marginal transports verbatim.  The limit
+    law then holds by a theorem, not a run-time check.  The best level-i
+    approximation of a limit open W is the upper adjoint of the
+    projection p_i, which for ep bonds is the embedding preimage
+    e_i^-1(W) (Abramsky and Jung, Domain Theory, 3.1); the law asks that
+    nu_i(e_i^-1 W) increase along the index and reach nu(W).
+
+    * Increasing.  Take i <= j.  Then e_i = e_j o e_ij.  For any up-set V
+      of X_j, p_ij^-1(e_ij^-1 V) is inside V, because e_ij o p_ij <= id.
+      Take V = e_j^-1 W; compatibility (nu_i = nu_j o p_ij^-1) then gives
+      nu_i(e_i^-1 W) = nu_j(p_ij^-1 e_ij^-1 e_j^-1 W) <= nu_j(e_j^-1 W).
+    * Top equals nu.  _materialize gives the carrier the top space's
+      order and points, so the top projection is the identity, and
+      _ep_valuation is the top marginal carried along it.
+
+    So a cylinder is worth its base's value at its own level, which makes
+    evaluation exact.  tests/test_limit_oracles.py checks the theorem
+    against the per-open oracle.  The limit's opens are still listed
+    under max_opens, as a size guard (SizeLimit past it); the list is
+    cached on the limit space for callers that compare over every open.
     """
     check_compatibility(vs)
     # check_ep_system runs check_system first, so the bond laws are
     # checked once and the limit is built without re-checking them
     check_ep_system(vs.system)
-    return _ep_limit(vs, max_points, max_opens, validate)
+    return _ep_limit(vs, max_points, max_opens)
 
 
-def _ep_limit(vs: ValuedSystem, max_points, max_opens,
-              validate) -> LimitValuation:
+def _ep_limit(vs: ValuedSystem, max_points, max_opens) -> LimitValuation:
     """ep_limit_valuation on a compatible family over a system whose bond
-    and ep laws hold, by a check or by construction."""
+    and ep laws hold, by a check or by construction.  max_opens=None
+    skips the size guard."""
     limit = _materialize(vs.system, max_points)
-    # every marginal of nu is the top valuation pushed down bond(i, top),
-    # which compatibility compared with the family
-    nu = _ep_valuation(vs, limit)
-    if validate:
-        _check_approximants(vs, limit, nu, max_opens)
-    return LimitValuation(vs, limit, nu, "ep")
-
-
-def _check_approximants(vs, limit, nu, max_opens):
-    """Every limit open W must be worth the increasing supremum of the
-    marginal values of its upper adjoints V_i(W).
-
-    A level point x lies in V_i(W) exactly when its cylinder
-    p_i^-1(up x) sits inside W.  Over ep bonds that cylinder is the
-    principal up-set of its least point e_i(x), so nu_i(V_i(W)) is nu_i
-    pushed along e_i and evaluated at W: each index's column over all
-    limit opens is one eval_weights call.  e_i is recovered from the
-    cylinders by embedding_from_projection, which refuses a projection
-    without one.  The columns share one scale and are compared as
-    integers (infinity is float inf); ExtRat is built only for the
-    refusal, from the columns at the first failing open in open_masks
-    order: the first decreasing comparable pair in index order, else the
-    supremum of the increasing approximants (the top one) that misses nu.
-    """
-    sys = vs.system
-    space = limit.space
-    idxs = list(sys.indices())
-    top = sys.top_index()
-    opens = space.open_masks(max_opens)
-    weights = [w for i in idxs for w in vs.val(i).weights]
-    den, ints = _scale(tuple(weights) + nu.weights)
-    cols = []
-    start = 0
-    for i in idxs:
-        e = embedding_from_projection(limit.projection(i)).embedding
-        pushed = _push(ints[start:start + e.source.n], e.graph, space.n)
-        start += e.source.n
-        cols.append(_kernels.eval_weights(pushed, opens))
-    nu_col = _kernels.eval_weights(ints[start:], opens)
-    pairs = [(a, b) for a in idxs for b in idxs
-             if a != b and sys.index_leq(a, b)]
-    k = min([_first_difference(cols[top], nu_col, ne)]
-            + [_first_difference(cols[a], cols[b], gt) for a, b in pairs])
-    if k == len(opens):
-        return
-    members = space.points_of(opens[k])
-    for a, b in pairs:
-        if cols[a][k] > cols[b][k]:
-            raise LimitLawViolation("approximants not increasing",
-                                    (a, b, members))
-    raise LimitLawViolation("stabilization",
-                            (members, _ext(cols[top][k], den)))
+    if max_opens is not None:
+        limit.space.open_masks(max_opens)
+    return LimitValuation(vs, limit, _ep_valuation(vs, limit), "ep")
 
 
 def subset_product_system(spaces,
@@ -322,7 +280,7 @@ def marginals_from_joint(spaces, joint: Valuation) -> dict:
 def pointed_product_valuation(spaces, marginals,
                               max_points: int = DEFAULT_MAX_POINTS,
                               max_opens: int = DEFAULT_MAX_OPENS,
-                              validate: bool = True) -> LimitValuation:
+                              ) -> LimitValuation:
     """Extend a compatible family of partial-product marginals of
     pointed factors to the full product.
 
@@ -333,9 +291,9 @@ def pointed_product_valuation(spaces, marginals,
     family rides the ep route to the full product.  The subset system is
     built once, and only the family's compatibility is checked: the
     coordinate-dropping bonds compose and are ep by construction, so
-    check_system and check_ep_system would only re-prove that.  With
-    validate on, every open of the product is checked as in
-    ep_limit_valuation.
+    check_system and check_ep_system would only re-prove that, and the
+    limit law holds by ep_limit_valuation's theorem.  The product's opens
+    are listed under max_opens, as ep_limit_valuation's size guard.
     """
     spaces = tuple(spaces)
     for pos, sp in enumerate(spaces):
@@ -343,22 +301,23 @@ def pointed_product_valuation(spaces, marginals,
             raise NotPointed(pos)
     sys, subsets = subset_product_system(spaces, max_points)
     return _pointed_extension(sys, subsets, marginals, max_points,
-                              max_opens, validate)
+                              max_opens)
 
 
-def _pointed_extension(sys, subsets, marginals, max_points, max_opens,
-                       validate) -> LimitValuation:
+def _pointed_extension(sys, subsets, marginals, max_points,
+                       max_opens) -> LimitValuation:
     """The ep-route extension of a marginal family over the subset system
     (sys, subsets) of pointed factors.  Its bonds drop coordinates, and
     their embeddings pad with the factors' bottoms, so the system is ep
-    by construction and only compatibility is checked."""
+    by construction and only compatibility is checked.  max_opens=None
+    skips the size guard, as in _ep_limit."""
     marginals = _with_empty_marginal(marginals, sys, subsets)
     try:
         vals = tuple(marginals[s] for s in subsets)
     except KeyError as missing:
         raise ValimError(f"marginal missing for subset {missing.args[0]!r}")
     vs = check_compatibility(ValuedSystem(sys, vals))
-    return _ep_limit(vs, max_points, max_opens, validate)
+    return _ep_limit(vs, max_points, max_opens)
 
 
 def _with_empty_marginal(marginals, sys, subsets):
@@ -413,13 +372,18 @@ def dk_product(spaces, marginals, max_points: int = DEFAULT_MAX_POINTS,
     and the lifted family extends by the pointed construction over the
     lifted subset system, built once: its compatibility is checked
     (Incompatible names the first differing pair), its bond and ep laws
-    hold by construction, and validate checks every open of the lifted
-    limit as ep_limit_valuation does.  The lifted joint gives every
-    tuple that touches a bottom weight zero, so it is supported on the
-    bottom-free tuples; restricting to that support is the product
-    valuation, and the marginal law is re-checked against the original
-    family subset by subset.  The plain partial products are needed only
-    as spaces, so no bonds are built between them.
+    hold by construction, and the limit law holds by ep_limit_valuation's
+    theorem.  The lifted joint gives every tuple that touches a bottom
+    weight zero, so it is supported on the bottom-free tuples; restricting
+    to that support is the product valuation, and the marginal law is
+    re-checked against the original family subset by subset.  The plain
+    partial products are needed only as spaces, so no bonds are built
+    between them.
+
+    validate lists the lifted limit's opens under max_opens, as
+    ep_limit_valuation's size guard (SizeLimit past it).  validate=False
+    skips that listing: the lifted lattice can pass a million opens while
+    the rest of the product takes milliseconds.
     """
     spaces = tuple(spaces)
     if not spaces:
@@ -445,7 +409,8 @@ def dk_product(spaces, marginals, max_points: int = DEFAULT_MAX_POINTS,
             weights[lifted_prod.index[lab]] = w
         lifted_marginals[s] = Valuation(lifted_prod, tuple(weights))
     lifted_joint = _pointed_extension(lifted_sys, subsets, lifted_marginals,
-                                      max_points, max_opens, validate)
+                                      max_points,
+                                      max_opens if validate else None)
     # the limit carrier is the top space in thread clothing: the thread's
     # component at the top index is the plain coordinate tuple
     big = lifted_joint.valuation.space

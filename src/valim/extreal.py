@@ -100,10 +100,11 @@ class ExtRat:
         return _coerce(other) <= self
 
     def __hash__(self):
-        # from the integers, not Fraction's pure-Python hash: valuation
-        # tables key dicts and sets by value; 1/0 stands for infinity
+        # from the integers, not Fraction's pure-Python hash, and read from
+        # its slots, not through its properties: valuation tables key dicts
+        # and sets by value; 1/0 stands for infinity
         f = self.frac
-        return hash((1, 0) if f is None else (f.numerator, f.denominator))
+        return hash((1, 0) if f is None else (f._numerator, f._denominator))
 
     def __bool__(self):
         return self.frac != 0

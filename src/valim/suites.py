@@ -269,7 +269,7 @@ def suite_tight_limits(seed: int = 20249) -> str:
             check_ep_system(ch)
         except (NotAProjection, EpLawViolation):
             continue
-        other = ep_limit_valuation(vs, validate=False)
+        other = ep_limit_valuation(vs)
         m = first_differing_mask(lv.valuation, other.valuation,
                                  lv.limit.space.open_masks())
         if m is not None:

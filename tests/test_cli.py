@@ -1,9 +1,14 @@
 """Exit codes and report shapes for the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import valim
 from valim import (
     FiniteSpace,
     MonotoneMap,
@@ -120,6 +125,30 @@ def test_product_query_flow(tmp_path, capsys):
     assert doc["weights"] == ["1/4", "1/4", "1/4", "1/4"]
 
 
+def test_product_past_the_open_cap_is_a_size_limit(tmp_path, capsys):
+    # the lifted product of two 2-point chains has 20 opens; listing them
+    # is dk_product's size guard
+    half = ["1/2", "1/2"]
+    body = {
+        "schema": 1,
+        "kind": "query",
+        "operation": "product",
+        "arguments": {
+            "factors": [space_body(CHAIN2), space_body(CHAIN2)],
+            "marginals": [
+                {"positions": [0], "weights": half},
+                {"positions": [1], "weights": half},
+                {"positions": [0, 1],
+                 "weights": ["1/4", "1/4", "1/4", "1/4"]},
+            ],
+        },
+    }
+    path = write(tmp_path, "prod.json", json.dumps(body))
+    assert main(["--max-opens", "4", "product", path]) == 3
+    assert ("size limit: open lattice exceeds the configured bound 4"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("left, right, elements", [
     # joined with a bare "," both ("a", "b,c") and ("a,b", "c") read
     # "a,b,c"
@@ -212,6 +241,19 @@ def test_limit_eval_on_a_delta_chain(tmp_path, capsys):
     got = {v["cylinder"]: v["value"] for v in rep["values"]}
     assert got == {"2:x2": "1", "0:x0": "1"}
     assert all(v["status"] == "exact" for v in rep["values"])
+
+
+@pytest.mark.parametrize("route", ["auto", "ep"])
+def test_limit_eval_past_the_open_cap_is_a_size_limit(tmp_path, capsys,
+                                                      route):
+    # the delta chain is an ep chain whose limit has 4 opens; the ep route
+    # lists them under the cap, and auto then fails the same way on the
+    # tight route
+    path = write(tmp_path, "chain.json", dumps(delta_chain((0, 0, 1))))
+    assert main(["--max-opens", "1", "limit-eval", path,
+                 "--route", route]) == 3
+    assert ("size limit: open lattice exceeds the configured bound 1"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("route", ["auto", "ep", "tight"])
@@ -311,6 +353,18 @@ def test_suite_json_report(capsys):
     assert row["criterion"] == 7
     assert row["passed"] is True
     assert row["elapsed_s"] <= row["budget_s"]
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = Path(valim.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "valim", "suite", "7"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "criterion 7 (thread search): PASS" in done.stdout
 
 
 @pytest.mark.parametrize("number", ["9", "0", "-1"])

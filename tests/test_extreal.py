@@ -97,6 +97,19 @@ def test_hashable_and_str():
     assert str(INF) == "inf"
 
 
+@given(rationals, st.integers(min_value=1, max_value=50))
+def test_equal_values_hash_equal(q, k):
+    # one value built every way the library builds it, including from a
+    # numerator and denominator not in lowest terms; the hash is the
+    # (numerator, denominator) pair's in lowest terms, 1/0 for infinity
+    forms = [ExtRat(q), ExtRat(q.numerator * k, q.denominator * k),
+             ExtRat(str(q)), ExtRat._trusted(Fraction(q)), ExtRat(ExtRat(q))]
+    assert len({hash(x) for x in forms}) == 1
+    assert hash(forms[0]) == hash((q.numerator, q.denominator))
+    infinite = [INF, ExtRat("inf"), ExtRat(None), ExtRat(INF)]
+    assert {hash(x) for x in infinite} == {hash((1, 0))}
+
+
 @given(rationals)
 def test_trusted_construction_matches_the_public_one(q):
     x = ExtRat._trusted(q)

@@ -1,11 +1,14 @@
 """The limit constructions against their brute-force oracles.
 
-ep_limit_valuation validates the limit law on integer columns and
+ep_limit_valuation checks no limit law at run time: its docstring proves
+that compatibility and the ep laws imply it.  The oracle keeps the law
+as a per-open ExtRat scan, which accepts every lawful family, and every
+skewed family it refuses, ep_limit_valuation refuses as Incompatible.
 uniform_tightness_check searches its witnesses with a cover dynamic
-program; _oracles keeps both as per-open ExtRat scans.  Lawful and
-corrupted inputs must give the same results, refusals and witnesses.
-The subset systems of pointed factors skip check_ep_system at run time,
-so their ep laws are proven here instead.
+program; the oracle scans every limit up-set, and lawful and broken
+families must give the same results, refusals and witnesses.  The
+subset systems of pointed factors skip check_ep_system at run time, so
+their ep laws are proven here instead.
 """
 
 import pickle
@@ -43,7 +46,6 @@ from valim import (
     subset_product_system,
     uniform_tightness_check,
 )
-from valim import constructions
 from valim.extreal import INF, ONE, ZERO
 from valim.generators import (
     rand_ep_prefix_chain,
@@ -125,47 +127,25 @@ def test_ep_limit_matches_the_oracle_on_lawful_families(seed):
     brute_ep_approximants(vs, lv.limit, lv.valuation)
 
 
-def ep_refusal(vs, nu_skew):
-    """ep_limit_valuation on a family whose compatibility is not checked,
-    with nu optionally skewed at (point, weight)."""
-    real = constructions._ep_valuation
-
-    def ep_valuation(vs, limit):
-        nu = real(vs, limit)
-        if nu_skew is None:
-            return nu
-        x, weight = nu_skew
-        ws = list(nu.weights)
-        ws[x] = weight
-        return Valuation(nu.space, tuple(ws))
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(constructions, "check_compatibility", lambda vs: vs)
-        mp.setattr(constructions, "_ep_valuation", ep_valuation)
-        got = outcome(lambda: ep_limit_valuation(vs).valuation)
-        limit = materialize_limit(vs.system)
-        nu = ep_valuation(vs, limit)
-    want = outcome(brute_ep_approximants, vs, limit, nu)
-    return got, want
-
-
 @given(seeds)
 @settings(max_examples=60, deadline=None)
 def test_ep_limit_refuses_skewed_families_as_the_oracle_does(seed):
+    # the theorem in ep_limit_valuation's docstring: a family skewed at
+    # one point that breaks the limit law has broken compatibility first
     rng = random.Random(seed)
     vs = lawful_ep_family(rng)
     sys = vs.system
     i = rng.choice(list(sys.indices()))
     vs = skewed(vs, i, rng.randrange(sys.space(i).n), rng.choice(SKEWS))
-    nu_skew = None
-    if rng.random() < 0.3:
-        top = sys.space(sys.top_index())
-        nu_skew = (rng.randrange(top.n), rng.choice(SKEWS))
-    got, want = ep_refusal(vs, nu_skew)
-    if want[0] == "ok":
-        assert got[0] == "ok"
-    else:
-        assert got == want
+    limit = materialize_limit(sys)
+    nu = Valuation(limit.space, vs.val(sys.top_index()).weights)
+    want = outcome(brute_ep_approximants, vs, limit, nu)
+    try:
+        got = ep_limit_valuation(vs).valuation
+    except Incompatible:
+        return
+    assert want == ("ok", None)
+    assert got == nu
 
 
 def sier_chain():
@@ -176,15 +156,20 @@ def sier_chain():
 
 @pytest.mark.parametrize("case", ["increasing", "stabilization"])
 def test_ep_limit_names_each_law_and_witness(case):
+    # level 0 outweighing level 1 on the open {top} broke the increasing
+    # law while compatibility went unchecked; stabilization broke only
+    # when nu was skewed apart from the family, and nu follows the top
+    # level, so that level puts infinity on top here.  Compatibility
+    # refuses both and names the pair and the open
     vs = sier_chain()
     if case == "increasing":
-        # level 0 outweighs level 1 on the open {top}
-        got, want = ep_refusal(skewed(vs, 0, 1, ExtRat(2)), None)
-        assert want == ("approximants not increasing", (0, 1, ("top",)))
+        vs = skewed(vs, 0, 1, ExtRat(2))
     else:
-        got, want = ep_refusal(vs, (1, INF))
-        assert want == ("stabilization", (("top",), ExtRat(2, 3)))
-    assert got == want
+        vs = skewed(vs, 1, 1, INF)
+    with pytest.raises(Incompatible) as e:
+        ep_limit_valuation(vs)
+    assert (e.value.pair, e.value.witness.members) == ((0, 1), ("top",))
+    assert str(e.value) == "marginals at 0 and 1 disagree on ('top',)"
 
 
 # --- uniform tightness: cover DP against the scan ----------------------
@@ -309,8 +294,7 @@ def test_incompatible_products_name_the_first_pair(seed):
         dk_product(factors, family, validate=False)
     assert (e.value.pair, e.value.witness) == want
     with pytest.raises(Incompatible) as e:
-        pointed_product_valuation(lifted, dict(zip(subsets, vals)),
-                                  validate=False)
+        pointed_product_valuation(lifted, dict(zip(subsets, vals)))
     assert (e.value.pair, e.value.witness) == want
 
 

@@ -93,8 +93,7 @@ def test_construction_layer_derived_maps_are_monotone(seed):
     subsystem, _ = subset_product_system(factors)
     prod, _ = product_space(factors)
     joint = rand_valuation(rng, prod, max_den=4)
-    dk = dk_product(factors, marginals_from_joint(factors, joint),
-                    validate=False)
+    dk = dk_product(factors, marginals_from_joint(factors, joint))
     assert_monotone([
         *materialize_limit(vs.system).projections,
         *materialize_limit(chain).projections,

@@ -459,7 +459,7 @@ def test_beyond_float_weight_next_to_infinity_pushed_tight_and_limited():
     vs = ValuedSystem(PrefixChain((pair, BIG_X), (fold,)),
                       (image_valuation(fold, BIG_NU), BIG_NU))
     assert vs.valuations[0].weights == (BIG + ExtRat(1, 3), INF)
-    lv = ep_limit_valuation(vs, validate=True)
+    lv = ep_limit_valuation(vs)
     assert lv.valuation.weights == BIG_NU.weights
 
 
