@@ -4,9 +4,13 @@ One file = one document: a UTF-8 JSON object with "schema": 1 and a
 "kind" of space, valuation, map, system, valued-system or query.  Orders
 travel as cover pairs and are transitively closed on load; weights and
 table values are exact strings ("num/den", an integer string, or "inf"),
-never decimals.  Serialization is canonical: fixed key order, covers
-sorted, graphs keyed in source point order, two-space indent, trailing
-newline.  Loading canonical text and re-serializing is byte-identical.
+never decimals.  A valuation table is validated row by row (labels,
+weight grammar, no duplicate opens) and read straight into the
+scaled-integer form of valuation._scale, so loading builds no ExtRat
+per row; its values decode when first read.  Serialization is
+canonical: fixed key order, covers sorted, graphs keyed in source point
+order, two-space indent, trailing newline.  Loading canonical text and
+re-serializing is byte-identical.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from math import gcd, inf, lcm
 
 from .errors import BadDocument, ValimError
 from .extreal import ExtRat
@@ -61,10 +66,12 @@ def _ext_to_str(v: ExtRat) -> str:
 # the weight grammar above, checked before Fraction sees the string:
 # Fraction alone would also take decimals and exponents, and "1e3000000"
 # would cost seconds
-_WEIGHT = re.compile(r"[0-9]+(?:/[0-9]+)?|inf")
+_WEIGHT = re.compile(r"([0-9]+)(?:/([0-9]+))?|inf")
 
 
 def _ext_from_str(s) -> ExtRat:
+    """A weight string as an ExtRat; the one place a weight is refused,
+    so every refusal reads the same wherever the weight stands."""
     if not isinstance(s, str):
         raise BadDocument(f"weight must be a string, got {s!r}")
     if not _WEIGHT.fullmatch(s):
@@ -75,6 +82,26 @@ def _ext_from_str(s) -> ExtRat:
         return ExtRat(s)
     except (ValueError, ZeroDivisionError) as err:
         raise BadDocument(f"bad weight {s!r}: {err}")
+
+
+def _ratio_from_str(s: str) -> tuple:
+    """A weight string as (num, den) in lowest terms, (inf, 1) for inf;
+    a string that does not read so (bad grammar, a zero denominator, an
+    integer past the int-string limit) is refused by _ext_from_str."""
+    m = _WEIGHT.fullmatch(s)
+    if m is not None:
+        num, den = m.groups()
+        if num is None:
+            return inf, 1
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # past the int-string limit
+            den = 0
+        if den:
+            g = gcd(num, den)
+            return num // g, den // g
+    _ext_from_str(s)
+    raise AssertionError(f"weight {s!r} was not refused")
 
 
 def _require(obj, key, types, where):
@@ -175,22 +202,34 @@ def _parse_valuation(obj) -> Valuation | TabulatedSetFunction:
     if "weights" in obj:
         return _parse_weights(obj["weights"], space, "valuation")
     table = _require(obj, "table", list, "valuation")
-    masks, values = [], []
+    # read straight into the scaled integers of _from_scaled: each value
+    # a reduced (num, den), den the lcm of those, as _scale computes it;
+    # whether the rows are the open lattice is left to the table's users
+    # (NotOnLattice)
+    index = space.index
+    masks, nums, dens = [], [], []
     for row in table:
         if not isinstance(row, dict):
             raise BadDocument("valuation: table rows must be objects")
-        opn = _require(row, "open", list, "valuation.table")
-        for lab in opn:
-            if not isinstance(lab, str) or lab not in space.index:
+        mask = 0
+        for lab in _require(row, "open", list, "valuation.table"):
+            k = index.get(lab) if isinstance(lab, str) else None
+            if k is None:
                 raise BadDocument(
                     f"valuation.table: unknown element {lab!r}"
                 )
-        masks.append(space.mask_of(opn))
-        values.append(_ext_from_str(_require(row, "value", str,
-                                             "valuation.table")))
+            mask |= 1 << k
+        masks.append(mask)
+        num, den = _ratio_from_str(_require(row, "value", str,
+                                            "valuation.table"))
+        nums.append(num)
+        dens.append(den)
     if len(set(masks)) != len(masks):
         raise BadDocument("valuation.table: duplicate opens")
-    return TabulatedSetFunction(space, tuple(masks), tuple(values))
+    den = lcm(*set(dens))
+    ints = tuple([inf if n == inf else n * (den // d)
+                  for n, d in zip(nums, dens)])
+    return TabulatedSetFunction._from_scaled(space, tuple(masks), den, ints)
 
 
 def _valuation_body(v) -> dict:

@@ -12,10 +12,10 @@ denominator as integers, math.inf standing for infinity (see _scale).
 A Valuation caches its weights in that form; evaluate, total and
 image_valuation (_push) sum those integers, and _ext turns one back into
 an ExtRat, built only for results.  Tables the library derives
-(tabulate, nu_bullet, mu_circ, support_check's restriction) are held in
-that form too (TabulatedSetFunction._from_scaled) and decode their
-values on first read; a publicly built table is scaled once, on first
-use.
+(tabulate, nu_bullet, mu_circ, support_check's restriction) and tables
+read from documents are held in that form too
+(TabulatedSetFunction._from_scaled) and decode their values on first
+read; a publicly built table is scaled once, on first use.
 """
 
 from __future__ import annotations
@@ -175,9 +175,9 @@ class TabulatedSetFunction:
     No laws are assumed; run check_valuation to promote a table.
 
     Public construction validates and stores the given values; tables
-    derived inside the library (tabulate, nu_bullet, mu_circ, ...) are
-    built by _from_scaled from their scaled integers, and decode values
-    only when they are first read.
+    derived inside the library (tabulate, nu_bullet, mu_circ, ...) or
+    read from a document are built by _from_scaled from their scaled
+    integers, and decode values only when they are first read.
     """
 
     space: FiniteSpace

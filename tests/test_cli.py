@@ -84,6 +84,33 @@ def test_check_bad_weight_is_a_parse_error(tmp_path, capsys):
     assert "bad weight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["table", "weights", "valuations"])
+def test_a_weight_past_the_int_string_limit_is_a_parse_error(
+        tmp_path, capsys, where):
+    big = "9" * 5000
+    try:
+        int(big)
+    except ValueError as err:
+        reason = err
+    else:
+        pytest.skip("this interpreter has no int-string limit")
+    if where == "table":
+        body = json.loads(dumps(Valuation(CHAIN2, (ExtRat(1),) * 2)
+                                .tabulate()))
+        body["table"][1]["value"] = big
+    elif where == "weights":
+        body = json.loads(dumps(Valuation(CHAIN2, (ExtRat(1),) * 2)))
+        body["weights"][1] = big
+    else:
+        body = json.loads(dumps(delta_chain(("0", "0", "1"))))
+        body["valuations"][2][0] = big
+    path = write(tmp_path, "big.json", json.dumps(body))
+    assert main(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad weight {big!r}: {reason}\n"
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -17,13 +17,15 @@ import os
 import random
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valim.cli import main
-from valim.documents import Query, dumps, loads
+from valim.documents import Document, Query, dumps, loads
 from valim.errors import ValimError
+from valim.extreal import ExtRat
 from valim.generators import (
     rand_monotone_map,
     rand_poset,
@@ -33,6 +35,7 @@ from valim.generators import (
     rand_valued_chain,
     rand_valued_poset_system,
 )
+from valim.valuation import TabulatedSetFunction, _scale
 
 KINDS = ("space", "weights", "table", "map", "prefix", "poset", "valued",
          "valued-poset", "product")
@@ -179,5 +182,83 @@ def test_cli_exits_with_a_contract_code(text, max_opens):
                         ["limit-eval", path, "--cylinder", "0:"],
                         ["product", path]):
             assert _run(options + command) in (0, 1, 2, 3)
+    finally:
+        os.unlink(path)
+
+
+def _spell(value, rng) -> str:
+    """A weight string for value, often not the canonical one: 2/4 for
+    1/2, 007 for 7, 0/9 for 0."""
+    if value == "inf":
+        return value
+    f = Fraction(value)
+    k = rng.randint(2, 5)
+    return rng.choice((
+        value,
+        f"{f.numerator * k}/{f.denominator * k}",
+        "00" + value if f.denominator == 1 else value,
+        f"0/{k}" if f == 0 else value,
+    ))
+
+
+def table_document(rng) -> tuple:
+    """(text, row values) for a table document on a random space: lawful,
+    or with values changed, a row dropped or a stray row added; values
+    spelled in many ways, rows in shuffled order."""
+    space = rand_poset(rng, rng.randint(1, 5))
+    table = rand_valuation(rng, space, inf_prob=0.15).tabulate()
+    rows = [{"open": list(space.points_of(m)), "value": str(v)}
+            for m, v in table.items()]
+    fault = rng.randrange(5)
+    if fault == 1:
+        for row in rng.sample(rows, rng.randint(1, len(rows))):
+            row["value"] = rng.choice(("0", "1", "1/2", "3/7", "inf"))
+    elif fault == 2:
+        rows.pop(rng.randrange(len(rows)))
+    elif fault == 3:
+        stray = [p for p in space.labels if rng.random() < 0.5]
+        if space.mask_of(stray) not in table.masks:
+            rows.append({"open": stray, "value": "1"})
+    for row in rows:
+        row["value"] = _spell(row["value"], rng)
+    rng.shuffle(rows)
+    body = {"schema": 1, "kind": "valuation",
+            "space": json.loads(dumps(space)), "table": rows}
+    del body["space"]["schema"], body["space"]["kind"]
+    return json.dumps(body), [row["value"] for row in rows]
+
+
+def _report(argv, loaded=None):
+    """(exit code, stdout) of main(argv); with loaded given, the CLI
+    reads that (Document, text) pair in place of the file."""
+    out = io.StringIO()
+    with contextlib.ExitStack() as stack:
+        if loaded is not None:
+            stack.enter_context(
+                mock.patch("valim.cli.load_path", return_value=loaded))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=80, deadline=None)
+def test_document_tables_read_as_the_public_constructor_builds(seed):
+    text, spelled = table_document(random.Random(seed))
+    values = tuple(ExtRat(s) for s in spelled)
+    doc = loads(text)
+    table = doc.value
+    assert table._scaled == _scale(values)
+    assert table.values == values
+    public = TabulatedSetFunction(table.space, table.masks, values)
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in ("check", "tight"):
+            argv = ["--format", "json", command, path]
+            assert _report(argv) == _report(
+                argv, (Document("valuation", public), text))
     finally:
         os.unlink(path)
