@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import inf
+from operator import lt
 
 from . import _kernels
-from .errors import ValimError
+from .errors import SizeLimit, ValimError
 from .extreal import ZERO, ExtRat, inf_of, way_below
 from .order import (
     DEFAULT_MAX_OPENS,
@@ -35,7 +36,6 @@ from .order import (
     FiniteSpace,
     MonotoneMap,
     UpSet,
-    check_space,
     lift,
     product_space,
     sobriety_witness,
@@ -59,6 +59,7 @@ from .valuation import (
     Valuation,
     _ext,
     _first_best_below,
+    _pushes_to,
     _scale,
     check_valuation,
     first_differing_open,
@@ -239,28 +240,39 @@ def subset_product_system(spaces,
     for bits in range(1 << k):
         subsets.append(tuple(p for p in range(k) if (bits >> p) & 1))
     subsets.sort(key=lambda s: (len(s), s))
-    relation = [
-        (s, t) for s in subsets for t in subsets if set(s) <= set(t)
-    ]
-    index_space = check_space(tuple(subsets), relation)
-    prods = [product_space([spaces[p] for p in s], max_points)[0]
-             for s in subsets]
-    pos_of = {s: i for i, s in enumerate(subsets)}
-    bonds = {}
+    bits = [sum(1 << p for p in s) for s in subsets]
+    # inclusion of subsets is a partial order
+    index_space = FiniteSpace._trusted(tuple(subsets), tuple(
+        sum(1 << b for b, tb in enumerate(bits) if sb & ~tb == 0)
+        for sb in bits))
+    sizes = [sp.n for sp in spaces]
+    prods = []
+    digits = []  # digits[b][c]: the graph of coordinate c on prods[b]
     for s in subsets:
-        for t in subsets:
-            if not set(s) <= set(t):
+        prod, projections = product_space([spaces[p] for p in s],
+                                          max_points)
+        prods.append(prod)
+        digits.append([f.graph for f in projections])
+    bonds = {}
+    for a, s in enumerate(subsets):
+        for b, t in enumerate(subsets):
+            if bits[a] & ~bits[b]:
                 continue
-            src = prods[pos_of[t]]
-            dst = prods[pos_of[s]]
-            sel = [t.index(p) for p in s]
-            graph = tuple(
-                dst.index[tuple(lab[c] for c in sel)] for lab in src.labels
-            )
+            graph = _product_index([digits[b][t.index(p)] for p in s],
+                                   [sizes[p] for p in s], prods[b].n)
             # dropping coordinates is monotone for componentwise orders
-            bonds[(pos_of[s], pos_of[t])] = MonotoneMap._trusted(
-                src, dst, graph)
+            bonds[(a, b)] = MonotoneMap._trusted(prods[b], prods[a], graph)
     return PosetSystem(index_space, tuple(prods), bonds), tuple(subsets)
+
+
+def _product_index(columns, sizes, n) -> tuple:
+    """For each x < n, the index in product_space(factors) of the tuple
+    whose c-th coordinate is point columns[c][x] of the c-th factor,
+    of sizes[c] points: the first coordinate is the slowest digit."""
+    graph = [0] * n
+    for col, size in zip(columns, sizes):
+        graph = [g * size + d for g, d in zip(graph, col)]
+    return tuple(graph)
 
 
 def marginals_from_joint(spaces, joint: Valuation) -> dict:
@@ -309,14 +321,23 @@ def _pointed_extension(sys, subsets, marginals, max_points,
     """The ep-route extension of a marginal family over the subset system
     (sys, subsets) of pointed factors.  Its bonds drop coordinates, and
     their embeddings pad with the factors' bottoms, so the system is ep
-    by construction and only compatibility is checked.  max_opens=None
-    skips the size guard, as in _ep_limit."""
+    by construction and only compatibility is checked: on the pairs into
+    the top first, and over every pair (check_compatibility) only when
+    one of those differs.  max_opens=None skips the size guard, as in
+    _ep_limit."""
     marginals = _with_empty_marginal(marginals, sys, subsets)
     try:
         vals = tuple(marginals[s] for s in subsets)
     except KeyError as missing:
         raise ValimError(f"marginal missing for subset {missing.args[0]!r}")
-    vs = check_compatibility(ValuedSystem(sys, vals))
+    vs = ValuedSystem(sys, vals)
+    # the bonds compose, so bond(i, j) o bond(j, top) = bond(i, top) and
+    # the pairs into the top give every other pair by functoriality of
+    # the pushforward; the full scan names the first differing pair
+    top = sys.top_index()
+    down = _bonds_to(sys, top)
+    if not all(_pushes_to(down[i], vals[top], vals[i]) for i in down):
+        check_compatibility(vs)
     return _ep_limit(vs, max_points, max_opens)
 
 
@@ -381,16 +402,25 @@ def dk_product(spaces, marginals, max_points: int = DEFAULT_MAX_POINTS,
     between them.
 
     validate lists the lifted limit's opens under max_opens, as
-    ep_limit_valuation's size guard (SizeLimit past it).  validate=False
-    skips that listing: the lifted lattice can pass a million opens while
-    the rest of the product takes milliseconds.
+    ep_limit_valuation's size guard (SizeLimit past it), and drops the
+    list.  validate=False skips that listing: the lifted lattice can pass
+    a million opens while the rest of the product takes milliseconds.
+
+    Every space built here is derived from the factors and trusted
+    (FiniteSpace._trusted), coordinates are mapped by index arithmetic
+    rather than label lookup, and marginals are compared on scaled
+    integers (_pushes_to) before any open-by-open comparison.
     """
     spaces = tuple(spaces)
     if not spaces:
         raise ValimError("at least one factor required")
+    # lift keeps a factor's points at their indices and adds its bottom
+    # last, so a point's coordinates index the lifted factors as they
+    # index the plain ones
+    sizes = [sp.n for sp in spaces]
     lifted_spaces = tuple(lift(sp) for sp in spaces)
     lifted_sys, subsets = subset_product_system(lifted_spaces, max_points)
-    plain = [product_space([spaces[p] for p in s], max_points)[0]
+    plain = [product_space([spaces[p] for p in s], max_points)
              for s in subsets]
     # the empty product is the same one-point space, lifted or not
     marginals = _with_empty_marginal(marginals, lifted_sys, subsets)
@@ -399,40 +429,53 @@ def dk_product(spaces, marginals, max_points: int = DEFAULT_MAX_POINTS,
         nu = marginals.get(s)
         if nu is None:
             raise ValimError(f"marginal missing for subset {s!r}")
-        if nu.space != plain[i]:
+        prod, coordinates = plain[i]
+        if nu.space != prod:
             raise ValimError(
                 f"marginal at {s!r} does not live on that partial product"
             )
         lifted_prod = lifted_sys.space(i)
+        at = _product_index([f.graph for f in coordinates],
+                            [sizes[p] + 1 for p in s], prod.n)
         weights = [ZERO] * lifted_prod.n
-        for lab, w in zip(nu.space.labels, nu.weights):
-            weights[lifted_prod.index[lab]] = w
+        for x, w in zip(at, nu.weights):
+            weights[x] = w
         lifted_marginals[s] = Valuation(lifted_prod, tuple(weights))
     lifted_joint = _pointed_extension(lifted_sys, subsets, lifted_marginals,
-                                      max_points,
-                                      max_opens if validate else None)
+                                      max_points, None)
     # the limit carrier is the top space in thread clothing: the thread's
     # component at the top index is the plain coordinate tuple
     big = lifted_joint.valuation.space
-    top = lifted_joint.source.system.top_index()
-    clean = [
-        big.labels[t] for t in range(big.n)
-        if all(lab in spaces[p].index
-               for p, lab in enumerate(big.labels[t][top]))
-    ]
+    # the size guard lists the lifted opens without caching them on the
+    # carrier, which nothing reads again
+    if validate and _kernels.enumerate_upsets(big.up, big.n,
+                                              max_opens) is None:
+        raise SizeLimit("open lattice", max_opens)
+    top = lifted_sys.top_index()
+    # the carrier's points are the lifted top product's; a thread is
+    # bottom-free when no coordinate sits on its factor's bottom
+    lifted_digits = [lifted_sys.bond(subsets.index((p,)), top).graph
+                     for p in range(len(spaces))]
+    clean = sum(1 << t for t, ds in enumerate(zip(*lifted_digits))
+                if all(map(lt, ds, sizes)))
     restriction = support_check(lifted_joint.valuation, clean, max_opens)
     rs = restriction.space
-    space = FiniteSpace(tuple(lab[top] for lab in rs.labels), rs.up)
+    # the restriction's order under the threads' top components, which
+    # are distinct as the top component determines the thread
+    space = FiniteSpace._trusted(tuple(lab[top] for lab in rs.labels), rs.up)
     valuation = Valuation(space, restriction.valuation.weights)
+    digits = [[d[t] for t in restriction.inclusion.graph]
+              for d in lifted_digits]
     projections = {}
     for i, s in enumerate(subsets):
-        dst = plain[i]
-        graph = tuple(
-            dst.index[tuple(lab[p] for p in s)] for lab in space.labels
-        )
+        dst = plain[i][0]
+        graph = _product_index([digits[p] for p in s],
+                               [sizes[p] for p in s], space.n)
         # space carries the componentwise order of the factors (lifting
         # only adds points below), so dropping coordinates is monotone
         projections[s] = MonotoneMap._trusted(space, dst, graph)
+        if _pushes_to(projections[s], valuation, marginals[s]):
+            continue
         pushed = image_valuation(projections[s], valuation)
         w = first_differing_open(pushed, marginals[s])
         if w is not None:

@@ -68,6 +68,11 @@ class FiniteSpace:
 
     labels fixes the canonical point order.  up[i] is the bitmask of weak
     upper bounds of point i, so bit j of up[i] means i <= j.
+
+    Public construction (FiniteSpace(...), check_space, documents)
+    validates the poset laws; spaces derived inside the library from
+    spaces that are already valid (products, lifts, subspaces, limit
+    carriers) are built by _trusted without re-checking.
     """
 
     labels: tuple
@@ -103,6 +108,15 @@ class FiniteSpace:
                     raise NotAPoset(
                         "antisymmetry", (self.labels[i], self.labels[j])
                     )
+
+    @classmethod
+    def _trusted(cls, labels, up) -> "FiniteSpace":
+        """A space whose labels are distinct and whose up table is a
+        partial order by construction, not re-validated."""
+        sp = object.__new__(cls)
+        object.__setattr__(sp, "labels", labels)
+        object.__setattr__(sp, "up", up)
+        return sp
 
     @property
     def n(self) -> int:
@@ -351,7 +365,8 @@ def lift(space: FiniteSpace, label=None) -> FiniteSpace:
     labels = space.labels + (label,)
     n = space.n
     up = tuple(space.up) + ((1 << (n + 1)) - 1,)
-    return FiniteSpace(labels, up)
+    # a partial order with a least point added is a partial order
+    return FiniteSpace._trusted(labels, up)
 
 
 def product_space(factors, max_points: int = DEFAULT_MAX_POINTS):
@@ -389,12 +404,16 @@ def product_space(factors, max_points: int = DEFAULT_MAX_POINTS):
             new += [r * spread for r in rows]
         rows = new
         size *= f.n
-    space = FiniteSpace(tuple(labels), tuple(rows))
-    projections = [
-        MonotoneMap._trusted(
-            space, f, tuple((t // stride) % f.n for t in range(total)))
-        for f, stride in zip(factors, reversed(strides))
-    ]
+    # the componentwise order of partial orders is one, and tuples of
+    # distinct labels are distinct
+    space = FiniteSpace._trusted(tuple(labels), tuple(rows))
+    # a factor's coordinate runs through its points, each repeated
+    # `stride` times, once per block of stride * n points
+    projections = []
+    for f, stride in zip(factors, reversed(strides)):
+        block = tuple([x for x in range(f.n) for _ in range(stride)])
+        projections.append(MonotoneMap._trusted(
+            space, f, block * (total // (len(block) or 1))))
     return space, projections
 
 
@@ -411,7 +430,8 @@ def subspace(space: FiniteSpace, points):
             if (space.up[i] >> j) & 1:
                 row |= 1 << pos[j]
         up.append(row)
-    sub = FiniteSpace(labels, tuple(up))
+    # an induced order is a partial order
+    sub = FiniteSpace._trusted(labels, tuple(up))
     inclusion = MonotoneMap._trusted(sub, space, tuple(keep))
     return sub, inclusion
 

@@ -35,7 +35,12 @@ from .order import (
     compose,
     identity_map,
 )
-from .valuation import Valuation, first_differing_open, image_valuation
+from .valuation import (
+    Valuation,
+    _pushes_to,
+    first_differing_open,
+    image_valuation,
+)
 
 __all__ = [
     "BondLawViolation",
@@ -383,7 +388,11 @@ def check_compatibility(vs: ValuedSystem) -> ValuedSystem:
 
     Pushing the valuation at j down the bond must reproduce the
     valuation at i as a set function on every open; a differing open is
-    recovered as the Incompatible witness when it fails.
+    recovered as the Incompatible witness when it fails.  Each pair is
+    first compared on scaled integers (_pushes_to): equal weights are
+    equal valuations, and only a pair whose weights differ, which an
+    infinite weight masking finite ones can still leave equal on every
+    open, is decided open by open.
     """
     sys = vs.system
     down = {}  # j -> bonds into j, walked when j is first reached
@@ -393,6 +402,8 @@ def check_compatibility(vs: ValuedSystem) -> ValuedSystem:
                 continue
             if j not in down:
                 down[j] = _bonds_to(sys, j)
+            if _pushes_to(down[j][i], vs.val(j), vs.val(i)):
+                continue
             pushed = image_valuation(down[j][i], vs.val(j))
             w = first_differing_open(vs.val(i), pushed)
             if w is not None:
@@ -443,12 +454,13 @@ def _materialize(sys, max_points) -> LimitSpace:
     if xt.n > max_points:
         raise SizeLimit("limit points", max_points)
     graphs = [down[i].graph for i in idxs]
-    labels = tuple(
-        tuple(sys.space(i).labels[g[x]] for i, g in zip(idxs, graphs))
-        for x in range(xt.n)
-    )
-    carrier = FiniteSpace(labels, xt.up)
-    # the carrier carries the top's order, so each bond stays monotone
+    # thread x is the x-th entry of every index's column of labels
+    labels = tuple(zip(*[list(map(sys.space(i).labels.__getitem__, g))
+                         for i, g in zip(idxs, graphs)]))
+    # the top's order under thread labels, which are distinct because a
+    # thread's top component is the top point itself; so each bond stays
+    # monotone
+    carrier = FiniteSpace._trusted(labels, xt.up)
     projections = tuple(
         MonotoneMap._trusted(carrier, sys.space(i), g)
         for i, g in zip(idxs, graphs)

@@ -412,6 +412,24 @@ def image_valuation(f: MonotoneMap, nu: Valuation) -> Valuation:
     return Valuation(f.target, tuple([_ext(v, den) for v in out]))
 
 
+def _pushes_to(f: MonotoneMap, nu: Valuation, mu: Valuation) -> bool:
+    """Whether image_valuation(f, nu) has mu's weights, compared on
+    scaled integers: nu's weights are pushed along f (_push) and each
+    side is cross-multiplied by the other's denominator.  Equal weights
+    mean equal valuations; unequal weights can still agree on every open
+    when an infinite weight masks the finite ones below it, which only
+    first_differing_open decides."""
+    den_nu, ints = nu._scaled
+    den_mu, target = mu._scaled
+    pushed = _push(ints, f.graph, f.target.n)
+    if den_nu == den_mu:
+        return pushed == list(target)
+    # inf times an int past float range overflows, so inf is compared
+    # as itself
+    return all(a == b if a == inf or b == inf else a * den_mu == b * den_nu
+               for a, b in zip(pushed, target))
+
+
 def restrict_to_open(nu: Valuation, u: UpSet) -> Valuation:
     """The restriction to an open subspace (weights outside u dropped)."""
     if nu.space != u.space:
@@ -498,10 +516,10 @@ def support_check(nu: Valuation, points,
     """
     space = nu.space
     a_mask = points if isinstance(points, int) else space.mask_of(points)
-    has_inf = any(not w.is_finite for w in nu.weights)
-    if not has_inf:
+    den, ints = nu._scaled
+    if inf not in ints:
         for y in range(space.n):
-            if nu.weights[y] == ZERO or (a_mask >> y) & 1:
+            if ints[y] == 0 or (a_mask >> y) & 1:
                 continue
             trace = space.up[y] & a_mask
             u = space.up_close(trace)
@@ -524,7 +542,6 @@ def support_check(nu: Valuation, points,
             if space.up[y] & a_mask & ~trace == 0:
                 big |= 1 << y
         bigs.append(big)
-    den, ints = nu._scaled
     lo = _kernels.eval_weights(ints, smalls)
     hi = _kernels.eval_weights(ints, bigs)
     k = _first_difference(lo, hi, ne)

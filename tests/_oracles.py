@@ -272,6 +272,26 @@ def brute_product_up(factors):
     return rows
 
 
+def brute_coordinate_graph(src: FiniteSpace, dst: FiniteSpace, keep):
+    """The map from one product's points to another's that keeps the
+    coordinates at positions `keep` of each label tuple, by looking the
+    kept tuple up among dst's labels."""
+    return tuple(dst.index[tuple(lab[c] for c in keep)]
+                 for lab in src.labels)
+
+
+def brute_subset_bonds(sys, subsets):
+    """Every bond graph of a subset product system, (i, j) -> graph for
+    each pair of subsets s <= t, by label lookup (brute_coordinate_graph)."""
+    out = {}
+    for i, s in enumerate(subsets):
+        for j, t in enumerate(subsets):
+            if set(s) <= set(t):
+                out[(i, j)] = brute_coordinate_graph(
+                    sys.space(j), sys.space(i), [t.index(p) for p in s])
+    return out
+
+
 def brute_is_monotone(f) -> bool:
     """x <= y implies f(x) <= f(y), over every pair of source points."""
     src, dst = f.source, f.target

@@ -18,6 +18,7 @@ from valim import (
     NotUniformlyTight,
     PosetSystem,
     PrefixChain,
+    SizeLimit,
     UpSet,
     Valuation,
     ValuedSystem,
@@ -244,6 +245,61 @@ def test_dk_product_refuses_incompatible_marginals():
     fam[(0, 1)] = Valuation(prod_space_, tuple(det))
     with pytest.raises(Incompatible):
         dk_product([ANTI, ANTI], fam)
+
+
+def test_pointed_product_accepts_marginals_masked_by_infinity():
+    # the joint pushes (0, inf) onto each coordinate; claiming (1, inf)
+    # there changes a weight but no open, as bot's only open holds top
+    from valim import product_space
+
+    prod, _ = product_space([SIER, SIER])
+    joint = Valuation(prod, (ZERO, ZERO, ZERO, INF))
+    fam = marginals_from_joint([SIER, SIER], joint)
+    for s in ((0,), (1,)):
+        assert fam[s].weights == (ZERO, INF)
+        fam[s] = Valuation(fam[s].space, (ONE, INF))
+    lv = pointed_product_valuation([SIER, SIER], fam)
+    assert lv.valuation.weights == joint.weights
+
+
+def test_dk_product_size_guard_keeps_no_open_list():
+    c2 = FiniteSpace(("a", "b"), (0b11, 0b10))
+    rng = random.Random(9)
+    from valim import product_space
+
+    prod, _ = product_space([c2, c2])
+    fam = marginals_from_joint([c2, c2], rand_valuation(rng, prod))
+    dk = dk_product([c2, c2], fam)
+    assert "_open_masks" not in dk.lifted.limit.space.__dict__
+    # the lifted factors are 3-chains, whose product, a 3 x 3 grid, has
+    # C(6, 3) = 20 up-sets
+    with pytest.raises(SizeLimit):
+        dk_product([c2, c2], fam, max_opens=19)
+    assert dk_product([c2, c2], fam, max_opens=20).valuation == dk.valuation
+
+
+def test_dk_product_validates_no_space(monkeypatch):
+    # every space dk_product builds is derived from valid ones, so none
+    # may go through the public validation again
+    rng = random.Random(5)
+    factors = [rand_poset(rng, n, edge_prob=0.5, prefix=f"f{p}_")
+               for p, n in enumerate((2, 2, 3))]
+    from valim import product_space
+
+    prod, _ = product_space(factors)
+    fam = marginals_from_joint(factors, rand_valuation(rng, prod))
+    calls = []
+    real = FiniteSpace.__post_init__
+
+    def counting(self):
+        calls.append(self.labels)
+        real(self)
+    monkeypatch.setattr(FiniteSpace, "__post_init__", counting)
+    FiniteSpace(("a",), (1,))
+    assert len(calls) == 1
+    for validate in (False, True):
+        dk_product(factors, fam, validate=validate)
+    assert len(calls) == 1
 
 
 # --- uniform tightness and the tight route ------------------------------

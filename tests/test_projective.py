@@ -35,6 +35,7 @@ from valim import (
     verify_ep_limit_laws,
 )
 from valim.errors import ValimError
+from valim.extreal import INF
 from valim.generators import (
     rand_ep_prefix_chain,
     rand_poset,
@@ -50,6 +51,7 @@ from valim.projective import (
     NotAProjection,
     NotDirected,
 )
+from valim.valuation import _pushes_to
 
 from _oracles import all_upsets, brute_adjoint_mask, brute_eventual_image
 
@@ -140,6 +142,27 @@ def test_check_compatibility_accepts_and_refuses():
     with pytest.raises(Incompatible) as e:
         check_compatibility(broken)
     assert e.value.pair[0] == 0
+
+
+def test_check_compatibility_accepts_weights_masked_by_infinity():
+    # every open holding a holds b, so below b's infinite weight a's
+    # finite one is invisible: (2, inf) and (1, inf) agree on every open
+    # though their weights differ, and only the open-by-open comparison
+    # can tell
+    chain = FiniteSpace(("a", "b"), (0b11, 0b10))
+    index = FiniteSpace(("lo", "hi"), (0b11, 0b10))
+    sys = PosetSystem(index, (chain, chain), {(0, 1): identity_map(chain)})
+    lo = Valuation(chain, (ExtRat(2), INF))
+    hi = Valuation(chain, (ExtRat(1), INF))
+    assert not _pushes_to(sys.bond(0, 1), hi, lo)
+    vs = ValuedSystem(sys, (lo, hi))
+    assert check_compatibility(vs) is vs
+    # with b finite, a's weight shows on the open {a, b}
+    finite = ValuedSystem(sys, (Valuation(chain, (ExtRat(2), ExtRat(1))),
+                                Valuation(chain, (ExtRat(1), ExtRat(1)))))
+    with pytest.raises(Incompatible) as e:
+        check_compatibility(finite)
+    assert (e.value.pair, e.value.witness.members) == ((0, 1), ("a", "b"))
 
 
 def test_materialize_limit_prefix_is_last_level():

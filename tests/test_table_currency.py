@@ -25,6 +25,8 @@ from valim import (
     Valuation,
     check_space,
     check_valuation,
+    identity_map,
+    image_valuation,
     is_tight,
     mu_circ,
     nu_bullet,
@@ -33,7 +35,7 @@ from valim import (
 from valim import valuation
 from valim.documents import dumps
 from valim.extreal import INF, ZERO
-from valim.generators import rand_poset
+from valim.generators import rand_monotone_map, rand_poset
 
 from _oracles import mask_value
 
@@ -155,3 +157,38 @@ def test_nu_bullet_then_mu_circ_scales_once(monkeypatch):
     calls.clear()
     assert is_tight(table).composite_matches
     assert calls == []
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_pushes_to_compares_the_pushed_weights(seed):
+    rng = random.Random(seed)
+    src = rand_poset(rng, rng.randint(0, 6), edge_prob=rng.uniform(0.1, 0.7))
+    dst = rand_poset(rng, rng.randint(1, 5), edge_prob=rng.uniform(0.1, 0.7))
+    f = rand_monotone_map(rng, src, dst)
+    nu = Valuation(src, rand_weights(rng, src.n))
+    pushed = image_valuation(f, nu)
+    # the pushforward itself (often on a smaller denominator than nu's),
+    # one weight of it redrawn, or a fresh valuation
+    weights = list(pushed.weights)
+    kind = rng.randrange(3)
+    if kind == 1:
+        weights[rng.randrange(dst.n)] = rand_weights(rng, 1)[0]
+    elif kind == 2:
+        weights = rand_weights(rng, dst.n)
+    mu = Valuation(dst, tuple(weights))
+    assert valuation._pushes_to(f, nu, mu) == (pushed.weights == mu.weights)
+
+
+def test_pushes_to_compares_infinity_past_float_range():
+    # denominators past float range: inf times either would overflow
+    sp = FiniteSpace(("a", "b"), (0b01, 0b10))
+    nu = Valuation(sp, (INF, ExtRat(1, 2 ** 1100)))
+    f = identity_map(sp)
+    assert valuation._pushes_to(f, nu, nu)
+    assert valuation._pushes_to(
+        f, nu, Valuation(sp, (INF, ExtRat(2, 2 ** 1101))))
+    assert not valuation._pushes_to(
+        f, nu, Valuation(sp, (INF, ExtRat(1, 2 ** 1099))))
+    assert not valuation._pushes_to(
+        f, nu, Valuation(sp, (ExtRat(1, 2 ** 1099), ExtRat(1, 2 ** 1100))))

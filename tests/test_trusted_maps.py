@@ -1,12 +1,13 @@
-"""The trust boundary for monotone maps.
+"""The trust boundary for spaces and monotone maps.
 
-Maps built by the public constructor, from_dict or a document are
-validated; maps the library derives from valid maps or orders
-(composites, identities, product projections, subspace inclusions,
-subset-system bonds, limit and product projections) are built without
-re-validation.  These tests check both halves: non-monotone input is
-still refused, and every derived map is monotone by brute force over all
-pairs of points.
+Spaces and maps built by the public constructors, from_dict, check_space
+or a document are validated; spaces and maps the library derives from
+valid ones (products, lifts, subspaces, limit carriers, composites,
+identities, product projections, subspace inclusions, subset-system
+bonds, limit and product projections) are built without re-validation.
+These tests check both halves: malformed input is still refused, every
+derived space passes the public validation, and every derived map is
+monotone by brute force over all pairs of points.
 """
 
 import json
@@ -23,6 +24,7 @@ from valim import (
     compose,
     dk_product,
     identity_map,
+    lift,
     marginals_from_joint,
     materialize_limit,
     product_space,
@@ -38,9 +40,14 @@ from valim.generators import (
     rand_valuation,
     rand_valued_poset_system,
 )
-from valim.order import DEFAULT_MAX_OPENS, NotMonotone
+from valim.order import DEFAULT_MAX_OPENS, NotAPoset, NotMonotone
 
-from _oracles import brute_is_monotone
+from _oracles import (
+    brute_coordinate_graph,
+    brute_is_monotone,
+    brute_product_up,
+    brute_subset_bonds,
+)
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -112,3 +119,76 @@ def test_construction_layer_derived_maps_are_monotone(seed):
         *subsystem.bonds.values(),
         *dk.projections.values(),
     ])
+
+
+# --- derived spaces -----------------------------------------------------
+
+
+def rand_factors(rng, count):
+    """count random posets of 1 to 3 points, about half of them with a
+    single point."""
+    return [rand_poset(rng, 1 if rng.random() < 0.3 else rng.randint(1, 3),
+                       edge_prob=rng.uniform(0.2, 0.8), prefix=f"f{p}_")
+            for p in range(count)]
+
+
+def assert_rebuilds(spaces):
+    assert spaces
+    for sp in spaces:
+        # the public constructor validates every poset law
+        assert FiniteSpace(sp.labels, sp.up) == sp
+
+
+def test_hand_built_non_poset_is_refused():
+    with pytest.raises(NotAPoset):
+        FiniteSpace(("a", "a"), (0b11, 0b11))
+    with pytest.raises(NotAPoset):
+        FiniteSpace(("a", "b"), (0b11, 0b11))
+    with pytest.raises(NotAPoset):
+        FiniteSpace(("a", "b"), (0b01, 0b00))
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_derived_spaces_pass_the_public_validation(seed):
+    rng = random.Random(seed)
+    factors = rand_factors(rng, rng.randint(1, 4))
+    prod, _ = product_space(factors)
+    assert list(prod.up) == brute_product_up(factors)
+    sub, _ = subspace(prod, rng.getrandbits(prod.n))
+    vs = rand_valued_poset_system(rng, max_top=6)
+    few = factors[:rng.randint(1, 3)]
+    joint = rand_valuation(rng, product_space(few)[0], max_den=4)
+    dk = dk_product(few, marginals_from_joint(few, joint), validate=False)
+    assert_rebuilds([
+        prod, sub, lift(prod), *map(lift, factors),
+        *subset_product_system(factors[:3])[0].spaces,
+        materialize_limit(vs.system).space,
+        dk.space, dk.lifted.limit.space, dk.restriction.space,
+    ])
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_subset_bonds_match_the_label_lookup(seed):
+    rng = random.Random(seed)
+    factors = rand_factors(rng, rng.randint(0, 3))
+    sys, subsets = subset_product_system(factors)
+    assert () in subsets
+    bonds = brute_subset_bonds(sys, subsets)
+    assert {pair: f.graph for pair, f in sys.bonds.items()} == bonds
+    for (i, j), f in sys.bonds.items():
+        assert (f.source, f.target) == (sys.space(j), sys.space(i))
+
+
+@given(seeds)
+@settings(max_examples=20, deadline=None)
+def test_dk_projections_match_the_label_lookup(seed):
+    rng = random.Random(seed)
+    factors = rand_factors(rng, rng.randint(1, 3))
+    prod, _ = product_space(factors)
+    joint = rand_valuation(rng, prod, max_den=4)
+    dk = dk_product(factors, marginals_from_joint(factors, joint),
+                    validate=False)
+    for s, f in dk.projections.items():
+        assert f.graph == brute_coordinate_graph(dk.space, f.target, s)
