@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import heapq
 import json
 import sys
+from itertools import islice
 
 from . import __version__
 from .constructions import (
@@ -301,9 +301,9 @@ def _cmd_tight(args) -> int:
     nu = v if isinstance(v, Valuation) else _table_valuation(
         v, args.max_opens)
     report = is_tight(nu, args.max_opens)
-    # only the printed witnesses are sorted out and formatted
-    shown = heapq.nsmallest(args.max_witnesses, report.witnesses.items(),
-                            key=lambda kv: (kv[0][0].bit_count(), kv[0]))
+    # only the printed witnesses are built: by open size, then open
+    # mask, then ascending rational
+    shown = islice(report.witnesses.ascending(), args.max_witnesses)
     witnesses = [{
         "open": list(nu.space.points_of(u)),
         "rational": _ext_to_str(r),

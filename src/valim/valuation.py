@@ -21,12 +21,13 @@ read; a publicly built table is scaled once, on first use.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress, count
 from math import inf, lcm
-from operator import ne, or_
+from operator import itemgetter, ne, or_
 
 from . import _kernels
 from .errors import ValimError
@@ -48,6 +49,7 @@ __all__ = [
     "NotSupported",
     "Restriction",
     "TightnessReport",
+    "TightnessWitnesses",
     "LocalFinitenessReport",
     "point_mass",
     "zero_valuation",
@@ -253,9 +255,11 @@ def _scale(values) -> tuple:
     """(den, ints): ExtRat values over their least common denominator,
     ints[k] = values[k] * den, with inf standing for infinity."""
     fracs = [v.frac for v in values]
-    den = lcm(*{f.denominator for f in fracs if f is not None})
+    # read from Fraction's slots, not through its properties, as
+    # ExtRat.__hash__ does: publicly built tables are scaled here
+    den = lcm(*{f._denominator for f in fracs if f is not None})
     return den, tuple([inf if f is None
-                       else f.numerator * (den // f.denominator)
+                       else f._numerator * (den // f._denominator)
                        for f in fracs])
 
 
@@ -507,27 +511,28 @@ def support_check(nu: Valuation, points,
     """Decide whether nu is supported on the subset A.
 
     Supported means: any two opens with the same trace on A get the same
-    value.  For finite weights that holds exactly when every weighted
-    point lies in A, and a violating pair can be written down directly;
-    with infinite weights masking is possible, so the traces are scanned
-    instead (each trace T pins the sandwich up(T) <= V <= M(T), and by
-    monotonicity only the two ends need comparing).  On success returns
-    the restriction mu with mu(U cap A) = nu(U).
+    value.  When every point outside A weighs zero, nu(U) depends on
+    U cap A alone, and the restriction is nu's weights on A, infinite or
+    not.  Otherwise, for finite weights, a violating pair can be written
+    down directly; with infinite weights masking is possible, so the
+    traces are scanned instead (each trace T pins the sandwich
+    up(T) <= V <= M(T), and by monotonicity only the two ends need
+    comparing).  On success returns the restriction mu with
+    mu(U cap A) = nu(U).
     """
     space = nu.space
     a_mask = points if isinstance(points, int) else space.mask_of(points)
     den, ints = nu._scaled
-    if inf not in ints:
-        for y in range(space.n):
-            if ints[y] == 0 or (a_mask >> y) & 1:
-                continue
-            trace = space.up[y] & a_mask
-            u = space.up_close(trace)
-            v = u | space.up[y]
-            raise NotSupported(UpSet(space, u), UpSet(space, v))
+    outside = [y for y in range(space.n)
+               if ints[y] != 0 and not (a_mask >> y) & 1]
+    if not outside:
         sub, inclusion = subspace(space, a_mask)
         weights = tuple(nu.weights[i] for i in inclusion.graph)
         return Restriction(sub, inclusion, Valuation(sub, weights))
+    if inf not in ints:
+        y = outside[0]
+        u = space.up_close(space.up[y] & a_mask)
+        raise NotSupported(UpSet(space, u), UpSet(space, u | space.up[y]))
     # infinite weights can hide each other; scan traces honestly, both
     # ends of every sandwich as one eval_weights column
     sub, inclusion = subspace(space, a_mask)
@@ -604,12 +609,98 @@ def mu_circ(mu: TabulatedSetFunction,
         mu.space, mu.masks, den, tuple([ints[best[u]] for u in mu.masks]))
 
 
+class TightnessWitnesses(Mapping):
+    """is_tight's witnesses: a read-only mapping (open mask, rational) ->
+    the mask of the first up-set inside the open, in (size, mask) order,
+    worth at least the rational, for every rational way below the open's
+    value.
+
+    Entries are not stored.  The view keeps the open lattice in (size,
+    mask) order, the scaled value at each position, each open's
+    staircase (the positions of the running-max records of the values
+    over the up-sets inside it, the open's own last) and the rationals
+    tried with their scaled values, in the order of the set is_tight
+    builds them in.  A lookup is one bisect on a staircase.  Iteration
+    runs over the opens in order, then the rationals in that order, as
+    a dict filled the same way would; len counts by bisecting the
+    sorted values.
+    """
+
+    def __init__(self, opens, keys, stairs, ranked, den):
+        self._opens = opens
+        self._keys = keys
+        self._stairs = stairs
+        self._ranked = ranked
+        self._den = den
+        self._attained = frozenset(ri for _, ri in ranked)
+
+    def __getitem__(self, key):
+        stair = r = None
+        if isinstance(key, tuple) and len(key) == 2:
+            u, r = key
+            stair = self._stairs.get(u)
+        if stair is None or not isinstance(r, ExtRat) or r.frac is None:
+            raise KeyError(key)
+        # r on the table's scale; a value that is not a multiple of 1/den
+        # is not attained
+        den, keys = self._den, self._keys
+        num, d = r.frac.numerator, r.frac.denominator
+        ri = num * (den // d)
+        if den % d or ri not in self._attained or (
+                ri and ri >= keys[stair[-1]]):
+            raise KeyError(key)
+        return self._opens[stair[bisect_left(stair, ri,
+                                             key=keys.__getitem__)]]
+
+    def _entries(self, ranked):
+        """((u, r), witness) for every open u in order and every r of
+        ranked way below u's value, r in ranked's order."""
+        opens, keys = self._opens, self._keys
+        for u, top, stair in zip(opens, keys, self._stairs.values()):
+            tops = [keys[p] for p in stair]
+            for r, ri in ranked:
+                if ri < top or ri == 0:
+                    yield (u, r), opens[stair[bisect_left(tops, ri)]]
+
+    def __iter__(self):
+        return (key for key, _ in self._entries(self._ranked))
+
+    def __len__(self):
+        # the zero rational, and every non-zero one below the open's value
+        values = sorted(ri for _, ri in self._ranked if ri)
+        return sum([1 + bisect_left(values, top) for top in self._keys])
+
+    def items(self):
+        return _WitnessItems(self)
+
+    def values(self):
+        return _WitnessValues(self)
+
+    def ascending(self):
+        """The items by open in (size, mask) order, then by ascending
+        rational, produced one at a time (valim tight prints a prefix)."""
+        return self._entries(sorted(self._ranked, key=itemgetter(1)))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _WitnessItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._entries(self._mapping._ranked)
+
+
+class _WitnessValues(ValuesView):
+    def __iter__(self):
+        return (q for _, q in self._mapping._entries(self._mapping._ranked))
+
+
 @dataclass(frozen=True)
 class TightnessReport:
     space: FiniteSpace
     verdict: bool
     composite_matches: bool
-    witnesses: dict
+    witnesses: Mapping
     failure: tuple | None
 
     def witness(self, u, r):
@@ -624,27 +715,28 @@ def is_tight(nu, max_opens: int = DEFAULT_MAX_OPENS) -> TightnessReport:
 
     Witness values are 0 plus every attained table value; between two
     attained values the witness for the larger one serves, so this set is
-    complete at finite scale.  Also checks the composite law: the inner
-    approximation of the outer approximation reproduces nu.  nu is as
-    for nu_bullet.
+    complete at finite scale.  nu is as for nu_bullet.
 
     The witness for (U, r) is the first Q inside U, in (size, mask)
     order, with r <= nu(Q): the first step of U's staircase (the
     running-max records of nu over the up-sets inside U) to reach r.
     U's staircase is its lower covers' merged, then U (_walk_below).
+    The witnesses are served from the staircases (TightnessWitnesses).
+
+    One walk also decides the composite law, that the inner
+    approximation of the outer approximation reproduces nu.  The walk
+    refuses, with nu_bullet's ValimError, an open worth less than the
+    best record below it; as every up-set inside U other than U lies
+    inside a lower cover, what passes is monotone.  On a monotone table
+    the inf over the opens containing Q is attained at Q (nu_bullet
+    returns the table), the sup over the up-sets inside U at U (mu_circ
+    returns it again), and U's staircase ends at nu(U), so every r way
+    below nu(U) has a witness: verdict and composite_matches hold
+    exactly when nothing is raised.
     """
     table, opens = _as_table(nu, max_opens)
-    composite = mu_circ(nu_bullet(table, max_opens), max_opens)
-    # both columns are on the table's scale
     den, ints = table._scaled
-    composite_matches = composite._scaled[1] == ints
-    # each distinct finite value decoded once; they join the set one at a
-    # time in table order, as the set's order is the witnesses' order
-    scaled = {_ext(v, den): v for v in dict.fromkeys(ints) if v != inf}
-    rationals = {ZERO}
-    rationals.update(r for r in scaled)
-    ranked = [(r, scaled.get(r, 0)) for r in rationals]
-    # values and staircases by position in opens, which is their order
+    # values by position in opens, which is the staircases' order
     keys = [ints[table._index[u]] for u in opens]
     pos = {u: p for p, u in enumerate(opens)}
 
@@ -654,21 +746,22 @@ def is_tight(nu, max_opens: int = DEFAULT_MAX_OPENS) -> TightnessReport:
             if keys[p] > top:
                 stair.append(p)
                 top = keys[p]
-        if keys[pos[u]] > top:
+        own = keys[pos[u]]
+        if top > own:
+            raise ValimError("inf over neighborhoods missed the direct value")
+        if own > top:
             stair.append(pos[u])
         return stair
-    staircase = _walk_below(table.space, opens, records)
-    witnesses = {}
-    for u, top in zip(opens, keys):
-        stair = staircase[u]
-        tops = [keys[p] for p in stair]
-        # way_below(r, nu(u)); the last step is worth at least nu(u), so
-        # some step reaches r and the search cannot fail
-        witnesses.update(((u, r), opens[stair[bisect_left(tops, ri)]])
-                         for r, ri in ranked if ri < top or ri == 0)
-    # tightness then rides on the composite law
-    return TightnessReport(table.space, composite_matches, composite_matches,
-                           witnesses, None)
+    stairs = _walk_below(table.space, opens, records)
+    # each distinct finite value decoded and hashed once; they join the
+    # set one at a time in table order, as the set's order is the
+    # witnesses' order
+    rationals = {ZERO}
+    rationals.update([_ext(v, den) for v in dict.fromkeys(ints) if v != inf])
+    ranked = [(r, r.frac.numerator * (den // r.frac.denominator))
+              for r in rationals]
+    witnesses = TightnessWitnesses(opens, keys, stairs, ranked, den)
+    return TightnessReport(table.space, True, True, witnesses, None)
 
 
 @dataclass(frozen=True)

@@ -176,8 +176,9 @@ def brute_support(nu: Valuation, a_mask: int) -> Valuation:
     """The support test by an ExtRat scan of the traces on A, infinite
     weights or not: the opens with trace T on A run from up(T) to M(T),
     and nu must agree at the two ends.  NotSupported names the first
-    pair that differs; else the restriction, decomposed by
-    brute_decompose."""
+    pair that differs; else the restriction: nu's weights on A when
+    every point outside A weighs zero, the table decomposed by
+    brute_decompose otherwise."""
     space = nu.space
     sub, inclusion = subspace(space, a_mask)
     sub_masks = by_size(all_upsets(sub))
@@ -199,6 +200,10 @@ def brute_support(nu: Valuation, a_mask: int) -> Valuation:
             raise NotSupported(UpSet(space, small), UpSet(space, big))
         table_masks.append(tm)
         table_values.append(lo)
+    if all(nu.weights[y] == ZERO for y in range(space.n)
+           if not (a_mask >> y) & 1):
+        # nu(U) depends on U cap A alone: its weights on A restrict it
+        return Valuation(sub, tuple(nu.weights[i] for i in inclusion.graph))
     table = TabulatedSetFunction(sub, tuple(table_masks),
                                  tuple(table_values), "opens")
     return brute_decompose(table)

@@ -16,13 +16,14 @@ from valim import (
     TabulatedSetFunction,
     Valuation,
     ValuedSystem,
-    is_tight,
 )
 from valim import suites
 from valim.cli import main
 from valim.constructions import LimitLawViolation
 from valim.documents import dumps
 from valim.extreal import ExtRat
+
+from _oracles import brute_tightness
 
 CHAIN2 = FiniteSpace(("0", "1"), (0b11, 0b10))
 DIAMOND = FiniteSpace(
@@ -150,6 +151,29 @@ def test_product_query_flow(tmp_path, capsys):
     assert doc["kind"] == "valuation"
     assert set(doc["space"]["elements"]) == {"0,0", "0,1", "1,0", "1,1"}
     assert doc["weights"] == ["1/4", "1/4", "1/4", "1/4"]
+
+
+def test_product_extends_a_joint_with_an_infinite_weight(tmp_path, capsys):
+    # the marginals of the joint (0, 0, 0, inf) on the square of a
+    # 2-chain: all of the mass, infinite, sits on the top corner
+    body = {
+        "schema": 1,
+        "kind": "query",
+        "operation": "product",
+        "arguments": {
+            "factors": [space_body(CHAIN2), space_body(CHAIN2)],
+            "marginals": [
+                {"positions": [0], "weights": ["0", "inf"]},
+                {"positions": [1], "weights": ["0", "inf"]},
+                {"positions": [0, 1], "weights": ["0", "0", "0", "inf"]},
+            ],
+        },
+    }
+    path = write(tmp_path, "prod.json", json.dumps(body))
+    assert main(["--format", "json", "product", path]) == 0
+    doc = json.loads(capsys.readouterr().out)["document"]
+    assert doc["space"]["elements"] == ["0,0", "0,1", "1,0", "1,1"]
+    assert doc["weights"] == ["0", "0", "0", "inf"]
 
 
 def test_product_past_the_open_cap_is_a_size_limit(tmp_path, capsys):
@@ -312,24 +336,34 @@ def test_support_unknown_point(tmp_path, capsys):
     capsys.readouterr()
 
 
+# a and b apart, c below d, which weighs inf: the opens without d are
+# worth 0, 7, 1/3 and 22/3
+SPLIT = FiniteSpace(("a", "b", "c", "d"), (0b0001, 0b0010, 0b1100, 0b1000))
+
+
 def test_tight_prints_the_first_witnesses_in_order(tmp_path, capsys):
-    nu = Valuation(DIAMOND, (ExtRat("1/4"), ExtRat("1/2"), ExtRat("1/8"),
-                             ExtRat(1)))
-    path = write(tmp_path, "nu.json", dumps(nu))
-    report = is_tight(nu)
-    # by open size, then by (open mask, rational)
-    ordered = sorted(report.witnesses.items(),
-                     key=lambda kv: (kv[0][0].bit_count(), kv[0]))
-    want = [{"open": list(DIAMOND.points_of(u)), "rational": str(r),
-             "compact_witness": list(DIAMOND.points_of(q))}
-            for (u, r), q in ordered]
-    assert len(want) > 3
-    for cap in (0, 3, len(want), len(want) + 5):
-        assert main(["--format", "json", "tight", path,
-                     "--max-witnesses", str(cap)]) == 0
-        rep = json.loads(capsys.readouterr().out)
-        assert rep["witnesses"] == want[:cap]
-        assert rep["witness_count"] == len(want)
+    for space, weights in ((DIAMOND, ("1/4", "1/2", "1/8", "1")),
+                           (SPLIT, ("7", "1/3", "2", "inf"))):
+        nu = Valuation(space, tuple(ExtRat(w) for w in weights))
+        path = write(tmp_path, "nu.json", dumps(nu))
+        _, found, _ = brute_tightness(nu.tabulate())
+        # the oracle tries the rationals in a set's order, which is not
+        # ascending here, so the printed order must be sorted out
+        tried = [r for u, r in found if u == space.full_mask]
+        assert tried != sorted(tried)
+        # by open size, then by (open mask, rational)
+        ordered = sorted(found.items(),
+                         key=lambda kv: (kv[0][0].bit_count(), kv[0]))
+        want = [{"open": list(space.points_of(u)), "rational": str(r),
+                 "compact_witness": list(space.points_of(q))}
+                for (u, r), q in ordered]
+        assert len(want) > 3
+        for cap in (0, 1, 3, len(want), len(want) + 5):
+            assert main(["--format", "json", "tight", path,
+                         "--max-witnesses", str(cap)]) == 0
+            rep = json.loads(capsys.readouterr().out)
+            assert rep["witnesses"] == want[:cap]
+            assert rep["witness_count"] == len(want)
 
 
 @pytest.mark.parametrize("cap", ["-3", "-1"])

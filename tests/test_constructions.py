@@ -262,6 +262,36 @@ def test_pointed_product_accepts_marginals_masked_by_infinity():
     assert lv.valuation.weights == joint.weights
 
 
+def test_dk_product_extends_a_joint_with_an_infinite_weight():
+    # every tuple touching a lifted bottom weighs zero, so the support
+    # restriction is the lifted joint's own weights, however infinite
+    from valim import product_space
+
+    prod, _ = product_space([SIER, SIER])
+    joint = Valuation(prod, (ZERO, ZERO, ZERO, INF))
+    fam = marginals_from_joint([SIER, SIER], joint)
+    for validate in (False, True):
+        dk = dk_product([SIER, SIER], fam, validate=validate)
+        assert dk.space == prod
+        assert dk.valuation.weights == joint.weights
+
+
+@given(seeds)
+@settings(max_examples=60)
+def test_dk_product_recovers_joints_with_infinite_weights(seed):
+    rng = random.Random(seed)
+    spaces = [rand_poset(rng, rng.randint(1, 3), prefix=f"f{k}_")
+              for k in range(rng.randint(2, 3))]
+    from valim import first_differing_open, product_space
+
+    prod, _ = product_space(spaces)
+    joint = rand_valuation(rng, prod, inf_prob=0.2)
+    dk = dk_product(spaces, marginals_from_joint(spaces, joint),
+                    validate=False)
+    assert dk.space == prod
+    assert first_differing_open(dk.valuation, joint) is None
+
+
 def test_dk_product_size_guard_keeps_no_open_list():
     c2 = FiniteSpace(("a", "b"), (0b11, 0b10))
     rng = random.Random(9)

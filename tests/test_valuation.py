@@ -1,4 +1,6 @@
+import pickle
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,7 @@ from valim import (
     way_below,
     zero_valuation,
 )
+from valim import valuation as valuation_module
 from valim.errors import ValimError
 from valim.extreal import INF, ONE, ZERO
 from valim.generators import rand_poset, rand_valuation
@@ -550,6 +553,31 @@ def test_nu_bullet_refuses_a_table_that_is_not_monotone():
         nu_bullet(table)
 
 
+@given(seeds, st.integers(min_value=1, max_value=5))
+@settings(max_examples=60)
+def test_is_tight_refuses_exactly_the_tables_nu_bullet_refuses(seed, n):
+    # raw tables, and their monotone hulls, which need not be modular
+    rng = random.Random(seed)
+    sp = rand_poset(rng, n)
+    masks = tuple(sp.open_masks())
+    raw = TabulatedSetFunction(sp, masks, tuple(
+        INF if rng.random() < 0.1 else ExtRat(rng.randint(0, 9), 4)
+        for _ in masks))
+    hull = mu_circ(raw)
+    for table in (raw, hull):
+        try:
+            nu_bullet(table)
+        except ValimError as err:
+            with pytest.raises(ValimError, match=str(err)):
+                is_tight(table)
+            continue
+        rep = is_tight(table)
+        matches, witnesses, failure = brute_tightness(table)
+        assert (rep.verdict, rep.composite_matches, rep.failure) == (
+            matches, matches, failure)
+        assert list(rep.witnesses.items()) == list(witnesses.items())
+
+
 # 1,728 opens on 12 points: big enough for long staircases and many
 # covers per open, small enough for the oracles' quadratic scans
 SCALE_WEIGHTS = (ZERO, ExtRat(1, 2), ONE, ExtRat(3, 2), INF)
@@ -598,6 +626,72 @@ def test_tightness_witness_lookup():
     q = rep.witness(UpSet(SIER, 0b11), ExtRat(2, 3))
     assert q is not None and q.mask & ~0b11 == 0
     assert nu.evaluate(q.mask) >= ExtRat(2, 3)
+
+
+def test_tightness_witnesses_are_a_read_only_mapping():
+    rng = random.Random(3)
+    sp = rand_poset(rng, 6, edge_prob=0.3)
+    nu = rand_valuation(rng, sp, inf_prob=0.2)
+    table = nu.tabulate()
+    rep = is_tight(table)
+    _, witnesses, _ = brute_tightness(table)
+    view = rep.witnesses
+    assert isinstance(view, Mapping)
+    assert not isinstance(view, dict)
+    assert dict(view) == witnesses
+    assert view == witnesses and witnesses == view
+    assert len(view) == len(witnesses) > 0
+    assert list(view) == list(witnesses)
+    assert list(view.values()) == list(witnesses.values())
+    for key, q in witnesses.items():
+        assert key in view
+        assert view[key] == view.get(key) == q
+        assert rep.witness(UpSet(sp, key[0]), key[1]) == UpSet(sp, q)
+    # absent: an open not of the lattice, a rational not tried, one not
+    # way below the open's value, infinity, and keys of the wrong shape
+    top = max(v for v in table.values if v.is_finite)
+    assert top > ZERO
+    untried = top + ExtRat(1, 7)
+    full = sp.full_mask
+    absent = [(full + 1, ZERO), (full, untried), (0, top), (full, INF),
+              (full, 0), full, (full, ZERO, ZERO)]
+    for key in absent:
+        assert key not in view
+        assert view.get(key) is None
+        assert view.get(key, "none") == "none"
+        with pytest.raises(KeyError):
+            view[key]
+    assert rep.witness(full, untried) is None
+    back = pickle.loads(pickle.dumps(rep))
+    assert back == rep
+    assert list(back.witnesses.items()) == list(witnesses.items())
+
+
+def test_is_tight_walks_once_and_hashes_each_value_once(monkeypatch):
+    # the witnesses are served from the staircases, so no per-entry dict,
+    # keyed by ExtRat, is built
+    rng = random.Random(7)
+    sp = rand_poset(rng, 7, edge_prob=0.2)
+    table = rand_valuation(rng, sp, inf_prob=0.1).tabulate()
+    walks = []
+    hashes = []
+    real_walk = valuation_module._walk_below
+    real_hash = ExtRat.__hash__
+
+    def counting_walk(*args):
+        walks.append(args[1])
+        return real_walk(*args)
+
+    def counting_hash(self):
+        hashes.append(self)
+        return real_hash(self)
+    monkeypatch.setattr(valuation_module, "_walk_below", counting_walk)
+    monkeypatch.setattr(ExtRat, "__hash__", counting_hash)
+    rep = is_tight(table)
+    distinct = len(set(table._scaled[1]))
+    assert len(walks) == 1
+    assert len(hashes) <= distinct + 1
+    assert len(rep.witnesses) > 2 * distinct
 
 
 def test_local_finiteness_flags_infinite_opens():
