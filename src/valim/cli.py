@@ -298,8 +298,15 @@ def _cmd_tight(args) -> int:
     if doc.kind != "valuation":
         raise BadDocument("tight expects a valuation document")
     v = doc.value
-    nu = v if isinstance(v, Valuation) else _table_valuation(
-        v, args.max_opens)
+    nu = v
+    if not isinstance(v, Valuation):
+        try:
+            nu = _table_valuation(v, args.max_opens)
+        except NotSimple as err:
+            # lawful, but an infinite weight shadows the weights below
+            # it: is_tight reads the table on the open lattice itself
+            if err.reason != NotSimple.SHADOWED:
+                raise
     report = is_tight(nu, args.max_opens)
     # only the printed witnesses are built: by open size, then open
     # mask, then ascending rational

@@ -574,7 +574,9 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
         nu_i = vs.val(i)
         opens_i = xi.open_masks(max_opens)
         raw = _kernels.eval_weights(level_ints[i], opens_i)
-        rationals = sorted({ZERO} | {_ext(v, den) for v in set(raw)})
+        # 0 and the attained values, decoded only for a supplier here and
+        # for a failure's gap below
+        rationals = _rationals(raw, den) if supplier is not None else None
         first = _first_best_below(xi, opens_i, proj_up[i], mu_keys)
         for u, target_key in zip(opens_i, raw):
             # every q inside u has mu(q) <= nu_i(u), so the scan's running
@@ -608,7 +610,7 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
             if best != target:
                 verdict = False
                 gap = next(
-                    (r for r in reversed(rationals)
+                    (r for r in reversed(rationals or _rationals(raw, den))
                      if way_below(r, target) and r > best),
                     None,
                 )
@@ -621,6 +623,11 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
                 break
     return UniformTightnessReport(sys, limit, mu, verdict, witnesses,
                                   failure, experimental)
+
+
+def _rationals(raw, den) -> list:
+    """0 and the distinct values of a scaled column, as sorted ExtRat."""
+    return sorted({ZERO} | {_ext(v, den) for v in set(raw)})
 
 
 def prohorov_limit(vs: ValuedSystem, report: UniformTightnessReport = None,

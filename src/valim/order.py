@@ -444,8 +444,9 @@ class MonotoneMap:
     construction (MonotoneMap(...), from_dict, documents) validates
     monotonicity; maps derived inside the library from maps or orders
     that are already valid (composites, identities, product projections,
-    subspace inclusions, bonds and limit projections) are built by
-    _trusted without re-checking.
+    subspace inclusions, bonds and limit projections, embeddings
+    recovered from projections) are built by _trusted without
+    re-checking.
     """
 
     source: FiniteSpace

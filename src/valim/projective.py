@@ -31,6 +31,7 @@ from .order import (
     EpPair,
     FiniteSpace,
     MonotoneMap,
+    NotEpPair,
     UpSet,
     compose,
     identity_map,
@@ -393,7 +394,26 @@ def check_compatibility(vs: ValuedSystem) -> ValuedSystem:
     equal valuations, and only a pair whose weights differ, which an
     infinite weight masking finite ones can still leave equal on every
     open, is decided open by open.
+
+    A prefix chain is first checked step by step.  Pushforward is
+    functorial, (f o g)_* = f_* o g_*, on weights as on valuations, and
+    every bond is a composite of steps, so when every step pushes the
+    weights at k+1 onto those at k, every bond pushes the weights at j
+    onto those at i and the scan over all pairs would accept every one.
+    That scan (_compatibility_scan) runs only when some step's weights
+    differ, so a masked infinite weight and every Incompatible witness
+    are decided by it, in its order.
     """
+    sys = vs.system
+    if sys.kind != "prefix" or not all(
+            _pushes_to(step, vs.val(k + 1), vs.val(k))
+            for k, step in enumerate(sys.steps)):
+        _compatibility_scan(vs)
+    return vs
+
+
+def _compatibility_scan(vs: ValuedSystem):
+    """check_compatibility over every index pair, in (i, j) order."""
     sys = vs.system
     down = {}  # j -> bonds into j, walked when j is first reached
     for i in sys.indices():
@@ -408,7 +428,6 @@ def check_compatibility(vs: ValuedSystem) -> ValuedSystem:
             w = first_differing_open(vs.val(i), pushed)
             if w is not None:
                 raise Incompatible(i, j, w)
-    return vs
 
 
 @dataclass(frozen=True)
@@ -511,6 +530,12 @@ def embedding_from_projection(p: MonotoneMap) -> EpPair:
     p(e(x)) must land back on x; otherwise p is not the upper half of an
     ep-pair and the witness point with its minimal candidates is
     reported.
+
+    The embedding is monotone by construction, so it is built without
+    re-validation: x <= x' gives up(x') inside up(x), hence
+    p^-1(up x') inside p^-1(up x), and the least point of the larger
+    set lies below every point of the smaller one, e(x') among them.
+    EpPair still checks p o e = id and e o p <= id.
     """
     big, small = p.source, p.target
     graph = []
@@ -529,7 +554,7 @@ def embedding_from_projection(p: MonotoneMap) -> EpPair:
             ]
             raise NotAProjection(small.labels[x], tuple(minimals))
         graph.append(least)
-    e = MonotoneMap(small, big, tuple(graph))
+    e = MonotoneMap._trusted(small, big, tuple(graph))
     return EpPair(p, e)
 
 
@@ -562,8 +587,34 @@ def check_ep_system(sys) -> EpSystem:
 
     Every bond must admit an embedding; embeddings must be the identity
     on the diagonal and compose upward the way bonds compose downward.
+
+    A prefix chain proves them from its steps: only the step pairs
+    (k, k+1) are built and validated.  A composite of ep pairs is an ep
+    pair, (p o p', e' o e), and a projection has exactly one embedding,
+    its lower adjoint (Abramsky and Jung, Domain Theory, 3.1).  So once
+    every step is a projection, every bond is one, its embedding is the
+    composite of the step embeddings, the identity bonds embed as
+    identities, and embeddings compose as bonds do.  The other pairs are
+    built on demand (EpSystem.pair).  When a step is refused, the full
+    scan (_ep_scan) runs from a fresh EpSystem, so the first refusal and
+    its witness are those of the scan order.
     """
     check_system(sys)
+    if sys.kind == "prefix":
+        eps = EpSystem(sys)
+        try:
+            for k, step in enumerate(sys.steps):
+                eps.pair(k, k + 1, step)
+        except (NotAProjection, NotEpPair):
+            pass
+        else:
+            return eps
+    return _ep_scan(sys)
+
+
+def _ep_scan(sys) -> EpSystem:
+    """check_ep_system over every index pair and triple, in scan order,
+    on a system whose bond laws hold."""
     eps = EpSystem(sys)
     idxs = list(sys.indices())
     # every bond from one walk down per upper index (_bonds_to); the
@@ -817,10 +868,10 @@ class EventualImage:
 
 def eventual_images(sys, i, depth=None) -> EventualImage:
     if sys.kind == "prefix":
-        top = sys.last
-        if i >= top:
-            return EventualImage(sys.space(i), sys.space(i).full_mask, True)
-        img = sys.bond(i, top).image_mask(sys.space(top).full_mask)
+        # the image of a composite is the image of an image
+        img = sys.space(sys.last).full_mask
+        for step in reversed(sys.steps[i:]):
+            img = step.image_mask(img)
         return EventualImage(sys.space(i), img, True)
     if sys.kind == "poset":
         top = sys.top_index()
@@ -852,6 +903,9 @@ def steenrod_nonempty(sys, max_points: int = DEFAULT_MAX_POINTS) -> SteenrodResu
     Prefix chains use selection through the exact eventual images: pick
     any surviving point at the bottom, then repeatedly a surviving
     preimage one level up; survival guarantees the next choice exists.
+    The images are walked down the steps, one image_mask per step, with
+    no bond composed: the image of the last level under a composite of
+    steps is the image, under the lowest step, of the image one level up.
     Poset systems materialize (their directed index has a top, so the
     limit is the top space in disguise).
     """
@@ -861,9 +915,10 @@ def steenrod_nonempty(sys, max_points: int = DEFAULT_MAX_POINTS) -> SteenrodResu
             label = (sys.index_poset.labels[i] if sys.kind == "poset" else i)
             return SteenrodResult(None, label)
     if sys.kind == "prefix":
-        full = sys.space(sys.last).full_mask
-        down = _bonds_to(sys, sys.last)
-        imgs = [down[i].image_mask(full) for i in sys.indices()]
+        imgs = [sys.space(sys.last).full_mask]
+        for step in reversed(sys.steps):
+            imgs.append(step.image_mask(imgs[-1]))
+        imgs.reverse()
         thread = []
         prev = None
         for i in sys.indices():

@@ -512,49 +512,52 @@ def support_check(nu: Valuation, points,
 
     Supported means: any two opens with the same trace on A get the same
     value.  When every point outside A weighs zero, nu(U) depends on
-    U cap A alone, and the restriction is nu's weights on A, infinite or
-    not.  Otherwise, for finite weights, a violating pair can be written
-    down directly; with infinite weights masking is possible, so the
-    traces are scanned instead (each trace T pins the sandwich
+    U cap A alone.  Otherwise, for finite weights, a violating pair can
+    be written down directly; with infinite weights masking is possible,
+    so the traces are scanned instead (each trace T pins the sandwich
     up(T) <= V <= M(T), and by monotonicity only the two ends need
     comparing).  On success returns the restriction mu with
-    mu(U cap A) = nu(U).
+    mu(U cap A) = nu(U), which is nu's weights on A, infinite or not.
+
+    That holds past the scan too.  On a supported nu, every point y
+    outside A with non-zero weight has an infinitely weighted point of A
+    in up(y): up(y) and up(T), for T = up(y) cap A, share the trace T
+    and up(T) misses y, so nu(up T) = nu(up y) >= nu(up T) + w(y) makes
+    nu(up T) infinite; an infinitely weighted point of up(T) lies in T,
+    or outside A with an up-set smaller than up(y), and the argument
+    repeats.  So for every trace T, nu(up T) and the sum of the weights
+    on T differ only when both are infinite.
     """
     space = nu.space
     a_mask = points if isinstance(points, int) else space.mask_of(points)
-    den, ints = nu._scaled
+    ints = nu._scaled[1]
     outside = [y for y in range(space.n)
                if ints[y] != 0 and not (a_mask >> y) & 1]
-    if not outside:
-        sub, inclusion = subspace(space, a_mask)
-        weights = tuple(nu.weights[i] for i in inclusion.graph)
-        return Restriction(sub, inclusion, Valuation(sub, weights))
-    if inf not in ints:
+    if outside and inf not in ints:
         y = outside[0]
         u = space.up_close(space.up[y] & a_mask)
         raise NotSupported(UpSet(space, u), UpSet(space, u | space.up[y]))
-    # infinite weights can hide each other; scan traces honestly, both
-    # ends of every sandwich as one eval_weights column
     sub, inclusion = subspace(space, a_mask)
-    sub_masks = sub.open_masks(max_opens)
-    smalls = []
-    bigs = []
-    for tm in sub_masks:
-        trace = inclusion.image_mask(tm)
-        smalls.append(space.up_close(trace))
-        big = 0
-        for y in range(space.n):
-            if space.up[y] & a_mask & ~trace == 0:
-                big |= 1 << y
-        bigs.append(big)
-    lo = _kernels.eval_weights(ints, smalls)
-    hi = _kernels.eval_weights(ints, bigs)
-    k = _first_difference(lo, hi, ne)
-    if k < len(lo):
-        raise NotSupported(UpSet(space, smalls[k]), UpSet(space, bigs[k]))
-    table = TabulatedSetFunction._from_scaled(sub, tuple(sub_masks), den,
-                                              tuple(lo))
-    return Restriction(sub, inclusion, decompose_simple(table))
+    if outside:
+        # infinite weights can hide each other; scan traces honestly,
+        # both ends of every sandwich as one eval_weights column
+        smalls = []
+        bigs = []
+        for tm in sub.open_masks(max_opens):
+            trace = inclusion.image_mask(tm)
+            smalls.append(space.up_close(trace))
+            big = 0
+            for y in range(space.n):
+                if space.up[y] & a_mask & ~trace == 0:
+                    big |= 1 << y
+            bigs.append(big)
+        lo = _kernels.eval_weights(ints, smalls)
+        hi = _kernels.eval_weights(ints, bigs)
+        k = _first_difference(lo, hi, ne)
+        if k < len(lo):
+            raise NotSupported(UpSet(space, smalls[k]), UpSet(space, bigs[k]))
+    weights = tuple(nu.weights[i] for i in inclusion.graph)
+    return Restriction(sub, inclusion, Valuation(sub, weights))
 
 
 def _as_table(nu, max_opens):

@@ -15,7 +15,6 @@ from valim import (
     LimitLawViolation,
     NotSimple,
     NotSupported,
-    TabulatedSetFunction,
     UpSet,
     ValimError,
     Valuation,
@@ -176,9 +175,10 @@ def brute_support(nu: Valuation, a_mask: int) -> Valuation:
     """The support test by an ExtRat scan of the traces on A, infinite
     weights or not: the opens with trace T on A run from up(T) to M(T),
     and nu must agree at the two ends.  NotSupported names the first
-    pair that differs; else the restriction: nu's weights on A when
-    every point outside A weighs zero, the table decomposed by
-    brute_decompose otherwise."""
+    pair that differs; else the restriction, nu's weights on A, which
+    must reproduce nu(up T) on every trace T (AssertionError if not):
+    weights outside A are either zero or masked by infinite weights on
+    A, so the table of traces need not be invertible."""
     space = nu.space
     sub, inclusion = subspace(space, a_mask)
     sub_masks = by_size(all_upsets(sub))
@@ -200,13 +200,11 @@ def brute_support(nu: Valuation, a_mask: int) -> Valuation:
             raise NotSupported(UpSet(space, small), UpSet(space, big))
         table_masks.append(tm)
         table_values.append(lo)
-    if all(nu.weights[y] == ZERO for y in range(space.n)
-           if not (a_mask >> y) & 1):
-        # nu(U) depends on U cap A alone: its weights on A restrict it
-        return Valuation(sub, tuple(nu.weights[i] for i in inclusion.graph))
-    table = TabulatedSetFunction(sub, tuple(table_masks),
-                                 tuple(table_values), "opens")
-    return brute_decompose(table)
+    mu = Valuation(sub, tuple(nu.weights[i] for i in inclusion.graph))
+    for tm, value in zip(table_masks, table_values):
+        if mu.evaluate(tm) != value:
+            raise AssertionError(f"weights on A miss the trace {tm:b}")
+    return mu
 
 
 def brute_inf_above(table):

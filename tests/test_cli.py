@@ -485,6 +485,29 @@ def test_check_notes_a_shadowed_table(tmp_path, capsys):
     assert "not invertible" in rep["note"]
 
 
+def test_tight_reads_a_shadowed_table_as_it_stands(tmp_path, capsys):
+    # check says the laws hold; tight decides on the table itself
+    nu = Valuation(CHAIN2, (ExtRat(1), ExtRat("inf")))
+    path = write(tmp_path, "shadow.json", dumps(nu.tabulate()))
+    assert main(["--format", "json", "tight", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["composite_identity"]) == ("ok", True)
+    _, found, _ = brute_tightness(nu.tabulate())
+    assert rep["witness_count"] == len(found)
+
+
+def test_support_restricts_past_a_masked_weight(tmp_path, capsys):
+    # x0 < x2 < x3, x1 < x2: x0's weight hides under x2's infinite one
+    space = FiniteSpace(("x0", "x1", "x2", "x3"),
+                        (0b1101, 0b1110, 0b1100, 0b1000))
+    nu = Valuation(space, tuple(map(ExtRat, ("2", "2", "inf", "inf"))))
+    path = write(tmp_path, "nu.json", dumps(nu))
+    assert main(["--format", "json", "support", path,
+                 "--subset", "x1,x2,x3"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "ok"
+
+
 def test_check_note_follows_the_refusal_reason(tmp_path, capsys, monkeypatch):
     # a refusal whose text mentions "inf - inf" without being the
     # shadowed case is a violation, not a note

@@ -21,6 +21,7 @@ from valim import (
     check_ep_system,
     check_space,
     check_system,
+    compose,
     cylinder_join,
     cylinder_meet,
     cylinders_equal,
@@ -38,18 +39,23 @@ from valim.errors import ValimError
 from valim.extreal import INF
 from valim.generators import (
     rand_ep_prefix_chain,
+    rand_monotone_map,
     rand_poset,
     rand_poset_system,
     rand_prefix_chain,
     rand_valued_chain,
     shrinking_injection_chain,
 )
+from valim.order import NotEpPair
 from valim.projective import (
     BondLawViolation,
+    EpLawViolation,
     Incompatible,
     InconclusiveAtDepth,
     NotAProjection,
     NotDirected,
+    _compatibility_scan,
+    _ep_scan,
 )
 from valim.valuation import _pushes_to
 
@@ -240,12 +246,80 @@ def test_check_ep_system_walks_a_chain_s_bonds_once(seed, monkeypatch):
         m.setattr(PrefixChain, "bond",
                   lambda self, i, j: calls.append((i, j)) or real(self, i, j))
         eps = check_ep_system(ch)
-    # the bonds come from one walk down per upper index, not from bond
+    # only the steps are validated, and no bond is composed for them
     assert calls == []
+    assert set(eps._cache) == {(k, k + 1) for k in range(ch.last)}
+    for k, step in enumerate(ch.steps):
+        assert eps._cache[k, k + 1] == embedding_from_projection(step)
+    # every other pair on demand: the bond's own pair, whose embedding
+    # is the composite of the step embeddings above it
+    for i in ch.indices():
+        e = identity_map(ch.spaces[i])
+        for j in range(i, ch.last + 1):
+            if j > i:
+                e = compose(eps.embedding(j - 1, j), e)
+            pair = eps.pair(i, j)
+            assert pair == embedding_from_projection(ch.bond(i, j))
+            assert pair.embedding == e
+
+
+CHAIN_FAMILIES = ("lawful", "non-ep step", "gained weight", "masked")
+
+
+def chain_family(seed, kind):
+    """A valued prefix chain of the given kind: lawful (ep steps, pushed
+    marginals); with a step that need not be an ep projection; with a
+    level marginal that gained weight; or with that gain placed below an
+    infinite weight where one exists, so that it may be masked."""
+    rng = random.Random(seed)
+    levels = rng.randint(2, 5)
+    ch = rand_ep_prefix_chain(rng, levels, max_n=5)
+    if kind == "non-ep step":
+        if rng.random() < 0.5:
+            ch = rand_prefix_chain(rng, levels, max_n=4)
+        else:
+            k = rng.randrange(levels - 1)
+            steps = list(ch.steps)
+            steps[k] = rand_monotone_map(rng, ch.spaces[k + 1], ch.spaces[k])
+            ch = PrefixChain(ch.spaces, tuple(steps))
+    vs = rand_valued_chain(rng, ch, inf_prob=0.4 if kind == "masked" else 0.0)
+    if kind in ("gained weight", "masked"):
+        k = rng.randrange(levels)
+        sp, weights = ch.spaces[k], list(vs.valuations[k].weights)
+        masked = [x for x in range(sp.n)
+                  if any(weights[y] == INF for y in range(sp.n)
+                         if y != x and (sp.up[x] >> y) & 1)]
+        x = rng.choice(masked) if kind == "masked" and masked \
+            else rng.randrange(sp.n)
+        weights[x] = weights[x] + ExtRat(1, rng.randint(1, 3))
+        vals = list(vs.valuations)
+        vals[k] = Valuation(sp, tuple(weights))
+        vs = ValuedSystem(ch, tuple(vals))
+    return ch, vs
+
+
+def refusal_or(call, arg, accepted):
+    """What a check gives: the refusal's type and attributes, or
+    accepted(result)."""
+    try:
+        out = call(arg)
+    except (Incompatible, NotAProjection, NotEpPair, EpLawViolation) as err:
+        return type(err), vars(err)
+    return accepted(out)
+
+
+@given(seeds, st.sampled_from(CHAIN_FAMILIES))
+@settings(max_examples=200, deadline=None)
+def test_step_checks_match_the_full_scans(seed, kind):
+    ch, vs = chain_family(seed, kind)
     idxs = ch.indices()
-    assert set(eps._cache) == {(i, j) for i in idxs for j in idxs if i <= j}
-    for (i, j), pair in eps._cache.items():
-        assert pair == embedding_from_projection(ch.bond(i, j))
+
+    def pairs(eps):
+        return [eps.pair(i, j) for i in idxs for j in idxs if i <= j]
+    assert refusal_or(check_ep_system, ch, pairs) == \
+        refusal_or(_ep_scan, ch, pairs)
+    assert refusal_or(check_compatibility, vs, lambda out: out is vs) == \
+        refusal_or(_compatibility_scan, vs, lambda out: True)
 
 
 def test_non_ep_bond_is_refused():

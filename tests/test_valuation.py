@@ -355,6 +355,27 @@ def test_support_check_with_masking_infinity():
     assert res.valuation.weights == (INF,)
 
 
+# x0 < x2 < x3 and x1 < x2: every open holding x0 holds x2
+MASKED_X = check_space(("x0", "x1", "x2", "x3"),
+                       [("x0", "x2"), ("x1", "x2"), ("x2", "x3")],
+                       transitive_closure=True)
+MASKED_NU = Valuation(MASKED_X, (ExtRat(2), ExtRat(2), INF, INF))
+
+
+def test_support_check_restricts_by_weights_past_a_masked_point():
+    # x0's weight sits under x2's infinite one, so the traces on A agree;
+    # the table of traces is infinite on every non-empty open and cannot
+    # be inverted, but the weights on A restrict nu
+    a_mask = MASKED_X.mask_of(["x1", "x2", "x3"])
+    res = support_check(MASKED_NU, a_mask)
+    assert res.space.labels == ("x1", "x2", "x3")
+    assert res.valuation.weights == (ExtRat(2), INF, INF)
+    assert brute_support(MASKED_NU, a_mask) == res.valuation
+    for u in all_upsets(MASKED_X):
+        trace = res.space.mask_of(MASKED_X.points_of(u & a_mask))
+        assert res.valuation.evaluate(trace) == MASKED_NU.evaluate(u)
+
+
 @given(seeds, st.integers(min_value=1, max_value=5))
 @settings(max_examples=40)
 def test_support_check_on_weighted_points_roundtrips(seed, n):
