@@ -28,8 +28,8 @@ from .gallery import GALLERY_NAMES, run_gallery
 from .order import DEFAULT_MAX_OPENS, FiniteSpace, UpSet
 from .projective import (
     CylinderOpen,
+    _check_ep,
     check_compatibility,
-    check_ep_system,
     check_system,
 )
 from .suites import SUITES, run_all
@@ -101,13 +101,22 @@ def _violation_entry(err: ValimError) -> dict:
     return entry
 
 
-def _table_valuation(table, max_opens) -> Valuation:
-    """check_valuation on a table read from a document; a table that is
-    not on the open lattice is malformed input, not a failed law."""
+def _lawful(v, max_opens):
+    """A valuation document's value with its laws checked: its weights,
+    or the table itself when an infinite weight shadows the weights
+    below it (NotSimple.SHADOWED), which is read on the open lattice as
+    it stands.  A table off the open lattice is malformed input, not a
+    failed law."""
+    if isinstance(v, Valuation):
+        return v
     try:
-        return check_valuation(table, max_opens)
+        return check_valuation(v, max_opens)
     except NotOnLattice as err:
         raise BadDocument(f"valuation.table: {err}") from None
+    except NotSimple as err:
+        if err.reason != NotSimple.SHADOWED:
+            raise
+        return v
 
 
 def _cmd_check(args) -> int:
@@ -133,40 +142,37 @@ def _cmd_check(args) -> int:
         if masks is not None:
             info["opens"] = len(masks)
     elif doc.kind == "valuation":
-        if isinstance(v, Valuation):
-            info["form"] = "weights"
-            info["total"] = _ext_to_str(v.total())
+        info["form"] = "weights" if isinstance(v, Valuation) else "table"
+        try:
+            nu = _lawful(v, args.max_opens)
+        except (BadDocument, SizeLimit):
+            raise
+        except ValimError as err:
+            info["verdict"] = "violation"
+            info["violations"].append(_violation_entry(err))
         else:
-            info["form"] = "table"
-            try:
-                nu = _table_valuation(v, args.max_opens)
+            if isinstance(nu, Valuation):
                 info["total"] = _ext_to_str(nu.total())
+            if nu is not v:
                 info["weights"] = [_ext_to_str(w) for w in nu.weights]
-            except NotSimple as err:
-                if err.reason == NotSimple.SHADOWED:
-                    info["note"] = (
-                        "laws hold; table not invertible (an infinite "
-                        "weight shadows the ones below), kept tabulated"
-                    )
-                else:
-                    info["verdict"] = "violation"
-                    info["violations"].append(_violation_entry(err))
-            except (BadDocument, SizeLimit):
-                raise
-            except ValimError as err:
-                info["verdict"] = "violation"
-                info["violations"].append(_violation_entry(err))
+            elif info["form"] == "table":
+                info["note"] = (
+                    "laws hold; table not invertible (an infinite "
+                    "weight shadows the ones below), kept tabulated"
+                )
     elif doc.kind == "map":
         info["points"] = [v.source.n, v.target.n]
     elif doc.kind in ("system", "valued-system"):
         sys_ = v.system if doc.kind == "valued-system" else v
-        run("bond laws", lambda: check_system(sys_))
+        lawful = run("bond laws", lambda: check_system(sys_)) is not None
         info["indices"] = len(list(sys_.indices()))
-        try:
-            check_ep_system(sys_)
-            info["ep_structure"] = True
-        except ValimError:
-            info["ep_structure"] = False
+        info["ep_structure"] = False
+        if lawful:
+            try:
+                _check_ep(sys_)
+                info["ep_structure"] = True
+            except ValimError:
+                pass
         if doc.kind == "valued-system" and info["verdict"] == "ok":
             got = run("compatibility", lambda: check_compatibility(v))
             info["compatible"] = got is not None
@@ -297,16 +303,7 @@ def _cmd_tight(args) -> int:
     doc, text = load_path(args.path)
     if doc.kind != "valuation":
         raise BadDocument("tight expects a valuation document")
-    v = doc.value
-    nu = v
-    if not isinstance(v, Valuation):
-        try:
-            nu = _table_valuation(v, args.max_opens)
-        except NotSimple as err:
-            # lawful, but an infinite weight shadows the weights below
-            # it: is_tight reads the table on the open lattice itself
-            if err.reason != NotSimple.SHADOWED:
-                raise
+    nu = _lawful(doc.value, args.max_opens)
     report = is_tight(nu, args.max_opens)
     # only the printed witnesses are built: by open size, then open
     # mask, then ascending rational
@@ -331,9 +328,7 @@ def _cmd_support(args) -> int:
     doc, text = load_path(args.path)
     if doc.kind != "valuation":
         raise BadDocument("support expects a valuation document")
-    v = doc.value
-    nu = v if isinstance(v, Valuation) else _table_valuation(
-        v, args.max_opens)
+    nu = _lawful(doc.value, args.max_opens)
     members = [s for s in (args.subset or "").split(",") if s]
     for lab in members:
         if lab not in nu.space.index:

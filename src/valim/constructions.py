@@ -253,10 +253,11 @@ def subset_product_system(spaces,
                                           max_points)
         prods.append(prod)
         digits.append([f.graph for f in projections])
+    # the covers drop one coordinate; PosetSystem composes the rest
     bonds = {}
     for a, s in enumerate(subsets):
         for b, t in enumerate(subsets):
-            if bits[a] & ~bits[b]:
+            if bits[a] & ~bits[b] or len(t) != len(s) + 1:
                 continue
             graph = _product_index([digits[b][t.index(p)] for p in s],
                                    [sizes[p] for p in s], prods[b].n)
@@ -321,23 +322,15 @@ def _pointed_extension(sys, subsets, marginals, max_points,
     """The ep-route extension of a marginal family over the subset system
     (sys, subsets) of pointed factors.  Its bonds drop coordinates, and
     their embeddings pad with the factors' bottoms, so the system is ep
-    by construction and only compatibility is checked: on the pairs into
-    the top first, and over every pair (check_compatibility) only when
-    one of those differs.  max_opens=None skips the size guard, as in
-    _ep_limit."""
+    by construction and only compatibility is checked.  max_opens=None
+    skips the size guard, as in _ep_limit."""
     marginals = _with_empty_marginal(marginals, sys, subsets)
     try:
         vals = tuple(marginals[s] for s in subsets)
     except KeyError as missing:
         raise ValimError(f"marginal missing for subset {missing.args[0]!r}")
     vs = ValuedSystem(sys, vals)
-    # the bonds compose, so bond(i, j) o bond(j, top) = bond(i, top) and
-    # the pairs into the top give every other pair by functoriality of
-    # the pushforward; the full scan names the first differing pair
-    top = sys.top_index()
-    down = _bonds_to(sys, top)
-    if not all(_pushes_to(down[i], vals[top], vals[i]) for i in down):
-        check_compatibility(vs)
+    check_compatibility(vs)
     return _ep_limit(vs, max_points, max_opens)
 
 

@@ -23,7 +23,7 @@ from math import gcd, inf, lcm
 
 from .errors import BadDocument, ValimError
 from .extreal import ExtRat
-from .order import FiniteSpace, MonotoneMap, space_from_covers
+from .order import FiniteSpace, MonotoneMap, space_from_covers, _hasse_covers
 from .projective import PosetSystem, PrefixChain, ValuedSystem
 from .valuation import TabulatedSetFunction, Valuation
 
@@ -133,23 +133,6 @@ def _parse_space(obj, where="space") -> FiniteSpace:
         return space_from_covers(tuple(elements), pairs)
     except ValimError as err:
         raise BadDocument(f"{where}: {err}")
-
-
-def _hasse_covers(space: FiniteSpace):
-    """Yield the index pairs (i, j) in which j covers i."""
-    strict = [space.up[i] & ~(1 << i) for i in range(space.n)]
-    for i in range(space.n):
-        m = strict[i]
-        while m:
-            b = m & -m
-            j = b.bit_length() - 1
-            m ^= b
-            # j covers i when nothing sits strictly between them
-            if not any(
-                (strict[i] >> k) & 1 and (strict[k] >> j) & 1
-                for k in range(space.n) if k != j
-            ):
-                yield i, j
 
 
 def _space_body(space: FiniteSpace) -> dict:

@@ -280,6 +280,20 @@ def space_from_covers(labels, covers) -> FiniteSpace:
     return check_space(labels, covers, transitive_closure=True)
 
 
+def _hasse_covers(space: FiniteSpace):
+    """Yield the index pairs (i, j) in which j covers i, by i then j."""
+    for i in range(space.n):
+        above = space.up[i] & ~(1 << i)
+        m = above
+        while m:
+            b = m & -m
+            j = b.bit_length() - 1
+            m ^= b
+            # j covers i when nothing strictly above i sits below j
+            if above & space.down[j] == b:
+                yield i, j
+
+
 def enumerate_opens(space: FiniteSpace, max_opens: int = DEFAULT_MAX_OPENS):
     """The open sets, by (cardinality, canonical bit order).  SizeLimit if
     there are more than max_opens of them."""
@@ -526,7 +540,7 @@ def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
     """compose(f, g) applies g first: x -> f(g(x))."""
     if inner.target != outer.source:
         raise ValimError("maps do not compose")
-    graph = tuple(outer.graph[inner.graph[i]] for i in range(inner.source.n))
+    graph = tuple(map(outer.graph.__getitem__, inner.graph))
     return MonotoneMap._trusted(inner.source, outer.target, graph)
 
 

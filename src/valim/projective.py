@@ -35,6 +35,7 @@ from .order import (
     UpSet,
     compose,
     identity_map,
+    _hasse_covers,
 )
 from .valuation import (
     Valuation,
@@ -130,10 +131,11 @@ class PosetSystem:
     """A projective system over an explicit finite directed index poset.
 
     Indices are the points of index_poset in canonical order; spaces[k]
-    sits at index k.  bonds maps every comparable index pair (i, j) with
-    i below j to the bond X_j -> X_i; missing non-cover pairs are filled
-    in by composing along covers (check_system then confirms the family
-    is composition-consistent, so the filling is sound).
+    sits at index k.  bonds maps comparable index pairs (i, j), i below
+    j, to the bond X_j -> X_i; given() yields those.  Every cover must be
+    given and a missing pair is filled in by composing given ones, so
+    each bond is a composite of the covers (covers(): the Hasse covers of
+    index_poset), the same along every route once check_system passes.
     """
 
     index_poset: FiniteSpace
@@ -148,21 +150,18 @@ class PosetSystem:
             raise ValimError("the index poset must be nonempty")
         if len(self.spaces) != n:
             raise ValimError("one space per index required")
+        up, labels = self.index_poset.up, self.index_poset.labels
         for i in range(n):
             for j in range(n):
-                if self.index_poset.up[i] & self.index_poset.up[j] == 0:
-                    raise NotDirected(
-                        (self.index_poset.labels[i], self.index_poset.labels[j])
-                    )
+                if up[i] & up[j] == 0:
+                    raise NotDirected((labels[i], labels[j]))
         object.__setattr__(self, "bonds", dict(self.bonds))
-        self._complete_bonds()
-
-    def _complete_bonds(self):
-        idx = self.index_poset
-        for i in range(idx.n):
-            for j in range(idx.n):
-                if (idx.up[i] >> j) & 1:
-                    self._derive_bond(i, j)
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if (up[i] >> j) & 1]
+        object.__setattr__(self, "_given",
+                           tuple(p for p in pairs if p in self.bonds))
+        for i, j in pairs:
+            self._derive_bond(i, j)
 
     def _derive_bond(self, i, j) -> MonotoneMap:
         if (i, j) in self.bonds:
@@ -186,6 +185,14 @@ class PosetSystem:
 
     def indices(self):
         return range(self.index_poset.n)
+
+    def covers(self):
+        for i, j in _hasse_covers(self.index_poset):
+            yield i, j, self.bonds[i, j]
+
+    def given(self):
+        for i, j in self._given:
+            yield i, j, self.bonds[i, j]
 
     def index_leq(self, i, j) -> bool:
         return bool((self.index_poset.up[i] >> j) & 1)
@@ -211,13 +218,38 @@ class PosetSystem:
         return self.bonds[(i, j)]
 
 
+class _Chain:
+    """What both chains share: steps are covers, bonds compose steps."""
+
+    def indices(self):
+        return range(self.last + 1)
+
+    def index_leq(self, i, j) -> bool:
+        return i <= j
+
+    def designated_ub(self, i, j) -> int:
+        return max(i, j)
+
+    def given(self):
+        return self.covers()
+
+    def bond(self, i, j) -> MonotoneMap:
+        if i > j:
+            raise ValimError(f"indices not comparable: {i}, {j}")
+        f = identity_map(self.space(j))
+        for k in range(min(j, self.last) - 1, i - 1, -1):
+            f = compose(self.step(k), f)
+        return f
+
+
 @dataclass(frozen=True)
-class PrefixChain:
+class PrefixChain(_Chain):
     """An omega-chain that is the identity beyond its explicit prefix.
 
-    steps[k] is the bond from level k+1 down to level k.  Level n for
-    n beyond the prefix is the last prefix space, bonded by identities,
-    which is what makes every limit-level question exact.
+    steps[k] is the bond from level k+1 down to level k; step(k) checks
+    its alignment, covers() leaves that to check_system.  Level n beyond
+    the prefix is the last prefix space, bonded by identities, which is
+    what makes every limit-level question exact.
     """
 
     spaces: tuple
@@ -235,29 +267,27 @@ class PrefixChain:
     def last(self) -> int:
         return len(self.spaces) - 1
 
-    def indices(self):
-        return range(self.last + 1)
-
-    def index_leq(self, i, j) -> bool:
-        return i <= j
-
-    def designated_ub(self, i, j) -> int:
-        return max(i, j)
-
     def top_index(self) -> int:
         return self.last
 
     def space(self, i) -> FiniteSpace:
         return self.spaces[min(i, self.last)]
 
-    def bond(self, i, j) -> MonotoneMap:
-        if i > j:
-            raise ValimError(f"indices not comparable: {i}, {j}")
-        return _compose_steps(self, min(i, self.last), min(j, self.last))
+    def step(self, k) -> MonotoneMap:
+        if k >= self.last:
+            return identity_map(self.spaces[-1])
+        m = self.steps[k]
+        if m.source != self.spaces[k + 1] or m.target != self.spaces[k]:
+            raise BondLawViolation("step alignment", k)
+        return m
+
+    def covers(self):
+        for k, m in enumerate(self.steps):
+            yield k, k + 1, m
 
 
 @dataclass
-class LazyChain:
+class LazyChain(_Chain):
     """An omega-chain given by rules, probed up to a fixed depth.
 
     space_rule(n) yields level n; step_rule(n) yields the bond from level
@@ -282,15 +312,6 @@ class LazyChain:
     def last(self) -> int:
         return self.depth
 
-    def indices(self):
-        return range(self.depth + 1)
-
-    def index_leq(self, i, j) -> bool:
-        return i <= j
-
-    def designated_ub(self, i, j) -> int:
-        return max(i, j)
-
     def space(self, i) -> FiniteSpace:
         if i > self.depth:
             raise InconclusiveAtDepth(f"space at level {i}", self.depth)
@@ -308,58 +329,70 @@ class LazyChain:
             self._steps[k] = m
         return self._steps[k]
 
-    def bond(self, i, j) -> MonotoneMap:
-        if i > j:
-            raise ValimError(f"indices not comparable: {i}, {j}")
-        return _compose_steps(self, i, j)
+    def covers(self):
+        for k in range(self.depth):
+            yield k, k + 1, self.step(k)
 
 
 def check_system(sys):
     """Validate bond laws on the verified range; returns the system.
 
-    Poset systems get the full treatment: identity bonds on the diagonal,
-    alignment, and composition over every index triple.  Chains store
-    only their step maps, so composition holds by construction and only
-    alignment needs checking.
+    Every bond the caller gave (given()) must be aligned, and the
+    identity on the diagonal; the others compose given ones.  So
+    composition holds on every triple once all routes of covers from k
+    down to i compose alike, and two routes first part at an index i
+    with two upper covers below k: bond(i, j) o bond(j, k) is compared
+    with bond(i, k), for the upper covers j of i below k, only there and
+    at a given non-cover (i, k), and a chain composes nothing.  A failed
+    check reruns the full scan (_system_scan), in whose order it fails.
     """
-    if sys.kind == "poset":
-        for i in sys.indices():
-            b = sys.bond(i, i)
-            if b.source != sys.space(i) or not b.is_identity():
-                raise BondLawViolation(
-                    "identity", sys.index_poset.labels[i]
-                )
-            for j in sys.indices():
-                if not sys.index_leq(i, j):
-                    continue
-                b = sys.bond(i, j)
-                if b.source != sys.space(j) or b.target != sys.space(i):
-                    raise BondLawViolation(
-                        "alignment",
-                        (sys.index_poset.labels[i], sys.index_poset.labels[j]),
-                    )
-                for k in sys.indices():
-                    if not sys.index_leq(j, k):
-                        continue
-                    left = compose(sys.bond(i, j), sys.bond(j, k))
-                    if left != sys.bond(i, k):
-                        raise BondLawViolation(
-                            "composition",
-                            (
-                                sys.index_poset.labels[i],
-                                sys.index_poset.labels[j],
-                                sys.index_poset.labels[k],
-                            ),
-                        )
-    elif sys.kind == "prefix":
-        for k, step in enumerate(sys.steps):
-            if step.source != sys.spaces[k + 1] or step.target != sys.spaces[k]:
-                raise BondLawViolation("step alignment", k)
-    elif sys.kind == "lazy":
-        for k in range(sys.depth):
-            sys.step(k)
-    else:
-        raise ValimError(f"unknown system kind {sys.kind!r}")
+    if not _bond_laws_hold(sys):
+        _system_scan(sys)
+    return sys
+
+
+def _bond_laws_hold(sys) -> bool:
+    """check_system's walk: whether the bond laws hold."""
+    ups = {}  # i -> {j: bond(i, j)} over the indices j covering i
+    for i, j, f in sys.covers():
+        ups.setdefault(i, {})[j] = f
+    extra = set()  # the given pairs (i, k), i < k, that are not covers
+    for i, j, f in sys.given():
+        if f.source != sys.space(j) or f.target != sys.space(i) \
+                or i == j and not f.is_identity():
+            return False
+        if i != j and j not in ups[i]:
+            extra.add((i, j))
+    parting = {(i, k) for i, up_i in ups.items() if len(up_i) > 1
+               for k in sys.indices()}
+    for i, k in parting | extra:
+        routes = [j for j in ups[i] if j != k and sys.index_leq(j, k)]
+        if (len(routes) > 1 or (i, k) in extra) and any(
+                compose(ups[i][j], sys.bond(j, k)) != sys.bond(i, k)
+                for j in routes):
+            return False
+    return True
+
+
+def _system_scan(sys):
+    """check_system over every index pair and triple, in scan order.  Only
+    a poset system fails here: a chain's bonds compose checked steps."""
+    for i in sys.indices():
+        b = sys.bond(i, i)
+        if b.source != sys.space(i) or not b.is_identity():
+            raise BondLawViolation("identity", sys.index_poset.labels[i])
+        for j in sys.indices():
+            if not sys.index_leq(i, j):
+                continue
+            b = sys.bond(i, j)
+            if b.source != sys.space(j) or b.target != sys.space(i):
+                raise BondLawViolation("alignment", tuple(
+                    sys.index_poset.labels[x] for x in (i, j)))
+            for k in sys.indices():
+                if sys.index_leq(j, k) and \
+                        compose(b, sys.bond(j, k)) != sys.bond(i, k):
+                    raise BondLawViolation("composition", tuple(
+                        sys.index_poset.labels[x] for x in (i, j, k)))
     return sys
 
 
@@ -388,26 +421,17 @@ def check_compatibility(vs: ValuedSystem) -> ValuedSystem:
     """Exact marginal compatibility over every verified index pair.
 
     Pushing the valuation at j down the bond must reproduce the
-    valuation at i as a set function on every open; a differing open is
-    recovered as the Incompatible witness when it fails.  Each pair is
-    first compared on scaled integers (_pushes_to): equal weights are
-    equal valuations, and only a pair whose weights differ, which an
-    infinite weight masking finite ones can still leave equal on every
-    open, is decided open by open.
-
-    A prefix chain is first checked step by step.  Pushforward is
-    functorial, (f o g)_* = f_* o g_*, on weights as on valuations, and
-    every bond is a composite of steps, so when every step pushes the
-    weights at k+1 onto those at k, every bond pushes the weights at j
-    onto those at i and the scan over all pairs would accept every one.
-    That scan (_compatibility_scan) runs only when some step's weights
-    differ, so a masked infinite weight and every Incompatible witness
-    are decided by it, in its order.
+    valuation at i as a set function on every open.  Weights are
+    compared on scaled integers (_pushes_to), and open by open only
+    where they differ, as an infinite weight masking finite ones allows.
+    Only the bonds the caller gave (given(): the covers, and any other
+    pair a poset system was given) are pushed along: pushforward is
+    functorial, (f o g)_* = f_* o g_*, and the other bonds compose given
+    ones, so all agree when those do, bond laws or not; otherwise the
+    scan over every pair (_compatibility_scan) decides.
     """
-    sys = vs.system
-    if sys.kind != "prefix" or not all(
-            _pushes_to(step, vs.val(k + 1), vs.val(k))
-            for k, step in enumerate(sys.steps)):
+    if not all(_pushes_to(f, vs.val(j), vs.val(i))
+               for i, j, f in vs.system.given()):
         _compatibility_scan(vs)
     return vs
 
@@ -415,17 +439,14 @@ def check_compatibility(vs: ValuedSystem) -> ValuedSystem:
 def _compatibility_scan(vs: ValuedSystem):
     """check_compatibility over every index pair, in (i, j) order."""
     sys = vs.system
-    down = {}  # j -> bonds into j, walked when j is first reached
     for i in sys.indices():
         for j in sys.indices():
             if not sys.index_leq(i, j):
                 continue
-            if j not in down:
-                down[j] = _bonds_to(sys, j)
-            if _pushes_to(down[j][i], vs.val(j), vs.val(i)):
+            f = sys.bond(i, j)
+            if _pushes_to(f, vs.val(j), vs.val(i)):
                 continue
-            pushed = image_valuation(down[j][i], vs.val(j))
-            w = first_differing_open(vs.val(i), pushed)
+            w = first_differing_open(vs.val(i), image_valuation(f, vs.val(j)))
             if w is not None:
                 raise Incompatible(i, j, w)
 
@@ -488,22 +509,18 @@ def _materialize(sys, max_points) -> LimitSpace:
 
 
 def _bonds_to(sys, j) -> dict:
-    """bond(i, j) for every index i below j.
-
-    A chain composes its steps in one walk down from j, each bond
-    extending the one above it by a single step, where calling bond per
-    index would recompose the whole stretch every time.  Nothing is
-    stored on the system: chains are pickled as inputs, and a filled
-    cache would travel with them.
-    """
-    if sys.kind == "poset":
-        return {i: sys.bond(i, j) for i in sys.indices()
-                if sys.index_leq(i, j)}
-    f = identity_map(sys.space(j))
-    down = {j: f}
-    for k in range(j - 1, -1, -1):
-        f = compose(_chain_step(sys, k), f)
-        down[k] = f
+    """bond(i, j) for every index i below j, in one walk down the covers
+    from j; where the bond laws hold, every route gives the system's own
+    bond.  Nothing is stored on the system, which is pickled as input."""
+    below = {}  # k -> [(i, bond(i, k))] over the indices i that k covers
+    for i, k, f in sys.covers():
+        below.setdefault(k, []).append((i, f))
+    down, todo = {j: identity_map(sys.space(j))}, [j]
+    for k in todo:
+        for i, f in below.get(k, ()):
+            if i not in down:
+                down[i] = compose(f, down[k])
+                todo.append(i)
     return down
 
 
@@ -583,33 +600,31 @@ class EpSystem:
 
 
 def check_ep_system(sys) -> EpSystem:
-    """Verify the ep laws across the system.
+    """Verify the ep laws across the system, after its bond laws.
 
     Every bond must admit an embedding; embeddings must be the identity
     on the diagonal and compose upward the way bonds compose downward.
-
-    A prefix chain proves them from its steps: only the step pairs
-    (k, k+1) are built and validated.  A composite of ep pairs is an ep
-    pair, (p o p', e' o e), and a projection has exactly one embedding,
-    its lower adjoint (Abramsky and Jung, Domain Theory, 3.1).  So once
-    every step is a projection, every bond is one, its embedding is the
-    composite of the step embeddings, the identity bonds embed as
-    identities, and embeddings compose as bonds do.  The other pairs are
-    built on demand (EpSystem.pair).  When a step is refused, the full
-    scan (_ep_scan) runs from a fresh EpSystem, so the first refusal and
-    its witness are those of the scan order.
+    Only the cover pairs are built and validated: a composite of ep
+    pairs is an ep pair, (p o p', e' o e), and a projection has exactly
+    one embedding, its lower adjoint (Abramsky and Jung, Domain Theory,
+    3.1).  Every bond composes covers, so each is then a projection
+    whose embedding composes theirs along any route; other pairs are
+    built on demand (EpSystem.pair).  A refused cover reruns the full
+    scan (_ep_scan) from a fresh EpSystem, in whose order it fails.
     """
     check_system(sys)
-    if sys.kind == "prefix":
-        eps = EpSystem(sys)
-        try:
-            for k, step in enumerate(sys.steps):
-                eps.pair(k, k + 1, step)
-        except (NotAProjection, NotEpPair):
-            pass
-        else:
-            return eps
-    return _ep_scan(sys)
+    return _check_ep(sys)
+
+
+def _check_ep(sys) -> EpSystem:
+    """check_ep_system on a system whose bond laws hold."""
+    eps = EpSystem(sys)
+    try:
+        for i, j, f in sys.covers():
+            eps.pair(i, j, f)
+    except (NotAProjection, NotEpPair):
+        return _ep_scan(sys)
+    return eps
 
 
 def _ep_scan(sys) -> EpSystem:
@@ -780,7 +795,7 @@ class CylinderOpen:
             return self
         level, mask = self.level, self.base.mask
         while level > 0:
-            step = _chain_step(sys, level - 1)
+            step = sys.step(level - 1)
             below = step.target
             cand = 0
             for x in range(below.n):
@@ -790,22 +805,6 @@ class CylinderOpen:
                 break
             level, mask = level - 1, cand
         return CylinderOpen(sys, level, UpSet(sys.space(level), mask))
-
-
-def _chain_step(sys, k) -> MonotoneMap:
-    if sys.kind == "prefix":
-        if k >= sys.last:
-            return identity_map(sys.space(sys.last))
-        return sys.steps[k]
-    return sys.step(k)
-
-
-def _compose_steps(sys, i, j) -> MonotoneMap:
-    """A chain's bond(i, j), i <= j: its steps from j down to i composed."""
-    f = identity_map(sys.space(j))
-    for k in range(j - 1, i - 1, -1):
-        f = compose(_chain_step(sys, k), f)
-    return f
 
 
 def _common_level(c1: CylinderOpen, c2: CylinderOpen) -> int:
@@ -925,7 +924,7 @@ def steenrod_nonempty(sys, max_points: int = DEFAULT_MAX_POINTS) -> SteenrodResu
             xi = sys.space(i)
             allowed = imgs[i]
             if prev is not None:
-                allowed &= _chain_step(sys, i - 1).preimage_mask(1 << prev)
+                allowed &= sys.steps[i - 1].preimage_mask(1 << prev)
             if allowed == 0:
                 raise ValimError("selection through eventual images failed")
             prev = (allowed & -allowed).bit_length() - 1

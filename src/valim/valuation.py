@@ -503,10 +503,10 @@ class Restriction:
 
     space: FiniteSpace
     inclusion: MonotoneMap
-    valuation: Valuation
+    valuation: Valuation | TabulatedSetFunction
 
 
-def support_check(nu: Valuation, points,
+def support_check(nu: Valuation | TabulatedSetFunction, points,
                   max_opens: int = DEFAULT_MAX_OPENS) -> Restriction:
     """Decide whether nu is supported on the subset A.
 
@@ -527,23 +527,31 @@ def support_check(nu: Valuation, points,
     or outside A with an up-set smaller than up(y), and the argument
     repeats.  So for every trace T, nu(up T) and the sum of the weights
     on T differ only when both are infinite.
+
+    nu may also be a lawful table on the open lattice that an infinite
+    weight keeps from being inverted (NotSimple.SHADOWED): the traces
+    are then scanned on the table's own values, and the restriction is
+    the table T -> nu(up T).
     """
     space = nu.space
     a_mask = points if isinstance(points, int) else space.mask_of(points)
-    ints = nu._scaled[1]
-    outside = [y for y in range(space.n)
-               if ints[y] != 0 and not (a_mask >> y) & 1]
-    if outside and inf not in ints:
-        y = outside[0]
-        u = space.up_close(space.up[y] & a_mask)
-        raise NotSupported(UpSet(space, u), UpSet(space, u | space.up[y]))
+    table = isinstance(nu, TabulatedSetFunction)
+    den, ints = nu._scaled
+    if not table:
+        outside = [y for y in range(space.n)
+                   if ints[y] != 0 and not (a_mask >> y) & 1]
+        if outside and inf not in ints:
+            y = outside[0]
+            u = space.up_close(space.up[y] & a_mask)
+            raise NotSupported(UpSet(space, u), UpSet(space, u | space.up[y]))
     sub, inclusion = subspace(space, a_mask)
-    if outside:
+    if table or outside:
         # infinite weights can hide each other; scan traces honestly,
-        # both ends of every sandwich as one eval_weights column
+        # both ends of every sandwich as one column
+        traces = sub.open_masks(max_opens)
         smalls = []
         bigs = []
-        for tm in sub.open_masks(max_opens):
+        for tm in traces:
             trace = inclusion.image_mask(tm)
             smalls.append(space.up_close(trace))
             big = 0
@@ -551,11 +559,18 @@ def support_check(nu: Valuation, points,
                 if space.up[y] & a_mask & ~trace == 0:
                     big |= 1 << y
             bigs.append(big)
-        lo = _kernels.eval_weights(ints, smalls)
-        hi = _kernels.eval_weights(ints, bigs)
+        if table:
+            lo, hi = ([ints[nu._row(m)] for m in ms] for ms in (smalls, bigs))
+        else:
+            lo = _kernels.eval_weights(ints, smalls)
+            hi = _kernels.eval_weights(ints, bigs)
         k = _first_difference(lo, hi, ne)
         if k < len(lo):
             raise NotSupported(UpSet(space, smalls[k]), UpSet(space, bigs[k]))
+        if table:
+            mu = TabulatedSetFunction._from_scaled(sub, tuple(traces), den,
+                                                   tuple(lo))
+            return Restriction(sub, inclusion, mu)
     weights = tuple(nu.weights[i] for i in inclusion.graph)
     return Restriction(sub, inclusion, Valuation(sub, weights))
 

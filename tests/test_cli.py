@@ -496,6 +496,26 @@ def test_tight_reads_a_shadowed_table_as_it_stands(tmp_path, capsys):
     assert rep["witness_count"] == len(found)
 
 
+def test_support_reads_a_shadowed_table_as_it_stands(tmp_path, capsys):
+    # check says the laws hold; support decides on the table itself
+    nu = Valuation(CHAIN2, (ExtRat(1), ExtRat("inf")))
+    path = write(tmp_path, "shadow.json", dumps(nu.tabulate()))
+    for subset, values in (("1", ["0", "inf"]),
+                           ("0,1", ["0", "inf", "inf"])):
+        assert main(["--format", "json", "support", path,
+                     "--subset", subset]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["verdict"] == "ok"
+        assert [row["value"] for row in rep["document"]["table"]] == values
+    # {0} misses 1's infinite weight: the empty open and {1} share the
+    # trace {} but are worth 0 and inf
+    assert main(["--format", "json", "support", path, "--subset", "0"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "violation"
+    assert rep["witness"] == [[], ["1"]]
+    assert rep["detail"].startswith("not supported")
+
+
 def test_support_restricts_past_a_masked_weight(tmp_path, capsys):
     # x0 < x2 < x3, x1 < x2: x0's weight hides under x2's infinite one
     space = FiniteSpace(("x0", "x1", "x2", "x3"),

@@ -31,9 +31,14 @@ from valim import (
     identity_map,
     limit_ep_structure,
     materialize_limit,
+    projective,
     steenrod_nonempty,
     upper_adjoint,
     verify_ep_limit_laws,
+)
+from valim.constructions import (
+    marginal_family_from_joint,
+    subset_product_system,
 )
 from valim.errors import ValimError
 from valim.extreal import INF
@@ -43,10 +48,11 @@ from valim.generators import (
     rand_poset,
     rand_poset_system,
     rand_prefix_chain,
+    rand_valuation,
     rand_valued_chain,
     shrinking_injection_chain,
 )
-from valim.order import NotEpPair
+from valim.order import NotEpPair, lift
 from valim.projective import (
     BondLawViolation,
     EpLawViolation,
@@ -56,6 +62,7 @@ from valim.projective import (
     NotDirected,
     _compatibility_scan,
     _ep_scan,
+    _system_scan,
 )
 from valim.valuation import _pushes_to
 
@@ -120,13 +127,30 @@ def test_check_system_catches_inconsistent_composite():
     ident = identity_map(s)
     swap_free = MonotoneMap(s, s, (0, 1))
     # direct bond lo<-hi contradicts the composite through mid
-    other = MonotoneMap(s, s, (1, 0)) if s.leq("a", "b") else None
     bonds = {(0, 1): ident, (1, 2): swap_free,
              (0, 2): MonotoneMap(s, s, (1, 0))}
     sys = PosetSystem(idx, (s, s, s), bonds)
     with pytest.raises(BondLawViolation) as e:
         check_system(sys)
     assert e.value.law == "composition"
+    assert e.value.witness == ("lo", "mid", "hi")
+
+
+@pytest.mark.parametrize("shape", ["chain2", "chain3", "chain4", "vee",
+                                   "square"])
+@pytest.mark.parametrize("seed", range(4))
+def test_check_system_composes_only_where_routes_part(shape, seed,
+                                                      monkeypatch):
+    sys = rand_poset_system(random.Random(seed), shape)
+    calls = []
+    real = projective.compose
+    with monkeypatch.context() as m:
+        m.setattr(projective, "compose",
+                  lambda f, g: calls.append(1) or real(f, g))
+        assert check_system(sys) is sys
+    # one route of covers joins any two indices of a chain or a vee; a
+    # square's two routes from its top to its bottom are compared
+    assert len(calls) == (2 if shape == "square" else 0)
 
 
 def test_check_compatibility_accepts_and_refuses():
@@ -263,29 +287,95 @@ def test_check_ep_system_walks_a_chain_s_bonds_once(seed, monkeypatch):
             assert pair.embedding == e
 
 
-CHAIN_FAMILIES = ("lawful", "non-ep step", "gained weight", "masked")
+SHAPES = ("prefix", "ep chain", "chain2", "chain3", "chain4", "vee",
+          "square", "deep square", "subset")
+FAMILIES = ("lawful", "broken diamond", "broken non-cover", "non-ep cover",
+            "gained weight", "masked")
 
 
-def chain_family(seed, kind):
-    """A valued prefix chain of the given kind: lawful (ep steps, pushed
-    marginals); with a step that need not be an ep projection; with a
-    level marginal that gained weight; or with that gain placed below an
-    infinite weight where one exists, so that it may be masked."""
+def deep_square(rng, broken):
+    """A square o < a, b < t whose bottom space is not a point, so its
+    two routes down can differ: they agree unless broken, when o <- b is
+    drawn at random."""
+    idx = check_space(("o", "a", "b", "t"),
+                      [("o", "a"), ("o", "b"), ("a", "t"), ("b", "t")],
+                      transitive_closure=True)
+    xo, xa, xt = (rand_poset(rng, rng.randint(1, 4), 0.35, p)
+                  for p in "oat")
+    oa, at = rand_monotone_map(rng, xa, xo), rand_monotone_map(rng, xt, xa)
+    ob = rand_monotone_map(rng, xt, xo) if broken else compose(oa, at)
+    return PosetSystem(idx, (xo, xa, xt, xt),
+                       {(0, 1): oa, (1, 3): at, (0, 2): ob,
+                        (2, 3): identity_map(xt)})
+
+
+def rebond(rng, sys, pairs):
+    """sys with the bond of one of the index pairs drawn at random."""
+    i, j = rng.choice(pairs)
+    bonds = {(a, b): f for a, b, f in sys.given()}
+    bonds[i, j] = rand_monotone_map(rng, sys.space(j), sys.space(i))
+    return PosetSystem(sys.index_poset, sys.spaces, bonds)
+
+
+def system_family(seed, shape, kind):
+    """A valued system of the given shape and kind: lawful (pushed
+    marginals); with a diamond whose routes down may differ; with a
+    given bond that is not a cover drawn at random; with a cover that
+    need not be an ep projection; with a marginal that gained weight; or
+    with that gain placed below an infinite weight where one exists, so
+    that it may be masked.  A shape that cannot carry the kind's fault
+    gives way to a square whose bottom is not a point."""
     rng = random.Random(seed)
     levels = rng.randint(2, 5)
-    ch = rand_ep_prefix_chain(rng, levels, max_n=5)
-    if kind == "non-ep step":
-        if rng.random() < 0.5:
-            ch = rand_prefix_chain(rng, levels, max_n=4)
+    if shape in ("prefix", "ep chain"):
+        sys = rand_ep_prefix_chain(rng, levels, max_n=5)
+        if shape == "ep chain":
+            idx = check_space(range(levels),
+                              [(k, k + 1) for k in range(levels - 1)],
+                              transitive_closure=True)
+            sys = PosetSystem(idx, sys.spaces, {
+                (k, k + 1): f for k, f in enumerate(sys.steps)})
+    elif shape == "deep square":
+        sys = deep_square(rng, False)
+    elif shape == "subset":
+        factors = [lift(rand_poset(rng, rng.randint(1, 2)))
+                   for _ in range(rng.randint(2, 3))]
+        sys, _ = subset_product_system(factors)
+    else:
+        sys = rand_poset_system(rng, shape, max_top=5)
+    if kind == "broken diamond":
+        sys = deep_square(rng, True)
+    elif kind == "broken non-cover":
+        if shape == "prefix":
+            sys = rand_poset_system(rng, "chain4", max_top=5)
+        covers = {(i, j) for i, j, _ in sys.covers()}
+        pairs = [(i, j) for i in sys.indices() for j in sys.indices()
+                 if i != j and sys.index_leq(i, j) and (i, j) not in covers]
+        sys = rebond(rng, sys if pairs else deep_square(rng, False),
+                     pairs or [(0, 3)])
+    elif kind == "non-ep cover":
+        if shape == "prefix":
+            if rng.random() < 0.5:
+                sys = rand_prefix_chain(rng, levels, max_n=4)
+            else:
+                k = rng.randrange(levels - 1)
+                steps = list(sys.steps)
+                steps[k] = rand_monotone_map(rng, sys.spaces[k + 1],
+                                             sys.spaces[k])
+                sys = PrefixChain(sys.spaces, tuple(steps))
         else:
-            k = rng.randrange(levels - 1)
-            steps = list(ch.steps)
-            steps[k] = rand_monotone_map(rng, ch.spaces[k + 1], ch.spaces[k])
-            ch = PrefixChain(ch.spaces, tuple(steps))
-    vs = rand_valued_chain(rng, ch, inf_prob=0.4 if kind == "masked" else 0.0)
+            sys = rebond(rng, sys, [(i, j) for i, j, _ in sys.covers()])
+    inf_prob = 0.4 if kind == "masked" else 0.0
+    if shape == "prefix" and kind not in ("broken diamond",
+                                          "broken non-cover"):
+        vs = rand_valued_chain(rng, sys, inf_prob=inf_prob)
+    else:
+        top = sys.space(sys.top_index())
+        vs = marginal_family_from_joint(
+            sys, rand_valuation(rng, top, inf_prob=inf_prob))
     if kind in ("gained weight", "masked"):
-        k = rng.randrange(levels)
-        sp, weights = ch.spaces[k], list(vs.valuations[k].weights)
+        k = rng.choice(list(sys.indices()))
+        sp, weights = sys.space(k), list(vs.val(k).weights)
         masked = [x for x in range(sp.n)
                   if any(weights[y] == INF for y in range(sp.n)
                          if y != x and (sp.up[x] >> y) & 1)]
@@ -294,8 +384,8 @@ def chain_family(seed, kind):
         weights[x] = weights[x] + ExtRat(1, rng.randint(1, 3))
         vals = list(vs.valuations)
         vals[k] = Valuation(sp, tuple(weights))
-        vs = ValuedSystem(ch, tuple(vals))
-    return ch, vs
+        vs = ValuedSystem(sys, tuple(vals))
+    return sys, vs
 
 
 def refusal_or(call, arg, accepted):
@@ -303,21 +393,26 @@ def refusal_or(call, arg, accepted):
     accepted(result)."""
     try:
         out = call(arg)
-    except (Incompatible, NotAProjection, NotEpPair, EpLawViolation) as err:
+    except (BondLawViolation, Incompatible, NotAProjection, NotEpPair,
+            EpLawViolation) as err:
         return type(err), vars(err)
     return accepted(out)
 
 
-@given(seeds, st.sampled_from(CHAIN_FAMILIES))
-@settings(max_examples=200, deadline=None)
-def test_step_checks_match_the_full_scans(seed, kind):
-    ch, vs = chain_family(seed, kind)
-    idxs = ch.indices()
+@given(seeds, st.sampled_from(SHAPES), st.sampled_from(FAMILIES))
+@settings(max_examples=400, deadline=None)
+def test_step_checks_match_the_full_scans(seed, shape, kind):
+    # the cover walks give what the scans over every pair and triple give
+    sys, vs = system_family(seed, shape, kind)
+    idxs = sys.indices()
 
     def pairs(eps):
-        return [eps.pair(i, j) for i in idxs for j in idxs if i <= j]
-    assert refusal_or(check_ep_system, ch, pairs) == \
-        refusal_or(_ep_scan, ch, pairs)
+        return [eps.pair(i, j) for i in idxs for j in idxs
+                if sys.index_leq(i, j)]
+    assert refusal_or(check_system, sys, lambda out: out is sys) == \
+        refusal_or(_system_scan, sys, lambda out: out is sys)
+    assert refusal_or(check_ep_system, sys, pairs) == \
+        refusal_or(lambda s: _ep_scan(_system_scan(s)), sys, pairs)
     assert refusal_or(check_compatibility, vs, lambda out: out is vs) == \
         refusal_or(_compatibility_scan, vs, lambda out: True)
 

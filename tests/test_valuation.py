@@ -418,6 +418,31 @@ def test_support_check_with_infinite_weights_matches_the_trace_scan(seed, n):
         lambda: support_check(nu, a_mask).valuation) == want
 
 
+@given(seeds, st.integers(min_value=1, max_value=6))
+@settings(max_examples=80)
+def test_support_check_on_a_table_matches_its_weights(seed, n):
+    # a table is scanned trace by trace whatever its weights; its
+    # verdict and witness are the weights' scan's, and its restriction
+    # is the weights' restriction tabulated
+    rng = random.Random(seed)
+    sp = rand_poset(rng, n)
+    weights = list(rand_valuation(rng, sp, inf_prob=0.3).weights)
+    weights[rng.randrange(n)] = INF
+    nu = Valuation(sp, tuple(weights))
+    a_mask = rng.getrandbits(n)
+    if rng.random() < 0.5:
+        a_mask |= sp.mask_of(nu.support_points())
+    try:
+        want = support_check(nu, a_mask).valuation.tabulate()
+    except NotSupported as err:
+        with pytest.raises(NotSupported) as got:
+            support_check(nu.tabulate(), a_mask)
+        assert got.value.witness == err.witness
+        return
+    mu = support_check(nu.tabulate(), a_mask).valuation
+    assert (mu.space, dict(mu.items())) == (want.space, dict(want.items()))
+
+
 # --- a weight beyond float range next to an infinite one -------------------
 
 # scaled by the denominator 3, a's weight is past 2**1024, where adding it
