@@ -17,10 +17,10 @@ from itertools import islice
 
 from . import __version__
 from .constructions import (
+    _PartialProducts,
     dk_product,
     ep_limit_valuation,
     prohorov_limit,
-    subset_product_system,
 )
 from .documents import body_of, input_sha256, load_path
 from .errors import BadDocument, SizeLimit, ValimError
@@ -264,7 +264,8 @@ def _cmd_product(args) -> int:
     marg_obj = q.get("marginals")
     if not isinstance(marg_obj, list):
         raise BadDocument("product: arguments.marginals must be a list")
-    plain, subsets = subset_product_system(factors)
+    parts = _PartialProducts(factors)
+    subsets = parts.subsets
     marginals = {}
     for k, row in enumerate(marg_obj):
         if not isinstance(row, dict):
@@ -278,7 +279,7 @@ def _cmd_product(args) -> int:
             raise BadDocument(f"marginals[{k}]: positions {pos} invalid")
         i = subsets.index(s)
         marginals[s] = _parse_weights(
-            row.get("weights"), plain.space(i), f"marginals[{k}]"
+            row.get("weights"), parts.spaces[i], f"marginals[{k}]"
         )
     missing = [s for s in subsets if s and s not in marginals]
     if missing:

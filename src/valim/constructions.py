@@ -11,9 +11,9 @@ Three routes onto the limit of a compatible valued system:
 * product valuations: a compatible family of marginals over the finite
   subsets of a factor list extends to the full product.  Pointed factors
   support this directly (dropping coordinates is a projection whose
-  embedding pads with bottoms); arbitrary factors are lifted below a
-  fresh bottom first and the lifted joint is cut back down by a support
-  restriction (dk_product).
+  embedding pads with bottoms); for arbitrary factors (dk_product) the
+  full marginal is the extension when it pushes onto every other, and
+  lifting below fresh bottoms is left to refusals and to first reads.
 
 loccomp_certificate rounds the picture out: a way-below witness at one
 level is traded for a matched family of compact saturated sets, the
@@ -22,9 +22,9 @@ object find_dominating_level and the tightness check consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
-from math import inf
+from dataclasses import dataclass, field
+from functools import cache, cached_property
+from math import inf, prod
 from operator import lt
 
 from . import _kernels
@@ -54,7 +54,6 @@ from .projective import (
     materialize_limit,
 )
 from .valuation import (
-    Restriction,
     TabulatedSetFunction,
     Valuation,
     _ext,
@@ -234,36 +233,45 @@ def subset_product_system(spaces,
     index k; the top index carries all of them.  Subset labels order the
     index poset by (size, positions).
     """
-    spaces = tuple(spaces)
-    k = len(spaces)
-    subsets = []
-    for bits in range(1 << k):
-        subsets.append(tuple(p for p in range(k) if (bits >> p) & 1))
-    subsets.sort(key=lambda s: (len(s), s))
+    parts = _PartialProducts(tuple(spaces), max_points)
+    subsets = parts.subsets
     bits = [sum(1 << p for p in s) for s in subsets]
     # inclusion of subsets is a partial order
-    index_space = FiniteSpace._trusted(tuple(subsets), tuple(
+    index_space = FiniteSpace._trusted(subsets, tuple(
         sum(1 << b for b, tb in enumerate(bits) if sb & ~tb == 0)
         for sb in bits))
-    sizes = [sp.n for sp in spaces]
-    prods = []
-    digits = []  # digits[b][c]: the graph of coordinate c on prods[b]
-    for s in subsets:
-        prod, projections = product_space([spaces[p] for p in s],
-                                          max_points)
-        prods.append(prod)
-        digits.append([f.graph for f in projections])
     # the covers drop one coordinate; PosetSystem composes the rest
-    bonds = {}
-    for a, s in enumerate(subsets):
-        for b, t in enumerate(subsets):
-            if bits[a] & ~bits[b] or len(t) != len(s) + 1:
-                continue
-            graph = _product_index([digits[b][t.index(p)] for p in s],
-                                   [sizes[p] for p in s], prods[b].n)
-            # dropping coordinates is monotone for componentwise orders
-            bonds[(a, b)] = MonotoneMap._trusted(prods[b], prods[a], graph)
-    return PosetSystem(index_space, tuple(prods), bonds), tuple(subsets)
+    bonds = {(a, b): parts.drop(b, a)
+             for a, s in enumerate(subsets) for b, t in enumerate(subsets)
+             if not bits[a] & ~bits[b] and len(t) == len(s) + 1}
+    return PosetSystem(index_space, parts.spaces, bonds), subsets
+
+
+class _PartialProducts:
+    """The products of the factors, of sizes[p] points, over every subset
+    of their positions: subsets in (size, positions) order, so the full
+    one is last, spaces[b] the product at subsets[b] and digits[b][c] the
+    graph of its c-th coordinate."""
+
+    def __init__(self, spaces, max_points=DEFAULT_MAX_POINTS):
+        k = len(spaces)
+        self.sizes = tuple(sp.n for sp in spaces)
+        self.subsets = tuple(sorted(
+            (tuple(p for p in range(k) if (bits >> p) & 1)
+             for bits in range(1 << k)), key=lambda s: (len(s), s)))
+        self.spaces, coordinates = zip(*(
+            product_space([spaces[p] for p in s], max_points)
+            for s in self.subsets))
+        self.digits = tuple(tuple(f.graph for f in fs) for fs in coordinates)
+
+    def drop(self, b, a) -> MonotoneMap:
+        """The map from spaces[b] onto spaces[a], for subsets[a] inside
+        subsets[b], that drops the other coordinates."""
+        s, t = self.subsets[a], self.subsets[b]
+        graph = _product_index([self.digits[b][t.index(p)] for p in s],
+                               [self.sizes[p] for p in s], self.spaces[b].n)
+        # dropping coordinates is monotone for componentwise orders
+        return MonotoneMap._trusted(self.spaces[b], self.spaces[a], graph)
 
 
 def _product_index(columns, sizes, n) -> tuple:
@@ -280,14 +288,12 @@ def marginals_from_joint(spaces, joint: Valuation) -> dict:
     """Marginal per subset of factor positions, from a joint valuation
     on the full product (labels must be coordinate tuples in position
     order, as product_space builds them)."""
-    sys, subsets = subset_product_system(spaces)
-    top = sys.top_index()
-    if joint.space != sys.space(top):
+    parts = _PartialProducts(tuple(spaces))
+    top = len(parts.subsets) - 1
+    if joint.space != parts.spaces[top]:
         raise ValimError("joint must live on the product of all factors")
-    return {
-        s: image_valuation(sys.bond(i, top), joint)
-        for i, s in enumerate(subsets)
-    }
+    return {s: image_valuation(parts.drop(top, a), joint)
+            for a, s in enumerate(parts.subsets)}
 
 
 def pointed_product_valuation(spaces, marginals,
@@ -324,18 +330,16 @@ def _pointed_extension(sys, subsets, marginals, max_points,
     their embeddings pad with the factors' bottoms, so the system is ep
     by construction and only compatibility is checked.  max_opens=None
     skips the size guard, as in _ep_limit."""
-    marginals = _with_empty_marginal(marginals, sys, subsets)
-    try:
-        vals = tuple(marginals[s] for s in subsets)
-    except KeyError as missing:
-        raise ValimError(f"marginal missing for subset {missing.args[0]!r}")
-    vs = ValuedSystem(sys, vals)
+    marginals = _checked_family(marginals, sys.spaces, subsets)
+    vs = ValuedSystem(sys, tuple(marginals[s] for s in subsets))
     check_compatibility(vs)
     return _ep_limit(vs, max_points, max_opens)
 
 
-def _with_empty_marginal(marginals, sys, subsets):
-    """Fill in the empty-subset marginal when absent.
+def _checked_family(marginals, spaces, subsets) -> dict:
+    """The marginals, one per subset on its partial product spaces[k]
+    (ValimError names the first subset where one is missing or does not
+    live there), with the empty-subset marginal filled in when absent.
 
     Compatibility forces it: the bond from any singleton to the empty
     product pushes the whole mass onto the one point, so its weight must
@@ -343,36 +347,53 @@ def _with_empty_marginal(marginals, sys, subsets):
     the cross-checks downstream honest; a mismatched family still fails
     at the bonds into the point.
     """
-    if () in marginals:
-        return marginals
-    filled = dict(marginals)
-    donor = next((s for s in subsets if s and s in marginals), None)
-    if donor is None:
-        raise ValimError("marginal missing for subset ()")
-    point = sys.space(subsets.index(()))
-    filled[()] = Valuation(point, (marginals[donor].total(),))
-    return filled
+    if () not in marginals:
+        donor = next((s for s in subsets if s and s in marginals), None)
+        if donor is None:
+            raise ValimError("marginal missing for subset ()")
+        point = spaces[subsets.index(())]
+        marginals = {**marginals,
+                     (): Valuation(point, (marginals[donor].total(),))}
+    for s, space in zip(subsets, spaces):
+        if s not in marginals:
+            raise ValimError(f"marginal missing for subset {s!r}")
+        if marginals[s].space != space:
+            raise ValimError(
+                f"marginal at {s!r} does not live on that partial product"
+            )
+    return marginals
 
 
 @dataclass(frozen=True)
 class DkProduct:
-    """A product valuation carved out of the lifted partial products.
+    """A product valuation: the extension of a marginal family.
 
     space is the product of the original factor spaces (labels are
     coordinate tuples), valuation the extension of the given marginals
     to it, projections the maps onto the partial products (keyed by
-    subset).  lifted retains the limit valuation on the product of the
-    lifted factors; restriction is the support-check step that removed
-    the padding bottoms.
+    subset).  lifted is the limit valuation on the product of the lifted
+    factors, and restriction the support-check step that removes the
+    padding bottoms.  dk_product's lifted route builds both on first read
+    and caches them; == and repr leave them out.
     """
 
     spaces: tuple
     subsets: tuple
-    lifted: LimitValuation
-    restriction: Restriction
     space: FiniteSpace
     valuation: Valuation
     projections: dict
+    # (lifted, restriction) once the lifted route built them, else that
+    # route's arguments after spaces
+    _route: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def _lifted(self) -> tuple:
+        route = self._route
+        return route if len(route) == 2 else \
+            _lifted_product(self.spaces, *route)._route
+
+    lifted = property(lambda self: self._lifted[0])
+    restriction = property(lambda self: self._lifted[1])
 
 
 def dk_product(spaces, marginals, max_points: int = DEFAULT_MAX_POINTS,
@@ -381,57 +402,81 @@ def dk_product(spaces, marginals, max_points: int = DEFAULT_MAX_POINTS,
     """Extend a compatible marginal family to the product of arbitrary
     finite T0 factors.
 
-    Each factor is lifted below a fresh bottom, each marginal is pushed
-    along the coordinatewise inclusion into the lifted partial product,
-    and the lifted family extends by the pointed construction over the
-    lifted subset system, built once: its compatibility is checked
-    (Incompatible names the first differing pair), its bond and ep laws
-    hold by construction, and the limit law holds by ep_limit_valuation's
-    theorem.  The lifted joint gives every tuple that touches a bottom
-    weight zero, so it is supported on the bottom-free tuples; restricting
-    to that support is the product valuation, and the marginal law is
-    re-checked against the original family subset by subset.  The plain
-    partial products are needed only as spaces, so no bonds are built
-    between them.
+    The full subset is in the family, so the extension can only be its
+    marginal nu.  nu is pushed along the coordinate projection p_s onto
+    every partial product and compared with nu_s on scaled integers
+    (_pushes_to).  When all agree, nu_s = (p_s)+ nu for every s, so for
+    s inside t, (p_st)+ nu_t = (p_st)+ (p_t)+ nu = (p_s)+ nu = nu_s: the
+    family is compatible, and nu extends it with the marginal law holding.
 
-    validate lists the lifted limit's opens under max_opens, as
-    ep_limit_valuation's size guard (SizeLimit past it), and drops the
-    list.  validate=False skips that listing: the lifted lattice can pass
-    a million opens while the rest of the product takes milliseconds.
+    The lifted route (_lifted_product) lifts each factor below a fresh
+    bottom, pads each marginal with zeros on the tuples that touch a
+    bottom, extends that family by the pointed construction, restricts
+    the lifted joint to the bottom-free tuples (support_check) and checks
+    the marginal law again.  Lifted bonds map bottom-free tuples as the
+    plain ones do, so equal plain weights are equal lifted weights: every
+    lifted check passes, with the same result.  So the lifted route runs
+    only when a push differs, on the plain products already built: for
+    an incompatible family (Incompatible names the same pair and witness)
+    or one whose finite weights an infinite weight masks (accepted).  Its
+    refusals before that come first, in its order: SizeLimit when the
+    lifted top product would pass max_points, then ValimError for the
+    first marginal missing or off its partial product.  lifted and
+    restriction are built on first read (DkProduct).
 
-    Every space built here is derived from the factors and trusted
-    (FiniteSpace._trusted), coordinates are mapped by index arithmetic
-    rather than label lookup, and marginals are compared on scaled
-    integers (_pushes_to) before any open-by-open comparison.
+    validate lists the lifted top product's opens under max_opens, as
+    ep_limit_valuation's size guard (SizeLimit past it), and caches
+    nothing; validate=False skips it, as that lattice can pass a million
+    opens while the product takes milliseconds.  Every space built here
+    is derived from the factors and trusted (FiniteSpace._trusted).
     """
     spaces = tuple(spaces)
     if not spaces:
         raise ValimError("at least one factor required")
+    # the lifted route's first refusal, raised before building anything
+    if prod(sp.n + 1 for sp in spaces) > max_points:
+        raise SizeLimit("product points", max_points)
+    parts = _PartialProducts(spaces, max_points)
+    family = _checked_family(marginals, parts.spaces, parts.subsets)
+    subsets, top = parts.subsets, len(parts.subsets) - 1
+    nu = family[subsets[top]]
+    projections = {}
+    for a, s in enumerate(subsets):
+        projections[s] = parts.drop(top, a)
+        if not _pushes_to(projections[s], nu, family[s]):
+            return _lifted_product(spaces, family, max_points, max_opens,
+                                   validate, parts)
+    if validate:
+        big, _ = product_space([lift(sp) for sp in spaces], max_points)
+        if _kernels.enumerate_upsets(big.up, big.n, max_opens) is None:
+            raise SizeLimit("open lattice", max_opens)
+    space = parts.spaces[top]
+    return DkProduct(spaces, subsets, space, Valuation(space, nu.weights),
+                     projections, (family, max_points, max_opens, False,
+                                   parts))
+
+
+def _lifted_product(spaces, marginals, max_points, max_opens, validate,
+                    parts=None) -> DkProduct:
+    """dk_product by the lifted route, with lifted and restriction built.
+    parts, when given, are the plain partial products, and marginals
+    have been checked against them."""
+    lifted_sys, subsets = subset_product_system(tuple(map(lift, spaces)),
+                                                max_points)
+    if parts is None:
+        parts = _PartialProducts(spaces, max_points)
+        marginals = _checked_family(marginals, parts.spaces, parts.subsets)
     # lift keeps a factor's points at their indices and adds its bottom
     # last, so a point's coordinates index the lifted factors as they
     # index the plain ones
-    sizes = [sp.n for sp in spaces]
-    lifted_spaces = tuple(lift(sp) for sp in spaces)
-    lifted_sys, subsets = subset_product_system(lifted_spaces, max_points)
-    plain = [product_space([spaces[p] for p in s], max_points)
-             for s in subsets]
-    # the empty product is the same one-point space, lifted or not
-    marginals = _with_empty_marginal(marginals, lifted_sys, subsets)
+    sizes = parts.sizes
     lifted_marginals = {}
     for i, s in enumerate(subsets):
-        nu = marginals.get(s)
-        if nu is None:
-            raise ValimError(f"marginal missing for subset {s!r}")
-        prod, coordinates = plain[i]
-        if nu.space != prod:
-            raise ValimError(
-                f"marginal at {s!r} does not live on that partial product"
-            )
         lifted_prod = lifted_sys.space(i)
-        at = _product_index([f.graph for f in coordinates],
-                            [sizes[p] + 1 for p in s], prod.n)
+        at = _product_index(parts.digits[i], [sizes[p] + 1 for p in s],
+                            parts.spaces[i].n)
         weights = [ZERO] * lifted_prod.n
-        for x, w in zip(at, nu.weights):
+        for x, w in zip(at, marginals[s].weights):
             weights[x] = w
         lifted_marginals[s] = Valuation(lifted_prod, tuple(weights))
     lifted_joint = _pointed_extension(lifted_sys, subsets, lifted_marginals,
@@ -461,20 +506,19 @@ def dk_product(spaces, marginals, max_points: int = DEFAULT_MAX_POINTS,
               for d in lifted_digits]
     projections = {}
     for i, s in enumerate(subsets):
-        dst = plain[i][0]
         graph = _product_index([digits[p] for p in s],
                                [sizes[p] for p in s], space.n)
         # space carries the componentwise order of the factors (lifting
         # only adds points below), so dropping coordinates is monotone
-        projections[s] = MonotoneMap._trusted(space, dst, graph)
+        projections[s] = MonotoneMap._trusted(space, parts.spaces[i], graph)
         if _pushes_to(projections[s], valuation, marginals[s]):
             continue
         pushed = image_valuation(projections[s], valuation)
         w = first_differing_open(pushed, marginals[s])
         if w is not None:
             raise LimitLawViolation("product marginal", (s, w.members))
-    return DkProduct(spaces, subsets, lifted_joint, restriction, space,
-                     valuation, projections)
+    return DkProduct(spaces, subsets, space, valuation, projections,
+                     (lifted_joint, restriction))
 
 
 @dataclass(frozen=True)

@@ -271,7 +271,8 @@ class PrefixChain(_Chain):
         return self.last
 
     def space(self, i) -> FiniteSpace:
-        return self.spaces[min(i, self.last)]
+        spaces = self.spaces
+        return spaces[i] if i < len(spaces) else spaces[-1]
 
     def step(self, k) -> MonotoneMap:
         if k >= self.last:
@@ -352,25 +353,30 @@ def check_system(sys):
 
 
 def _bond_laws_hold(sys) -> bool:
-    """check_system's walk: whether the bond laws hold."""
-    ups = {}  # i -> {j: bond(i, j)} over the indices j covering i
-    for i, j, f in sys.covers():
-        ups.setdefault(i, {})[j] = f
-    extra = set()  # the given pairs (i, k), i < k, that are not covers
+    """check_system's walk: whether the bond laws hold.  It reads the
+    given bonds once.  Every cover is given, so the upper covers of i are
+    the j of its given pairs (i, j) with no other given (i, m) below j,
+    and an index with one given pair above it has nothing to compose."""
+    space, leq = sys.space, sys.index_leq
+    above = {}  # i -> the indices j of the given pairs (i, j), i < j
     for i, j, f in sys.given():
-        if f.source != sys.space(j) or f.target != sys.space(i) \
-                or i == j and not f.is_identity():
+        src, dst = space(j), space(i)
+        if f.source is not src and f.source != src or f.target is not dst \
+                and f.target != dst or i == j and not f.is_identity():
             return False
-        if i != j and j not in ups[i]:
-            extra.add((i, j))
-    parting = {(i, k) for i, up_i in ups.items() if len(up_i) > 1
-               for k in sys.indices()}
-    for i, k in parting | extra:
-        routes = [j for j in ups[i] if j != k and sys.index_leq(j, k)]
-        if (len(routes) > 1 or (i, k) in extra) and any(
-                compose(ups[i][j], sys.bond(j, k)) != sys.bond(i, k)
-                for j in routes):
-            return False
+        if i != j:
+            above.setdefault(i, []).append(j)
+    for i, up_i in above.items():
+        if len(up_i) == 1:
+            continue
+        ups = [j for j in up_i if not any(m != j and leq(m, j) for m in up_i)]
+        extra = [k for k in up_i if k not in ups]
+        for k in sys.indices() if len(ups) > 1 else extra:
+            routes = [j for j in ups if j != k and leq(j, k)]
+            if (len(routes) > 1 or k in extra) and any(
+                    compose(sys.bond(i, j), sys.bond(j, k)) != sys.bond(i, k)
+                    for j in routes):
+                return False
     return True
 
 
