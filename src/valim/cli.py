@@ -17,15 +17,15 @@ from itertools import islice
 
 from . import __version__
 from .constructions import (
+    _dk_product,
     _PartialProducts,
-    dk_product,
     ep_limit_valuation,
     prohorov_limit,
 )
 from .documents import body_of, input_sha256, load_path
 from .errors import BadDocument, SizeLimit, ValimError
 from .gallery import GALLERY_NAMES, run_gallery
-from .order import DEFAULT_MAX_OPENS, FiniteSpace, UpSet
+from .order import DEFAULT_MAX_OPENS, DEFAULT_MAX_POINTS, FiniteSpace, UpSet
 from .projective import (
     CylinderOpen,
     _check_ep,
@@ -284,7 +284,8 @@ def _cmd_product(args) -> int:
     missing = [s for s in subsets if s and s not in marginals]
     if missing:
         raise BadDocument(f"product: marginals missing for {missing}")
-    dk = dk_product(factors, marginals, max_opens=args.max_opens)
+    dk = _dk_product(factors, marginals, DEFAULT_MAX_POINTS,
+                     args.max_opens, True, parts)
     flat = FiniteSpace(
         tuple(",".join(map(_escape_coordinate, lab))
               for lab in dk.space.labels),

@@ -382,15 +382,13 @@ class DkProduct:
     space: FiniteSpace
     valuation: Valuation
     projections: dict
-    # (lifted, restriction) once the lifted route built them, else that
-    # route's arguments after spaces
+    # the lifted route's arguments after spaces
     _route: tuple = field(repr=False, compare=False)
 
     @cached_property
     def _lifted(self) -> tuple:
-        route = self._route
-        return route if len(route) == 2 else \
-            _lifted_product(self.spaces, *route)._route
+        """(lifted, restriction), built by the lifted route."""
+        return _lifted_product(self.spaces, *self._route)._lifted
 
     lifted = property(lambda self: self._lifted[0])
     restriction = property(lambda self: self._lifted[1])
@@ -430,13 +428,21 @@ def dk_product(spaces, marginals, max_points: int = DEFAULT_MAX_POINTS,
     opens while the product takes milliseconds.  Every space built here
     is derived from the factors and trusted (FiniteSpace._trusted).
     """
+    return _dk_product(spaces, marginals, max_points, max_opens, validate)
+
+
+def _dk_product(spaces, marginals, max_points, max_opens, validate,
+                parts=None) -> DkProduct:
+    """dk_product, on parts when the caller has built the plain partial
+    products of spaces under max_points."""
     spaces = tuple(spaces)
     if not spaces:
         raise ValimError("at least one factor required")
     # the lifted route's first refusal, raised before building anything
     if prod(sp.n + 1 for sp in spaces) > max_points:
         raise SizeLimit("product points", max_points)
-    parts = _PartialProducts(spaces, max_points)
+    if parts is None:
+        parts = _PartialProducts(spaces, max_points)
     family = _checked_family(marginals, parts.spaces, parts.subsets)
     subsets, top = parts.subsets, len(parts.subsets) - 1
     nu = family[subsets[top]]
@@ -517,8 +523,10 @@ def _lifted_product(spaces, marginals, max_points, max_opens, validate,
         w = first_differing_open(pushed, marginals[s])
         if w is not None:
             raise LimitLawViolation("product marginal", (s, w.members))
-    return DkProduct(spaces, subsets, space, valuation, projections,
-                     (lifted_joint, restriction))
+    dk = DkProduct(spaces, subsets, space, valuation, projections,
+                   (marginals, max_points, max_opens, False, parts))
+    dk.__dict__["_lifted"] = (lifted_joint, restriction)
+    return dk
 
 
 @dataclass(frozen=True)

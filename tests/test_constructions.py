@@ -40,6 +40,7 @@ from valim import (
     zero_valuation,
 )
 from valim import constructions
+from valim.errors import ValimError
 from valim.extreal import INF, ONE, ZERO
 from valim.generators import (
     rand_ep_prefix_chain,
@@ -174,6 +175,25 @@ def test_empty_subset_marginal_is_derived_when_absent():
     del fam[()]
     lv = pointed_product_valuation([SIER, SIER], fam)
     assert lv.valuation.total() == ONE
+
+
+def test_pointed_product_names_the_first_bad_subset():
+    # subsets are checked in (size, positions) order, each for presence
+    # and then for its space: a marginal off its partial product at (0,)
+    # is named before the one missing at (0, 1)
+    half = Valuation(SIER, (frac(1, 2), frac(1, 2)))
+    fam = marginals_from_joint(
+        [SIER, SIER], independent_joint([SIER, SIER], [half, half]))
+    good = fam[(0,)]
+    fam[(0,)] = fam.pop((0, 1))
+    with pytest.raises(ValimError) as e:
+        pointed_product_valuation([SIER, SIER], fam)
+    assert str(e.value) == (
+        "marginal at (0,) does not live on that partial product")
+    fam[(0,)] = good
+    with pytest.raises(ValimError) as e:
+        pointed_product_valuation([SIER, SIER], fam)
+    assert str(e.value) == "marginal missing for subset (0, 1)"
 
 
 @given(seeds)

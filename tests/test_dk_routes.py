@@ -6,6 +6,7 @@ product or the same refusal.  lifted and restriction are built on first
 read, once.
 """
 
+import json
 import pickle
 import random
 from dataclasses import FrozenInstanceError
@@ -25,7 +26,9 @@ from valim import (
     marginals_from_joint,
     product_space,
 )
-from valim import _kernels, constructions
+from valim import _kernels, cli, constructions
+from valim.cli import main
+from valim.documents import dumps
 from valim.extreal import INF, ONE
 from valim.generators import rand_poset, rand_valuation
 
@@ -182,15 +185,43 @@ def test_refusals_build_the_plain_products_once(monkeypatch):
     s = next(s for s in family if s)
     weights = family[s].weights
     family[s] = Valuation(family[s].space, (weights[0] + ONE,) + weights[1:])
+    calls = counting_partial_products(monkeypatch)
+    with pytest.raises(Incompatible):
+        dk_product(factors, family)
+    # once for the plain products, once inside the lifted subset system
+    assert calls == [len(factors)] * 2
+
+
+def test_cli_product_refusals_build_the_plain_products_once(
+        tmp_path, capsys, monkeypatch):
+    # two 2-point chains whose joint puts all mass where no marginal does
+    marginals = [
+        {"positions": [0], "weights": ["1/2", "1/2"]},
+        {"positions": [1], "weights": ["1/2", "1/2"]},
+        {"positions": [0, 1], "weights": ["1", "0", "0", "0"]},
+    ]
+    factor = {k: v for k, v in json.loads(dumps(CHAIN2)).items()
+              if k not in ("schema", "kind")}
+    body = {"schema": 1, "kind": "query", "operation": "product",
+            "arguments": {"factors": [factor] * 2,
+                          "marginals": marginals}}
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(body), encoding="utf-8")
+    calls = counting_partial_products(monkeypatch)
+    assert main(["product", str(path)]) == 1
+    assert "law violation" in capsys.readouterr().err
+    # the command's plain products are the ones dk_product decides on
+    assert calls == [2, 2]
+
+
+def counting_partial_products(monkeypatch):
+    """The factor counts of every _PartialProducts built from now on."""
     calls = []
 
     class Counting(constructions._PartialProducts):
         def __init__(self, spaces, *args):
             calls.append(len(spaces))
             super().__init__(spaces, *args)
-    monkeypatch.setattr(constructions, "_PartialProducts", Counting)
-    with pytest.raises(Incompatible):
-        dk_product(factors, family)
-    # once for the plain products, once inside the lifted subset system
-    assert calls.count(len(factors)) == 2
-    assert len(calls) == 2
+    for module in (constructions, cli):
+        monkeypatch.setattr(module, "_PartialProducts", Counting)
+    return calls

@@ -1,17 +1,16 @@
 """Paired parent/change benchmark runs, written as a BENCH_*.json file.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out FILE \\
-        [--workloads tables,constructions,cli,gate] [--seeds 101-110] \\
-        [--seconds 20] [--trace-seed 101] [--named METRIC,...] \\
+        [--seeds 101-110] [--trace-seed 101] \\
         [--what TEXT] [--claim WORKLOAD:METRIC:EXPECTED] [--seeds-note TEXT]
 
 DIR is a checkout of valim (a git clone or an unpacked git archive).
-Pair k runs every workload on seed k of --seeds, one
+The workloads, the seconds per run, the end-to-end metrics and whether
+each is better higher or lower are read from the change's
+BENCHMARK.json.  Pair k runs every workload on seed k of --seeds, one
 `python3 perfbench/run.py` at a time: even pairs run the parent first,
 odd pairs the change first.  With --trace-seed, one --trace 1 run per
-side and workload follows on that seed.  The end-to-end metrics and
-whether each is better higher or lower are read from the change's
-BENCHMARK.json.  The summary gives, per workload and metric, each side's
+side and workload follows on that seed, keeping every per-layer metric.  The summary gives, per workload and metric, each side's
 median and quartiles (statistics.quantiles, n=4, inclusive), the pairs
 the change won (ties count for neither side) and the ratio of medians.
 """
@@ -151,11 +150,10 @@ def run_pairs(roots, workloads, seeds, seconds, log=print) -> list:
     return runs
 
 
-def trace_layers(roots, workloads, seed, seconds, named) -> dict:
+def trace_layers(roots, workloads, seed, seconds) -> dict:
     out = {"note": f"one --trace 1 run per side and workload on seed "
                    f"{seed}; self times in ref units per operation, counts "
-                   f"per round; the named layers first, then every "
-                   f"per-layer metric"}
+                   f"per round"}
     for workload in workloads:
         out[workload] = {}
         for side in SIDES:
@@ -166,8 +164,7 @@ def trace_layers(roots, workloads, seed, seconds, named) -> dict:
             out[workload][side] = {
                 "seed": seed, "returncode": code,
                 "attempted": (result or {}).get("attempted"),
-                "named": {n: layers.get(n) for n in named},
-                "all": layers,
+                "layers": layers,
             }
     return out
 
@@ -177,11 +174,8 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--workloads", default="tables,constructions,cli,gate")
     ap.add_argument("--seeds", default="101-110")
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--trace-seed", type=int)
-    ap.add_argument("--named", default="")
     ap.add_argument("--what", default="")
     ap.add_argument("--claim", help="WORKLOAD:METRIC:EXPECTED")
     ap.add_argument("--seeds-note", default="")
@@ -191,13 +185,14 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         bench = json.load(f)
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    workloads = args.workloads.split(",")
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     seeds = parse_seeds(args.seeds)
     trees = {side: src_tree(root) for side, root in roots.items()}
     doc = {
         "what": args.what,
         "command": f"python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0 "
+                   f"--seconds {seconds:g} --trace 0 "
                    f"(per-layer: --trace 1)",
         "host": {"python": platform.python_version(),
                  "nproc": os.cpu_count(), "machine": platform.machine()},
@@ -218,13 +213,12 @@ def main(argv=None) -> int:
         doc["claim"] = {"workload": workload, "metric": metric,
                         "expected": expected,
                         "seeds_note": args.seeds_note}
-    runs = run_pairs(roots, workloads, seeds, args.seconds,
+    runs = run_pairs(roots, workloads, seeds, seconds,
                      log=lambda line: print(line, file=sys.stderr))
     doc["summary"] = summarize(runs, metrics)
     if args.trace_seed is not None:
         doc["trace_per_layer"] = trace_layers(
-            roots, workloads, args.trace_seed, args.seconds,
-            [n for n in args.named.split(",") if n])
+            roots, workloads, args.trace_seed, seconds)
     doc["runs"] = runs
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
