@@ -6,19 +6,34 @@ standing for infinity: the scaled-integer currency of valim.valuation.
 """
 
 from math import inf
+from operator import add, or_
 
-__all__ = ["enumerate_upsets", "scan_axioms", "eval_weights"]
+__all__ = ["enumerate_upsets", "scan_axioms", "eval_weights", "union_map"]
+
+# masks per block of _by_columns
+_BLOCK = 4096
 
 
 def enumerate_upsets(up, n, limit):
-    """All upward-closed subsets as masks, sorted by (popcount, mask).
+    """All upward-closed subsets as masks, sorted by (popcount, mask);
+    None when more than `limit` up-sets exist (_upsets)."""
+    out = _upsets(up, n, limit)
+    if out is not None:
+        # stable: by mask, then by popcount
+        out.sort()
+        out.sort(key=int.bit_count)
+    return out
+
+
+def _upsets(up, n, limit):
+    """All upward-closed subsets as masks, in the order they are found;
+    None when more than `limit` up-sets exist.
 
     up[i] is the mask of weak upper bounds of point i.  Points are added
     one at a time, maximal points first, so the points added so far are
     always upward closed and the up-sets inside them are the previous
     up-sets with and without the new point.  The lists only grow, so the
     cost is the sum of their sizes, at most n * count, never O(2^n).
-    Returns None when more than `limit` up-sets exist.
     """
     # maximal points first, so a point's strict upper bounds are decided
     # before the point itself
@@ -30,9 +45,6 @@ def enumerate_upsets(up, n, limit):
         out += [u | bit for u in out if above & ~u == 0]
         if len(out) > limit:
             return None
-    # stable: by mask, then by popcount
-    out.sort()
-    out.sort(key=int.bit_count)
     return out
 
 
@@ -86,32 +98,75 @@ def eval_weights(weights, opens):
 
     The weights are cut into bytes, and each byte's 256 subset sums are
     tabulated once, so a mask costs one lookup per byte of points
-    whatever its popcount.
+    whatever its popcount.  Past 16 points the bytes are summed one
+    column at a time over all masks.  IndexError for a mask with more
+    points than weights.
     """
     inf_mask = sum(1 << i for i, w in enumerate(weights) if w == inf)
-    parts = []
-    # at least two bytes, so that up to 16 points take the fast path
-    for lo in range(0, max(len(weights), 16), 8):
-        sums = [0]
-        for w in weights[lo:lo + 8]:
-            w = 0 if w == inf else w  # caught by inf_mask
-            sums += [s + w for s in sums]
-        parts.append(sums)
+    # an inf weight counts 0 here and is caught by inf_mask
+    parts = _byte_tables([0 if w == inf else w for w in weights], add)
     if len(parts) == 2:
         low, high = parts
         return [inf if m & inf_mask else low[m & 255] + high[m >> 8]
                 for m in opens]
+    out = _by_columns(parts, opens, add, "weights")
+    if inf_mask:
+        return [inf if m & inf_mask else v for m, v in zip(opens, out)]
+    return out
+
+
+def union_map(point_images, masks, n):
+    """For each mask of points below n, the OR of point_images[x] over
+    its points x.
+
+    A map on masks that preserves unions is fixed by the images of
+    single points (the free join-semilattice on the points), so images,
+    preimages, up- and down-closures and their composites all run
+    here.  As in eval_weights, each byte's 256 ORs are tabulated once,
+    a mask costs one lookup per byte of points, and past 16 points the
+    bytes are combined one column at a time.  IndexError for a mask
+    with points at or past n.
+    """
+    parts = _byte_tables(point_images[:n], or_)
+    if len(parts) == 2:
+        low, high = parts
+        return [low[m & 255] | high[m >> 8] for m in masks]
+    return _by_columns(parts, masks, or_, "point images")
+
+
+def _byte_tables(values, op) -> list:
+    """For each byte of points, at least two, the 256 (or fewer, in a
+    last short byte) op-folds of values over the byte's subsets."""
+    parts = []
+    for lo in range(0, max(len(values), 16), 8):
+        table = [0]
+        for v in values[lo:lo + 8]:
+            # the operator inline: a call per entry costs a fifth more
+            table += [t + v for t in table] if op is add \
+                else [t | v for t in table]
+        parts.append(table)
+    return parts
+
+
+def _by_columns(parts, masks, op, what) -> list:
+    """op over each mask's lookups in parts, one byte column at a time:
+    a block of masks is packed into bytes, and column c is the table
+    lookups of every c-th byte.  Blocks keep the columns in flight to a
+    few thousand entries.  A short last table refuses a point past the
+    values by IndexError; so does a mask past the last byte."""
+    width = len(parts)
     out = []
-    for m in opens:
-        if m & inf_mask:
-            out.append(inf)
-            continue
-        s = 0
-        rest = m
-        for sums in parts:
-            s += sums[rest & 255]
-            rest >>= 8
-        if rest:
-            raise IndexError(f"mask {m:#x} has more points than weights")
-        out.append(s)
+    for lo in range(0, len(masks), _BLOCK):
+        block = masks[lo:lo + _BLOCK]
+        try:
+            packed = b"".join([m.to_bytes(width, "little") for m in block])
+        except OverflowError:
+            bad = next(m for m in block if m >> 8 * width)
+            raise IndexError(
+                f"mask {bad:#x} has more points than {what}") from None
+        acc = [parts[0][b] for b in packed[::width]]
+        for c in range(1, width):
+            table = parts[c]
+            acc = list(map(op, acc, [table[b] for b in packed[c::width]]))
+        out += acc
     return out

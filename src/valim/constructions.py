@@ -22,10 +22,11 @@ object find_dominating_level and the tightness check consume.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import inf, prod
-from operator import lt
+from operator import lt, ne
 
 from . import _kernels
 from .errors import SizeLimit, ValimError
@@ -58,6 +59,7 @@ from .valuation import (
     Valuation,
     _ext,
     _first_best_below,
+    _first_difference,
     _pushes_to,
     _scale,
     check_valuation,
@@ -81,6 +83,7 @@ __all__ = [
     "DkProduct",
     "dk_product",
     "UniformTightnessReport",
+    "UniformTightnessWitnesses",
     "uniform_tightness_check",
     "prohorov_limit",
     "LocCompCertificate",
@@ -138,7 +141,7 @@ class LimitValuation:
     valuation: Valuation
     route: str
     mu: TabulatedSetFunction | None = None
-    tight_witnesses: dict | None = None
+    tight_witnesses: Mapping | None = None
 
     def marginal(self, i) -> Valuation:
         return image_valuation(self.limit.projection(i), self.valuation)
@@ -173,8 +176,15 @@ def _ep_valuation(vs: ValuedSystem, limit: LimitSpace) -> Valuation:
 
 
 def _assert_marginals(lv: LimitValuation):
+    """The marginal law at every index, in index order: scaled weights
+    are compared first (_pushes_to), and the first differing open is
+    looked for only where they differ, as an infinite weight can mask
+    finite ones below it."""
     for i in lv.source.system.indices():
-        w = first_differing_open(lv.marginal(i), lv.source.val(i))
+        nu_i = lv.source.val(i)
+        if _pushes_to(lv.limit.projection(i), lv.valuation, nu_i):
+            continue
+        w = first_differing_open(lv.marginal(i), nu_i)
         if w is not None:
             raise LimitLawViolation("marginal", (i, w.members))
 
@@ -454,7 +464,7 @@ def _dk_product(spaces, marginals, max_points, max_opens, validate,
                                    validate, parts)
     if validate:
         big, _ = product_space([lift(sp) for sp in spaces], max_points)
-        if _kernels.enumerate_upsets(big.up, big.n, max_opens) is None:
+        if _kernels._upsets(big.up, big.n, max_opens) is None:
             raise SizeLimit("open lattice", max_opens)
     space = parts.spaces[top]
     return DkProduct(spaces, subsets, space, Valuation(space, nu.weights),
@@ -492,8 +502,7 @@ def _lifted_product(spaces, marginals, max_points, max_opens, validate,
     big = lifted_joint.valuation.space
     # the size guard lists the lifted opens without caching them on the
     # carrier, which nothing reads again
-    if validate and _kernels.enumerate_upsets(big.up, big.n,
-                                              max_opens) is None:
+    if validate and _kernels._upsets(big.up, big.n, max_opens) is None:
         raise SizeLimit("open lattice", max_opens)
     top = lifted_sys.top_index()
     # the carrier's points are the lifted top product's; a thread is
@@ -537,7 +546,8 @@ class UniformTightnessReport:
     mu(Q) = inf over indices of the marginal value of the saturated
     projection of Q.  witnesses maps (index, open mask) to the first
     (smallest, then lowest mask) up-set of the limit realizing the
-    supremum the marginal demands; failure, on a negative verdict, is
+    supremum the marginal demands, with its mu value, read lazily
+    (UniformTightnessWitnesses); failure, on a negative verdict, is
     (index, open mask, unreachable rational).  experimental_infinite
     flags families with infinite marginal values; the witness-rational
     scheme is exact for them on finite lattices but flagged anyway.
@@ -547,9 +557,66 @@ class UniformTightnessReport:
     limit: LimitSpace
     mu: TabulatedSetFunction
     verdict: bool
-    witnesses: dict
+    witnesses: Mapping
     failure: tuple | None
     experimental_infinite: bool
+
+
+class UniformTightnessWitnesses(Mapping):
+    """uniform_tightness_check's witnesses: a read-only mapping (index,
+    open mask) -> (mask of the first up-set of the limit, in (size,
+    mask) order, of largest mu among those whose saturated projection at
+    the index fits in the open; that mu value), for every index in order
+    and every open there in (size, mask) order, up to and including the
+    failing entry of a negative verdict.
+
+    The verdict does not need them, so they are found on first read and
+    kept: one walk of each index's opens (_first_best_below) over the
+    saturated projections of the limit's up-sets.  Equality, iteration
+    and pickling are a dict's, filled in that order.
+    """
+
+    def __init__(self, limit, mu, failure, max_opens):
+        self._args = (limit, mu, failure, max_opens)
+
+    @cached_property
+    def _entries(self) -> dict:
+        limit, mu, failure, max_opens = self._args
+        sys = limit.system
+        den, keys = mu._scaled
+        qmasks = mu.masks
+        value_at = cache(lambda pos: _ext(keys[pos], den))
+        out = {}
+        for i in sys.indices():
+            xi = sys.space(i)
+            opens_i = xi.open_masks(max_opens)
+            first = _first_best_below(
+                xi, opens_i, _saturated_images(limit, i, qmasks), keys)
+            for u in opens_i:
+                out[(i, u)] = (qmasks[first[u]], value_at(first[u]))
+                if failure is not None and failure[:2] == (i, u):
+                    return out
+        return out
+
+    def __getitem__(self, key):
+        return self._entries[key]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._entries!r})"
+
+
+def _saturated_images(limit: LimitSpace, i, masks) -> list:
+    """up(p_i(q)) at index i for every mask q of limit points, where
+    p_i is the limit's projection (_kernels.union_map)."""
+    up = limit.system.space(i).up
+    return _kernels.union_map([up[x] for x in limit.projection(i).graph],
+                              masks, limit.space.n)
 
 
 def uniform_tightness_check(vs: ValuedSystem, supplier=None,
@@ -565,24 +632,32 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
     values) must be carried by some up-set Q of the limit whose
     saturated projection lands in U; equivalently, the supremum of mu
     over such Q must reach the marginal value, and the projection of the
-    inner regularization of mu must reproduce every marginal.  The first
-    realizing Q per (i, U) is recorded.
+    inner regularization of mu must reproduce every marginal.
 
-    mu and the marginal values are compared as integers on one common
-    scale, and the realizing Q is found by the lower-cover walk of the
-    opens at index i that mu_circ uses (_first_best_below) rather than
-    by a scan of the limit per open.  report.mu holds those integers
-    and decodes its values on read; only the witnesses' values and the
-    failure are built as ExtRat.
+    That supremum is mu(q*) for q* = p_i^-1(U), the upper adjoint of the
+    saturated image (Abramsky and Jung, Domain Theory, 3.1):
+    up(p_i(Q)) is inside U exactly when Q is inside q*, as U is an
+    up-set; so the Q in question are the up-sets inside q*, q* among
+    them, and mu, a minimum of monotone functions, is largest at q*.
+    The check therefore compares, index by index, the column mu(q*)
+    with the marginal column, and the first open where they differ is
+    the failure.  mu and the marginal values are compared as integers on
+    one common scale, and the saturated projections (for mu) and the
+    preimages (for q*) are unions of the images of single points
+    (_kernels.union_map).  report.mu holds those integers and decodes
+    its values on read; only a failure is built as ExtRat here.  The
+    first Q realizing each supremum is a witness, found only when
+    report.witnesses is read (UniformTightnessWitnesses).
 
     Compatibility of vs is a precondition, not re-verified here: the
     check is meaningful (and fails honestly) on engineered families,
     e.g. nonzero marginals over an empty limit.
 
-    supplier, when given, is consulted as (i, U, r) -> CompactFamily
-    wherever the limit's up-sets fall short of the marginal value, and
-    its thread set becomes the witness when mu values it higher;
-    loccomp_certificate produces suitable families.
+    supplier, an (i, U, r) -> CompactFamily such as loccomp_certificate
+    produces, is accepted and never consulted: the thread set of a
+    family it supplies would count only where its saturated projection
+    fits in U, which puts it inside q*, so mu values it no higher than
+    the best the limit's up-sets already reach.
     """
     sys = vs.system
     if limit is None:
@@ -593,81 +668,49 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
     # marginal values compare as integers (inf is infinity)
     den, ints = _scale(tuple(w for i in idxs for w in vs.val(i).weights))
     level_ints = {}
-    proj_up = {}
     mu_keys = None
     start = 0
     for i in idxs:
-        p = limit.projection(i)
-        xi = sys.space(i)
-        level_ints[i] = ints[start:start + xi.n]
-        start += xi.n
-        proj_up[i] = [xi.up_close(p.image_mask(q)) for q in qmasks]
-        col = _kernels.eval_weights(level_ints[i], proj_up[i])
+        n = sys.space(i).n
+        level_ints[i] = ints[start:start + n]
+        start += n
+        col = _kernels.eval_weights(level_ints[i],
+                                    _saturated_images(limit, i, qmasks))
         mu_keys = col if mu_keys is None else list(map(min, mu_keys, col))
     mu = TabulatedSetFunction._from_scaled(limit.space, tuple(qmasks), den,
                                            tuple(mu_keys), "upsets")
-    # mu's value at a position in qmasks, decoded once, for witnesses
-    value_at = cache(lambda pos: _ext(mu_keys[pos], den))
-    experimental = inf in ints
-    witnesses = {}
-    verdict = True
+    row = mu._index
     failure = None
     for i in idxs:
-        if not verdict:
-            break
         xi = sys.space(i)
-        nu_i = vs.val(i)
         opens_i = xi.open_masks(max_opens)
         raw = _kernels.eval_weights(level_ints[i], opens_i)
-        # 0 and the attained values, decoded only for a supplier here and
-        # for a failure's gap below
-        rationals = _rationals(raw, den) if supplier is not None else None
-        first = _first_best_below(xi, opens_i, proj_up[i], mu_keys)
-        for u, target_key in zip(opens_i, raw):
-            # every q inside u has mu(q) <= nu_i(u), so the scan's running
-            # max stops at the first q attaining the largest mu inside u
-            pos = first[u]
-            best, best_q = value_at(pos), qmasks[pos]
-            witnesses[(i, u)] = (best_q, best)
-            if mu_keys[pos] == target_key:
-                continue
-            target = nu_i.evaluate(u)
-            if supplier is not None:
-                for r in rationals:
-                    if not way_below(r, target):
-                        continue
-                    if r <= best:
-                        continue
-                    fam = supplier(i, UpSet(xi, u), r)
-                    q = fam.limit_mask(limit)
-                    sat = xi.up_close(
-                        limit.projection(i).image_mask(q)
-                    )
-                    if sat & ~u == 0:
-                        val = value_at(mu._row(q))
-                        if val > best:
-                            best, best_q = val, q
-                            witnesses[(i, u)] = (best_q, best)
-            # every way-below rational must be dominated; on a finite
-            # lattice that is exactly sup = target (the marginal equality),
-            # so a shortfall is witnessed by some rational in the gap even
-            # when no attained one sits there
-            if best != target:
-                verdict = False
-                gap = next(
-                    (r for r in reversed(rationals or _rationals(raw, den))
-                     if way_below(r, target) and r > best),
-                    None,
-                )
-                if gap is None:
-                    if target.is_finite:
-                        gap = ExtRat((best.frac + target.frac) / 2)
-                    else:
-                        gap = ExtRat(best.frac + 1)
-                failure = (i, u, gap)
-                break
-    return UniformTightnessReport(sys, limit, mu, verdict, witnesses,
-                                  failure, experimental)
+        # q* for every open: the union of the fibres of p_i over its points
+        fibres = [0] * xi.n
+        for t, x in enumerate(limit.projection(i).graph):
+            fibres[x] |= 1 << t
+        sups = [mu_keys[row[q]]
+                for q in _kernels.union_map(fibres, opens_i, xi.n)]
+        k = _first_difference(sups, raw, ne)
+        if k == len(raw):
+            continue
+        # every way-below rational must be dominated; on a finite lattice
+        # that is exactly sup = target (the marginal equality), so a
+        # shortfall is witnessed by some rational in the gap even when no
+        # attained one sits there
+        best, target = _ext(sups[k], den), _ext(raw[k], den)
+        gap = next((r for r in reversed(_rationals(raw, den))
+                    if way_below(r, target) and r > best), None)
+        if gap is None:
+            if target.is_finite:
+                gap = ExtRat((best.frac + target.frac) / 2)
+            else:
+                gap = ExtRat(best.frac + 1)
+        failure = (i, opens_i[k], gap)
+        break
+    witnesses = UniformTightnessWitnesses(limit, mu, failure, max_opens)
+    return UniformTightnessReport(sys, limit, mu, failure is None,
+                                  witnesses, failure, inf in ints)
 
 
 def _rationals(raw, den) -> list:

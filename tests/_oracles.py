@@ -395,3 +395,83 @@ def brute_uniform_tightness(vs, limit, supplier=None):
                         gap = ExtRat(best.frac + 1)
                 return mu_values, False, witnesses, (i, u, gap)
     return mu_values, True, witnesses, None
+
+
+def walk_uniform_tightness(vs, limit, supplier=None):
+    """(mu values, verdict, witnesses, failure) of the uniform tightness
+    test as the walk decided it before the preimage argument: for every
+    index in order and every open u there in (size, mask) order, the
+    best limit up-set is the first of largest mu among those whose
+    saturated projection fits u, found by a lower-cover walk of the
+    opens at the index; the supplier's thread set replaces it where it
+    fits u and mu values it higher; the first open whose best falls
+    short of its value fails, with the largest rational of 0 and the
+    attained values that is way below the value and above the best."""
+    sys = vs.system
+    idxs = list(sys.indices())
+    qmasks = limit.space.open_masks()
+    proj_up = {}
+    for i in idxs:
+        p = limit.projection(i)
+        xi = sys.space(i)
+        proj_up[i] = [xi.up_close(p.image_mask(q)) for q in qmasks]
+    mu_values = [
+        inf_of(mask_value(vs.val(i), proj_up[i][pos]) for i in idxs)
+        for pos in range(len(qmasks))
+    ]
+    mu = dict(zip(qmasks, mu_values))
+    witnesses = {}
+    for i in idxs:
+        xi = sys.space(i)
+        nu_i = vs.val(i)
+        opens_i = by_size(all_upsets(xi))
+        rationals = sorted({ZERO} | {mask_value(nu_i, m) for m in opens_i})
+        first = _first_best_inside(xi, opens_i, proj_up[i], mu_values)
+        for u in opens_i:
+            pos = first[u]
+            best, best_q = mu_values[pos], qmasks[pos]
+            witnesses[(i, u)] = (best_q, best)
+            target = mask_value(nu_i, u)
+            if best == target:
+                continue
+            if supplier is not None:
+                for r in rationals:
+                    if not way_below(r, target) or r <= best:
+                        continue
+                    q = supplier(i, UpSet(xi, u), r).limit_mask(limit)
+                    sat = xi.up_close(limit.projection(i).image_mask(q))
+                    if sat & ~u == 0 and mu[q] > best:
+                        best, best_q = mu[q], q
+                        witnesses[(i, u)] = (best_q, best)
+            if best != target:
+                gap = next((r for r in reversed(rationals)
+                            if way_below(r, target) and r > best), None)
+                if gap is None:
+                    if target.is_finite:
+                        gap = ExtRat((best.frac + target.frac) / 2)
+                    else:
+                        gap = ExtRat(best.frac + 1)
+                return mu_values, False, witnesses, (i, u, gap)
+    return mu_values, True, witnesses, None
+
+
+def _first_best_inside(space, opens, images, values):
+    """u -> the first position, in images order, of the largest value
+    among the images inside u, for every u of opens in (size, mask)
+    order: u's own images, then the best at each lower cover u minus x,
+    x minimal in u."""
+    own = {}
+    for pos, (s, v) in enumerate(zip(images, values)):
+        if s not in own or v > values[own[s]]:
+            own[s] = pos
+    out = {}
+    for u in opens:
+        b = own.get(u)
+        for x in range(space.n):
+            if (u >> x) & 1 and space.down[x] & u == 1 << x:
+                c = out[u ^ (1 << x)]
+                if b is None or values[c] > values[b] or (
+                        values[c] == values[b] and c < b):
+                    b = c
+        out[u] = b
+    return out

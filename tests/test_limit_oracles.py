@@ -4,11 +4,12 @@ ep_limit_valuation checks no limit law at run time: its docstring proves
 that compatibility and the ep laws imply it.  The oracle keeps the law
 as a per-open ExtRat scan, which accepts every lawful family, and every
 skewed family it refuses, ep_limit_valuation refuses as Incompatible.
-uniform_tightness_check searches its witnesses with a cover dynamic
-program; the oracle scans every limit up-set, and lawful and broken
-families must give the same results, refusals and witnesses.  The
-subset systems of pointed factors skip check_ep_system at run time, so
-their ep laws are proven here instead.
+uniform_tightness_check decides each open at its preimage and finds
+its witnesses, when read, with a cover dynamic program; one oracle scans
+every limit up-set, another keeps the walk that decided before, and
+lawful and broken families must give the same results, refusals and
+witnesses.  The subset systems of pointed factors skip check_ep_system
+at run time, so their ep laws are proven here instead.
 """
 
 import pickle
@@ -36,6 +37,7 @@ from valim import (
     ep_limit_valuation,
     first_differing_open,
     lift,
+    loccomp_certificate,
     marginal_family_from_joint,
     marginals_from_joint,
     materialize_limit,
@@ -46,6 +48,7 @@ from valim import (
     subset_product_system,
     uniform_tightness_check,
 )
+from valim import constructions
 from valim.extreal import INF, ONE, ZERO
 from valim.generators import (
     rand_ep_prefix_chain,
@@ -63,6 +66,7 @@ from _oracles import (
     brute_uniform_tightness,
     independent_joint,
     push_weights,
+    walk_uniform_tightness,
 )
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -172,7 +176,7 @@ def test_ep_limit_names_each_law_and_witness(case):
     assert str(e.value) == "marginals at 0 and 1 disagree on ('top',)"
 
 
-# --- uniform tightness: cover DP against the scan ----------------------
+# --- uniform tightness: preimages against the scan and the walk ------
 
 
 def report_tuple(rep):
@@ -225,6 +229,90 @@ def test_uniform_tightness_matches_the_oracle_on_broken_families(seed,
         prohorov_limit(vs, verify_compatibility=False)
     assert (e.value.index, e.value.u_members, e.value.rational) == (
         i, ch.space(i).points_of(u), r)
+
+
+def tight_family(seed, shape, kind):
+    """A prefix chain or a poset system with pushed marginals; lawful,
+    with a marginal that gained weight, or with that gain placed below
+    an infinite weight where one exists, so that it may be masked."""
+    rng = random.Random(seed)
+    inf_prob = 0.4 if kind == "masked" else 0.15
+    if shape == "prefix":
+        ch = rand_prefix_chain(rng, rng.randint(1, 4), 5)
+        vs = rand_valued_chain(rng, ch, inf_prob=inf_prob)
+    else:
+        vs = rand_valued_poset_system(rng, max_top=5, inf_prob=inf_prob)
+    if kind != "lawful":
+        k = rng.choice(list(vs.system.indices()))
+        sp, ws = vs.system.space(k), list(vs.val(k).weights)
+        masked = [x for x in range(sp.n)
+                  if any(ws[y] == INF for y in range(sp.n)
+                         if y != x and (sp.up[x] >> y) & 1)]
+        x = rng.choice(masked) if kind == "masked" and masked \
+            else rng.randrange(sp.n)
+        vs = skewed(vs, k, x, ws[x] + ExtRat(1, rng.randint(1, 3)))
+    return rng, vs
+
+
+@given(seeds, st.sampled_from(("prefix", "poset")),
+       st.sampled_from(("lawful", "gained weight", "masked")),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_uniform_tightness_matches_the_cover_walk(seed, shape, kind,
+                                                   supply):
+    # the decision at each open's preimage gives what the walk over the
+    # opens at each index gave, with or without a supplier
+    rng, vs = tight_family(seed, shape, kind)
+    supplier = None
+    if supply:
+        i = rng.choice(list(vs.system.indices()))
+        xi = vs.system.space(i)
+        u = UpSet(xi, rng.choice(xi.open_masks()))
+        supplier = loccomp_certificate(vs, i, u, ZERO).as_supplier()
+    rep = uniform_tightness_check(vs, supplier)
+    want = walk_uniform_tightness(vs, rep.limit, supplier)
+    assert report_tuple(rep) == want
+    assert list(rep.witnesses.items()) == list(want[2].items())
+    assert rep.verdict == (rep.failure is None)
+
+
+def test_tightness_witnesses_are_found_when_read(monkeypatch):
+    calls = []
+    real = constructions._first_best_below
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(constructions, "_first_best_below", counted)
+    rng = random.Random(4)
+    vs = rand_valued_chain(rng, rand_prefix_chain(rng, 3, 5))
+    rep = uniform_tightness_check(vs)
+    lv = prohorov_limit(vs, rep)
+    before = pickle.dumps(rep), pickle.dumps(lv)
+    assert calls == []
+    want = walk_uniform_tightness(vs, rep.limit)[2]
+    assert list(rep.witnesses.items()) == list(want.items())
+    assert len(calls) == len(vs.system.spaces)
+    assert lv.tight_witnesses is rep.witnesses
+    for blob, obj in zip(before, (rep, lv)):
+        assert pickle.loads(blob) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    back = pickle.loads(before[0])
+    assert back.witnesses == want and want == back.witnesses
+    assert len(back.witnesses) == len(want)
+    with pytest.raises(TypeError):
+        rep.witnesses[next(iter(want))] = None
+
+
+def test_a_failing_report_lists_witnesses_up_to_the_failure():
+    # this family fails at an open of index 1, past all of index 0
+    _, vs = tight_family(0, "prefix", "gained weight")
+    rep = uniform_tightness_check(vs)
+    want = walk_uniform_tightness(vs, rep.limit)
+    assert not rep.verdict and rep.failure == want[3]
+    assert rep.failure[0] == 1
+    assert list(rep.witnesses) == list(want[2])
+    assert list(rep.witnesses)[-1] == rep.failure[:2]
 
 
 # --- the trusted subset-system path -------------------------------------
