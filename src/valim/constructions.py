@@ -214,8 +214,9 @@ def ep_limit_valuation(vs: ValuedSystem,
     So a cylinder is worth its base's value at its own level, which makes
     evaluation exact.  tests/test_limit_oracles.py checks the theorem
     against the per-open oracle.  The limit's opens are still listed
-    under max_opens, as a size guard (SizeLimit past it); the list is
-    cached on the limit space for callers that compare over every open.
+    under max_opens, as a size guard (SizeLimit past it, found by
+    counting: FiniteSpace.open_masks); the list is cached on the limit
+    space for callers that compare over every open.
     """
     check_compatibility(vs)
     # check_ep_system runs check_system first, so the bond laws are
@@ -432,11 +433,12 @@ def dk_product(spaces, marginals, max_points: int = DEFAULT_MAX_POINTS,
     first marginal missing or off its partial product.  lifted and
     restriction are built on first read (DkProduct).
 
-    validate lists the lifted top product's opens under max_opens, as
-    ep_limit_valuation's size guard (SizeLimit past it), and caches
-    nothing; validate=False skips it, as that lattice can pass a million
-    opens while the product takes milliseconds.  Every space built here
-    is derived from the factors and trusted (FiniteSpace._trusted).
+    validate counts the lifted top product's opens under max_opens, as
+    ep_limit_valuation's size guard (SizeLimit past it), rather than
+    listing them (FiniteSpace._opens_past); validate=False skips it, as
+    that lattice can pass a million opens while the product takes
+    milliseconds.  Every space built here is derived from the factors
+    and trusted (FiniteSpace._trusted).
     """
     return _dk_product(spaces, marginals, max_points, max_opens, validate)
 
@@ -464,7 +466,7 @@ def _dk_product(spaces, marginals, max_points, max_opens, validate,
                                    validate, parts)
     if validate:
         big, _ = product_space([lift(sp) for sp in spaces], max_points)
-        if _kernels._upsets(big.up, big.n, max_opens) is None:
+        if big._opens_past(max_opens):
             raise SizeLimit("open lattice", max_opens)
     space = parts.spaces[top]
     return DkProduct(spaces, subsets, space, Valuation(space, nu.weights),
@@ -500,9 +502,8 @@ def _lifted_product(spaces, marginals, max_points, max_opens, validate,
     # the limit carrier is the top space in thread clothing: the thread's
     # component at the top index is the plain coordinate tuple
     big = lifted_joint.valuation.space
-    # the size guard lists the lifted opens without caching them on the
-    # carrier, which nothing reads again
-    if validate and _kernels._upsets(big.up, big.n, max_opens) is None:
+    # the size guard counts the lifted opens; nothing lists them
+    if validate and big._opens_past(max_opens):
         raise SizeLimit("open lattice", max_opens)
     top = lifted_sys.top_index()
     # the carrier's points are the lifted top product's; a thread is

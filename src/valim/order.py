@@ -179,16 +179,24 @@ class FiniteSpace:
 
     def open_masks(self, max_opens: int = DEFAULT_MAX_OPENS) -> list:
         """All open sets as masks, sorted by (size, mask).  Cached once
-        built; every call, cached or not, refuses more than max_opens."""
+        built; every call, cached or not, refuses more than max_opens.
+        A lattice that may pass max_opens (2^n > max_opens) is counted
+        before it is listed, so a refusal caches nothing and lists
+        nothing unless max_opens is small (_kernels.count_upsets)."""
         masks = self.__dict__.get("_open_masks")
-        if masks is None:
+        if masks is None and not self._opens_past(max_opens):
             masks = _kernels.enumerate_upsets(self.up, self.n, max_opens)
-            if masks is None:
-                raise SizeLimit("open lattice", max_opens)
             self.__dict__["_open_masks"] = masks
-        elif len(masks) > max_opens:
+        if masks is None or len(masks) > max_opens:
             raise SizeLimit("open lattice", max_opens)
         return masks
+
+    def _opens_past(self, max_opens: int) -> bool:
+        """Whether there are more than max_opens opens, counted rather
+        than listed, and only when 2^n passes max_opens, as fewer points
+        cannot have that many."""
+        return (1 << self.n > max_opens
+                and _kernels.count_upsets(self.up, self.n, max_opens) is None)
 
     def bottom(self):
         """The least point, or None if there is no single least point."""

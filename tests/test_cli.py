@@ -128,6 +128,16 @@ def test_size_limit_exit_code(tmp_path, capsys):
     assert "size limit" in capsys.readouterr().err
 
 
+def test_a_zero_cap_refuses_the_empty_space(tmp_path, capsys):
+    # the empty space has one open, the empty set, one past a cap of 0
+    path = write(tmp_path, "empty.json", dumps(Valuation(FiniteSpace((), ()),
+                                                         ())))
+    assert main(["--max-opens", "0", "tight", path]) == 3
+    assert ("size limit: open lattice exceeds the configured bound 0"
+            in capsys.readouterr().err)
+    assert main(["--max-opens", "1", "tight", path]) == 0
+
+
 def test_product_query_flow(tmp_path, capsys):
     half = ["1/2", "1/2"]
     body = {

@@ -169,7 +169,7 @@ def _run(argv):
         return main(argv)
 
 
-@given(documents(), st.sampled_from((None, "1", "4")))
+@given(documents(), st.sampled_from((None, "0", "1", "4")))
 @settings(max_examples=60, deadline=None)
 def test_cli_exits_with_a_contract_code(text, max_opens):
     options = [] if max_opens is None else ["--max-opens", max_opens]

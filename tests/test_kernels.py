@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valim import ExtRat, FiniteSpace, MonotoneMap, Valuation
+from valim import ExtRat, FiniteSpace, MonotoneMap, Valuation, lift
+from valim import _kernels
 from valim._kernels import (
     _BLOCK,
+    _COUNT_DEPTH,
+    count_upsets,
     enumerate_upsets,
     eval_weights,
     scan_axioms,
@@ -18,6 +21,7 @@ from valim._kernels import (
 )
 from valim.extreal import INF
 from valim.generators import rand_poset
+from valim.order import product_space
 
 from _oracles import all_upsets, brute_axiom_witness, by_size, mask_value
 
@@ -44,9 +48,127 @@ def test_enumerate_upsets_matches_powerset_filter(seed, n):
 
 def test_enumerate_upsets_edge_cases():
     assert enumerate_upsets((), 0, 1) == [0]
+    # the empty space has one up-set, the empty set, which a cap of 0
+    # refuses like any other
+    assert enumerate_upsets((), 0, 0) is None
+    assert count_upsets((), 0, 0) is None
+    assert count_upsets((), 0, 1) == 1
     up = [1 << i for i in range(10)]  # antichain: 1024 up-sets
     assert enumerate_upsets(up, 10, 100) is None
     assert len(enumerate_upsets(up, 10, 1024)) == 1024
+    assert count_upsets(up, 10, 1023) is None
+    assert count_upsets(up, 10, 1024) == 1024
+
+
+# how far the differentials list: past it only refusals are compared
+LISTED = 1 << 16
+
+
+def assert_count_matches_the_list(up, n):
+    listed = enumerate_upsets(up, n, LISTED)
+    if listed is None:
+        for cap in (LISTED, LISTED // 3, 0):
+            assert count_upsets(up, n, cap) is None
+        return
+    total = len(listed)
+    for cap in (total - 1, total, total + 1, total // 3, 0):
+        want = total if total <= cap else None
+        assert count_upsets(up, n, cap) == want
+        got = enumerate_upsets(up, n, cap)
+        assert (got is None) == (want is None)
+
+
+@given(seeds, st.integers(min_value=0, max_value=24),
+       st.floats(min_value=0.05, max_value=0.7))
+@settings(max_examples=150, deadline=None)
+def test_count_upsets_matches_the_list(seed, n, edge_prob):
+    sp = rand_poset(random.Random(seed), n, edge_prob)
+    assert_count_matches_the_list(sp.up, sp.n)
+
+
+@given(seeds, st.lists(st.integers(min_value=1, max_value=3), min_size=1,
+                       max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_count_upsets_matches_the_list_on_lifted_products(seed, sizes):
+    # the size guard of dk_product counts exactly these lattices
+    rng = random.Random(seed)
+    factors = [lift(rand_poset(rng, k, rng.uniform(0.3, 0.8)))
+               for k in sizes]
+    big, _ = product_space(factors)
+    assert_count_matches_the_list(big.up, big.n)
+
+
+def listing_calls(monkeypatch):
+    """The point counts of every _upsets call made from now on."""
+    calls = []
+    real = _kernels._upsets
+
+    def spy(up, n, limit):
+        calls.append(n)
+        return real(up, n, limit)
+
+    monkeypatch.setattr(_kernels, "_upsets", spy)
+    return calls
+
+
+def test_count_upsets_lists_past_its_memo_bound(monkeypatch):
+    # 16 points, 374 up-sets: at a cap near 374 the memo has room for
+    # 23 sets, more than one per point, and runs out on the way; the
+    # count then lists, with the same answer
+    sp = rand_poset(random.Random(4), 16, 0.2)
+    total = len(enumerate_upsets(sp.up, sp.n, 1 << 20))
+    assert total == 374
+    calls = listing_calls(monkeypatch)
+    assert count_upsets(sp.up, sp.n, total) == total
+    assert count_upsets(sp.up, sp.n, total - 1) is None
+    assert calls == [16, 16]
+    # at a cap of 2^20 the memo has room and nothing is listed
+    assert count_upsets(sp.up, sp.n, 1 << 20) == total
+    assert calls == [16, 16]
+
+
+def chain_up(n):
+    return [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)]
+
+
+def test_count_upsets_lists_past_its_depth(monkeypatch):
+    # a chain of n points has n + 1 up-sets; the recursion could drop one
+    # point a level, so past _COUNT_DEPTH points the count lists, with
+    # room in the memo either way
+    calls = listing_calls(monkeypatch)
+    n = _COUNT_DEPTH
+    assert count_upsets(chain_up(n), n, 10_000) == n + 1
+    assert calls == []
+    n += 1
+    assert count_upsets(chain_up(n), n, 10_000) == n + 1
+    assert calls == [n]
+
+
+def test_count_upsets_refuses_when_a_first_term_equals_the_cap(monkeypatch):
+    # ten points a_i below x below t, and a lone point y.  The pivot is
+    # x: its first branch, the a_i, has 2^10 up-sets and the second,
+    # {t}, 2 more; the component {a_i, x, t} (1026) then meets {y} (2).
+    # A first term equal to the cap must still be added to or multiplied
+    bit = {name: 1 << k for k, name in enumerate(
+        [f"a{i}" for i in range(10)] + ["x", "t", "y"])}
+    xt = bit["x"] | bit["t"]
+    up = [bit[f"a{i}"] | xt for i in range(10)] + [xt, bit["t"], bit["y"]]
+    calls = listing_calls(monkeypatch)
+    assert count_upsets(up[:12], 12, 1024) is None
+    assert count_upsets(up[:12], 12, 1026) == 1026
+    assert count_upsets(up, 13, 1026) is None
+    assert count_upsets(up, 13, 2052) == 2052
+    assert calls == []
+
+
+def test_count_upsets_does_not_list_a_large_lattice(monkeypatch):
+    # three lifted 3-point chains: 64 points and 232,848 up-sets
+    chain = rand_poset(random.Random(0), 3, 1.0)
+    big, _ = product_space([lift(chain)] * 3)
+    calls = listing_calls(monkeypatch)
+    assert count_upsets(big.up, big.n, 1 << 20) == 232_848
+    assert count_upsets(big.up, big.n, 232_847) is None
+    assert calls == []
 
 
 @given(seeds, st.integers(min_value=1, max_value=7))

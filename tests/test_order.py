@@ -21,6 +21,7 @@ from valim import (
     subspace,
     upward_closure,
 )
+from valim import _kernels
 from valim.errors import SizeLimit, ValimError
 from valim.generators import rand_poset
 from valim.order import NotAPoset, NotMonotone
@@ -207,3 +208,46 @@ def test_open_masks_cap_holds_after_any_cache_state(warmup):
     with pytest.raises(SizeLimit):
         s.open_masks(10)
     assert len(s.open_masks(64)) == 64
+
+
+def test_open_masks_refuses_by_count_and_caches_nothing(monkeypatch):
+    # 12 points, 3 * 2^10 opens: a cap that 2^n passes is counted
+    # first, so a refusal lists no mask and leaves no cache; a larger
+    # cap then counts and lists
+    s = check_space(tuple(f"a{i}" for i in range(12)), [("a0", "a1")])
+    counted, listed = [], []
+    count, upsets = _kernels.count_upsets, _kernels._upsets
+    monkeypatch.setattr(_kernels, "count_upsets",
+                        lambda up, n, cap: counted.append(cap)
+                        or count(up, n, cap))
+    monkeypatch.setattr(_kernels, "_upsets",
+                        lambda up, n, cap: listed.append(cap)
+                        or upsets(up, n, cap))
+    with pytest.raises(SizeLimit,
+                       match="^open lattice exceeds the configured bound "
+                             "1000$"):
+        s.open_masks(1000)
+    assert (counted, listed) == ([1000], [])
+    assert "_open_masks" not in s.__dict__
+    assert len(s.open_masks(3072)) == 3072
+    assert (counted, listed) == ([1000, 3072], [3072])
+    # the cached list refuses a smaller cap as it stands
+    with pytest.raises(SizeLimit):
+        s.open_masks(3071)
+    assert (counted, listed) == ([1000, 3072], [3072])
+
+
+def test_open_masks_lists_a_lattice_that_cannot_pass_the_cap(monkeypatch):
+    monkeypatch.setattr(_kernels, "count_upsets", None)
+    s = check_space(tuple(f"a{i}" for i in range(6)), [])
+    assert len(s.open_masks(64)) == 64
+
+
+def test_a_zero_cap_refuses_the_empty_space():
+    s = check_space((), [])
+    with pytest.raises(SizeLimit):
+        s.open_masks(0)
+    assert "_open_masks" not in s.__dict__
+    assert s.open_masks(1) == [0]
+    with pytest.raises(SizeLimit):
+        s.open_masks(0)
