@@ -85,13 +85,16 @@ def count_upsets(up, n, limit):
     less.  A count that accepts visits a set for each point, where the
     point ends as a lone point or a pivot x (a point other than x stays
     in one of the branches, and every set is smaller), so a memo with
-    no room for n sets beyond the empty one could only refuse: the count
-    then lists at once, as limit is small.  It also lists past
+    no room for n sets beyond the empty one could only refuse.  One
+    with room for two sets a point or fewer ran out on most random
+    posets of 10-16 points (and cost about 1.5 times listing), one with
+    room for two to four on few of them, so the count lists at once
+    when limit / 16 <= 2n, where limit is small.  It also lists past
     _COUNT_DEPTH points, which the recursion's depth could reach.
     """
     cap = limit + 1
     bound = limit >> 4
-    if bound <= n or n > _COUNT_DEPTH:
+    if bound <= 2 * n or n > _COUNT_DEPTH:
         return _listed_count(up, n, limit)
     down = [0] * n
     for i in range(n):

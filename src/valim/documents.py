@@ -4,13 +4,16 @@ One file = one document: a UTF-8 JSON object with "schema": 1 and a
 "kind" of space, valuation, map, system, valued-system or query.  Orders
 travel as cover pairs and are transitively closed on load; weights and
 table values are exact strings ("num/den", an integer string, or "inf"),
-never decimals.  A valuation table is validated row by row (labels,
-weight grammar, no duplicate opens) and read straight into the
-scaled-integer form of valuation._scale, so loading builds no ExtRat
-per row; its values decode when first read.  Serialization is
-canonical: fixed key order, covers sorted, graphs keyed in source point
-order, two-space indent, trailing newline.  Loading canonical text and
-re-serializing is byte-identical.
+never decimals.  A valuation table is read column by column, each
+distinct value string parsed once, straight into the scaled-integer
+form of valuation._scale, so loading builds no ExtRat per row; its
+values decode when first read.  Only a table that does not read so is
+walked row by row, checking each row's type, open, labels and value in
+turn, and its first bad row is refused; duplicate opens are refused
+after all rows.  A label repeated inside an open counts once.
+Serialization is canonical: fixed key order, covers sorted, graphs
+keyed in source point order, two-space indent, trailing newline.
+Loading canonical text and re-serializing is byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, inf, lcm
+from operator import or_
 
 from .errors import BadDocument, ValimError
 from .extreal import ExtRat
@@ -185,34 +190,52 @@ def _parse_valuation(obj) -> Valuation | TabulatedSetFunction:
     if "weights" in obj:
         return _parse_weights(obj["weights"], space, "valuation")
     table = _require(obj, "table", list, "valuation")
-    # read straight into the scaled integers of _from_scaled: each value
-    # a reduced (num, den), den the lcm of those, as _scale computes it;
-    # whether the rows are the open lattice is left to the table's users
-    # (NotOnLattice)
-    index = space.index
-    masks, nums, dens = [], [], []
+    # read straight into the scaled integers of _from_scaled, a column at
+    # a time: each distinct value a reduced (num, den), den the lcm of
+    # those, as _scale computes it; whether the rows are the open lattice
+    # is left to the table's users (NotOnLattice).  A row that is not an
+    # object, a missing key, a wrong type, an unknown label or a refused
+    # weight stops the columns, and the rows are then checked one by one
+    try:
+        opens = [row["open"] for row in table]
+        values = [row["value"] for row in table]
+        if set(map(type, opens)) - {list} or set(map(type, values)) - {str}:
+            raise TypeError
+        bit = {lab: 1 << k for lab, k in space.index.items()}
+        masks = [sum(map(bit.__getitem__, o)) for o in opens]
+        ratios = {s: _ratio_from_str(s) for s in set(values)}
+    except (TypeError, KeyError, BadDocument):
+        _first_bad_row(table, space.index)
+        raise AssertionError("a table column was refused but no row was")
+    # a label repeated inside an open is carried into the next bit by the
+    # sum, which leaves that row fewer bits than labels
+    if sum(map(int.bit_count, masks)) != sum(map(len, opens)):
+        masks = [m if m.bit_count() == len(o)
+                 else reduce(or_, map(bit.__getitem__, o))
+                 for m, o in zip(masks, opens)]
+    if len(set(masks)) != len(masks):
+        raise BadDocument("valuation.table: duplicate opens")
+    den = lcm(*{d for _, d in ratios.values()})
+    scaled = {s: inf if n == inf else n * (den // d)
+              for s, (n, d) in ratios.items()}
+    return TabulatedSetFunction._from_scaled(
+        space, tuple(masks), den, tuple(map(scaled.__getitem__, values)))
+
+
+def _first_bad_row(table, index):
+    """Raises the BadDocument of a table's first bad row, checking each
+    row in turn for its type, its open, the open's labels and its value;
+    reached only when a column of the table does not read cleanly."""
     for row in table:
         if not isinstance(row, dict):
             raise BadDocument("valuation: table rows must be objects")
-        mask = 0
         for lab in _require(row, "open", list, "valuation.table"):
             k = index.get(lab) if isinstance(lab, str) else None
             if k is None:
                 raise BadDocument(
                     f"valuation.table: unknown element {lab!r}"
                 )
-            mask |= 1 << k
-        masks.append(mask)
-        num, den = _ratio_from_str(_require(row, "value", str,
-                                            "valuation.table"))
-        nums.append(num)
-        dens.append(den)
-    if len(set(masks)) != len(masks):
-        raise BadDocument("valuation.table: duplicate opens")
-    den = lcm(*set(dens))
-    ints = tuple([inf if n == inf else n * (den // d)
-                  for n, d in zip(nums, dens)])
-    return TabulatedSetFunction._from_scaled(space, tuple(masks), den, ints)
+        _ratio_from_str(_require(row, "value", str, "valuation.table"))
 
 
 def _valuation_body(v) -> dict:

@@ -7,6 +7,7 @@ places at once.
 """
 
 from fractions import Fraction
+from math import inf, lcm
 
 from valim import (
     AxiomViolation,
@@ -21,7 +22,15 @@ from valim import (
     subspace,
     upper_adjoint,
 )
+from valim.documents import (
+    _parse_space,
+    _parse_weights,
+    _ratio_from_str,
+    _require,
+)
+from valim.errors import BadDocument
 from valim.extreal import INF, ZERO, inf_of, sup_of, way_below
+from valim.valuation import TabulatedSetFunction
 
 
 def all_upsets(space: FiniteSpace):
@@ -475,3 +484,40 @@ def _first_best_inside(space, opens, images, values):
                     b = c
         out[u] = b
     return out
+
+
+def row_loop_valuation(obj):
+    """A valuation document's body read one table row at a time: each
+    row checked for its type, its open, the open's labels and its value,
+    the first bad row refused, duplicate opens refused after all rows.
+    It shares the document layer's space, weight and key helpers, which
+    the column reader uses as well."""
+    space = _parse_space(_require(obj, "space", dict, "valuation"),
+                         "valuation.space")
+    if "weights" in obj:
+        return _parse_weights(obj["weights"], space, "valuation")
+    table = _require(obj, "table", list, "valuation")
+    index = space.index
+    masks, nums, dens = [], [], []
+    for row in table:
+        if not isinstance(row, dict):
+            raise BadDocument("valuation: table rows must be objects")
+        mask = 0
+        for lab in _require(row, "open", list, "valuation.table"):
+            k = index.get(lab) if isinstance(lab, str) else None
+            if k is None:
+                raise BadDocument(
+                    f"valuation.table: unknown element {lab!r}"
+                )
+            mask |= 1 << k
+        masks.append(mask)
+        num, den = _ratio_from_str(_require(row, "value", str,
+                                            "valuation.table"))
+        nums.append(num)
+        dens.append(den)
+    if len(set(masks)) != len(masks):
+        raise BadDocument("valuation.table: duplicate opens")
+    den = lcm(*set(dens))
+    ints = tuple([inf if n == inf else n * (den // d)
+                  for n, d in zip(nums, dens)])
+    return TabulatedSetFunction._from_scaled(space, tuple(masks), den, ints)

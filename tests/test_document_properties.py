@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valim.cli import main
-from valim.documents import Document, Query, dumps, loads
+from valim.documents import Document, Query, _first_bad_row, dumps, loads
 from valim.errors import ValimError
 from valim.extreal import ExtRat
 from valim.generators import (
@@ -36,6 +36,8 @@ from valim.generators import (
     rand_valued_poset_system,
 )
 from valim.valuation import TabulatedSetFunction, _scale
+
+from _oracles import row_loop_valuation
 
 KINDS = ("space", "weights", "table", "map", "prefix", "poset", "valued",
          "valued-poset", "product")
@@ -262,3 +264,89 @@ def test_document_tables_read_as_the_public_constructor_builds(seed):
                 argv, (Document("valuation", public), text))
     finally:
         os.unlink(path)
+
+
+# one fault per kind, put into a table row
+ROW_FAULTS = {
+    "row type": lambda row: ["open", "value"],
+    "no open": lambda row: {"value": row["value"]},
+    "open type": lambda row: {**row, "open": "x0"},
+    "label": lambda row: {**row, "open": row["open"] + ["zap"]},
+    "label type": lambda row: {**row, "open": [["x0"]] + row["open"]},
+    "no value": lambda row: {"open": row["open"]},
+    "value type": lambda row: {**row, "value": 0.5},
+    "weight": lambda row: {**row, "value": "1/0"},
+}
+
+
+def special_table(case, rng) -> tuple:
+    """(text, text with only the first fault) for a lawful table document
+    made special by case; the second is None but for two faults."""
+    obj = json.loads(base_document("table", rng))
+    rows = obj["table"]
+    first = None
+    if case == "repeat":
+        row = rng.choice([r for r in rows if r["open"]])
+        row["open"].insert(rng.randrange(len(row["open"]) + 1),
+                           rng.choice(row["open"]))
+    elif case == "long":
+        digits = "".join(rng.choice("123456789") for _ in range(5000))
+        rng.choice(rows)["value"] = rng.choice(
+            (digits, f"1/{digits}", f"{digits}/7"))
+    elif case == "spelled":
+        for row in rows:
+            row["value"] = rng.choice(("0/5", "inf", row["value"]))
+    elif case == "empty":
+        rows.clear()
+    else:
+        i, j = sorted(rng.sample(range(len(rows)), 2))
+        kind_i, kind_j = rng.sample(sorted(ROW_FAULTS), 2)
+        rows[i] = ROW_FAULTS[kind_i](rows[i])
+        first = json.dumps(obj)
+        rows[j] = ROW_FAULTS[kind_j](rows[j])
+    return json.dumps(obj), first
+
+
+def table_texts():
+    mutated = st.builds(
+        lambda seed, count: (mutate(base_document(
+            "table", random.Random(seed)), random.Random(seed + 1), count),
+            None),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=3))
+    special = st.builds(
+        lambda case, seed: special_table(case, random.Random(seed)),
+        st.sampled_from(("repeat", "long", "spelled", "empty", "two faults")),
+        st.integers(min_value=0, max_value=10_000))
+    return st.one_of(mutated, special)
+
+
+def _outcome(text):
+    """A table's masks and scaled integers, another loaded value, or the
+    refusal's type and text."""
+    try:
+        value = loads(text).value
+    except ValimError as err:
+        return type(err), str(err)
+    if isinstance(value, TabulatedSetFunction):
+        return value.masks, value._scaled
+    return value
+
+
+@given(table_texts())
+@settings(max_examples=250, deadline=None)
+def test_tables_read_by_column_as_the_row_loop_reads_them(texts):
+    text, first_fault_only = texts
+    with mock.patch("valim.documents._parse_valuation", row_loop_valuation):
+        want = _outcome(text)
+    rows_read = []
+    with mock.patch(
+            "valim.documents._first_bad_row",
+            lambda *args: rows_read.append(args) or _first_bad_row(*args)):
+        got = _outcome(text)
+    assert got == want
+    if isinstance(want, tuple) and isinstance(want[0], tuple):
+        # a table loaded: no row was read one at a time
+        assert rows_read == []
+    if first_fault_only is not None:
+        assert got == _outcome(first_fault_only)

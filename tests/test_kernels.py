@@ -111,20 +111,50 @@ def listing_calls(monkeypatch):
     return calls
 
 
+def memo_overflows(monkeypatch):
+    """One entry for every count that ran out of memo from now on."""
+    overflows = []
+
+    class Spy(_kernels._MemoFull):
+        def __init__(self):
+            overflows.append(1)
+
+    monkeypatch.setattr(_kernels, "_MemoFull", Spy)
+    return overflows
+
+
 def test_count_upsets_lists_past_its_memo_bound(monkeypatch):
-    # 16 points, 374 up-sets: at a cap near 374 the memo has room for
-    # 23 sets, more than one per point, and runs out on the way; the
+    # 12 points, 424 up-sets: at a cap near 424 the memo has room for
+    # 26 sets, more than two per point, and runs out on the way; the
     # count then lists, with the same answer
-    sp = rand_poset(random.Random(4), 16, 0.2)
+    sp = rand_poset(random.Random(115), 12, 0.2)
     total = len(enumerate_upsets(sp.up, sp.n, 1 << 20))
-    assert total == 374
+    assert total == 424
     calls = listing_calls(monkeypatch)
+    overflows = memo_overflows(monkeypatch)
     assert count_upsets(sp.up, sp.n, total) == total
     assert count_upsets(sp.up, sp.n, total - 1) is None
-    assert calls == [16, 16]
+    assert (calls, overflows) == ([12, 12], [1, 1])
     # at a cap of 2^20 the memo has room and nothing is listed
     assert count_upsets(sp.up, sp.n, 1 << 20) == total
-    assert calls == [16, 16]
+    assert (calls, overflows) == ([12, 12], [1, 1])
+
+
+def test_count_upsets_lists_a_small_cap_at_once(monkeypatch):
+    # 11 points, 416 up-sets, and a cap of half that: the memo would
+    # have room for 13 sets, under two per point, and would run out, so
+    # the count lists at once
+    sp = rand_poset(random.Random(0), 11, 0.2)
+    total = len(enumerate_upsets(sp.up, sp.n, 1 << 20))
+    assert total == 416
+    calls = listing_calls(monkeypatch)
+    overflows = memo_overflows(monkeypatch)
+    assert count_upsets(sp.up, sp.n, total // 2) is None
+    # 16 points, 374 up-sets: room for 23 sets at a cap near 374
+    sp = rand_poset(random.Random(4), 16, 0.2)
+    assert count_upsets(sp.up, sp.n, 374) == 374
+    assert count_upsets(sp.up, sp.n, 373) is None
+    assert (calls, overflows) == ([11, 16, 16], [])
 
 
 def chain_up(n):
@@ -137,10 +167,10 @@ def test_count_upsets_lists_past_its_depth(monkeypatch):
     # room in the memo either way
     calls = listing_calls(monkeypatch)
     n = _COUNT_DEPTH
-    assert count_upsets(chain_up(n), n, 10_000) == n + 1
+    assert count_upsets(chain_up(n), n, 20_000) == n + 1
     assert calls == []
     n += 1
-    assert count_upsets(chain_up(n), n, 10_000) == n + 1
+    assert count_upsets(chain_up(n), n, 20_000) == n + 1
     assert calls == [n]
 
 
