@@ -6,8 +6,12 @@ Three routes onto the limit of a compatible valued system:
   marginals transport directly to the thread space and the value of any
   limit open stabilizes along the index order.
 * prohorov_limit: the tight route; an outer set function on the compact
-  saturated subsets of the limit is squeezed from the marginals, inner
-  regularized, and certified as a valuation with the right pushforwards.
+  saturated subsets of the limit is squeezed from the marginals.  On a
+  materialized limit it is the top marginal carried to the limit
+  whenever the top projection is the identity and every projection
+  pushes that marginal onto its own weight for weight, so no walk or
+  certificate runs; otherwise it is inner regularized and certified as
+  a valuation with the right pushforwards.
 * product valuations: a compatible family of marginals over the finite
   subsets of a factor list extends to the full product.  Pointed factors
   support this directly (dropping coordinates is a projection whose
@@ -131,9 +135,11 @@ class LimitValuation:
     route records how it was obtained ("ep" or "tight"); either way
     pushing along any projection reproduces the marginal at that index,
     so a cylinder is worth exactly its base's value at its own level.
-    The tight route additionally carries its certificate: the outer set
-    function mu on the up-sets of the limit and the realizing compact
-    witness per (index, open).
+    The tight route also carries its tightness report's mu, the outer
+    set function on the up-sets of the limit (the valuation's own table
+    there whenever the top-marginal theorem applied), and its witnesses
+    mapping, the realizing compact witness per (index, open), found
+    when first read.
     """
 
     source: ValuedSystem
@@ -156,10 +162,15 @@ class LimitValuation:
         return direct
 
 
+def _top_index(sys):
+    """A finite directed index set's top; a chain's last index."""
+    return sys.top_index() if sys.kind == "poset" else sys.last
+
+
 def marginal_family_from_joint(sys, joint: Valuation) -> ValuedSystem:
     """The compatible family obtained by pushing a top-level valuation
     down every bond.  Compatible by functoriality of pushforward."""
-    top = sys.top_index() if sys.kind == "poset" else sys.last
+    top = _top_index(sys)
     if joint.space != sys.space(top):
         raise ValimError("joint valuation must live on the top space")
     down = _bonds_to(sys, top)
@@ -170,9 +181,35 @@ def marginal_family_from_joint(sys, joint: Valuation) -> ValuedSystem:
 def _ep_valuation(vs: ValuedSystem, limit: LimitSpace) -> Valuation:
     """The ep route's limit valuation: a materialized carrier is the top
     space in thread clothing, so the top marginal transports verbatim."""
-    sys = vs.system
-    top = sys.top_index() if sys.kind == "poset" else sys.last
-    return Valuation(limit.space, vs.val(top).weights)
+    return Valuation(limit.space, vs.val(_top_index(vs.system)).weights)
+
+
+def _top_marginal(vs: ValuedSystem, limit: LimitSpace):
+    """_ep_valuation(vs, limit), nu_L, when the premises of the
+    top-marginal theorem hold on limit, else None.  With t the top index:
+
+    * (P1) limit.projection(t) is the identity and the limit carries
+      X_t's order (limit.space.up == X_t.up);
+    * (P2) at every index i, limit.projection(i) is a map from the limit
+      to X_i along which nu_L pushes to nu_i weight for weight
+      (_pushes_to).
+
+    Both are checked on the limit as given, whoever built it, in
+    O(points x levels).  The theorem is in uniform_tightness_check's
+    docstring."""
+    sys, space = vs.system, limit.space
+    top = _top_index(sys)
+    xt = sys.space(top)
+    if space.up != xt.up or limit.projection(top).graph != tuple(
+            range(xt.n)):
+        return None
+    nu = _ep_valuation(vs, limit)
+    for i in sys.indices():
+        f = limit.projection(i)
+        if not (f.source == space and f.target == sys.space(i)
+                and _pushes_to(f, nu, vs.val(i))):
+            return None
+    return nu
 
 
 def _assert_marginals(lv: LimitValuation):
@@ -213,10 +250,11 @@ def ep_limit_valuation(vs: ValuedSystem,
 
     So a cylinder is worth its base's value at its own level, which makes
     evaluation exact.  tests/test_limit_oracles.py checks the theorem
-    against the per-open oracle.  The limit's opens are still listed
-    under max_opens, as a size guard (SizeLimit past it, found by
-    counting: FiniteSpace.open_masks); the list is cached on the limit
-    space for callers that compare over every open.
+    against the per-open oracle.  The limit's opens are counted, not
+    listed, under max_opens, as a size guard (SizeLimit past it:
+    FiniteSpace._opens_past); nothing is cached on the limit space, and
+    a caller that compares over every open lists them itself
+    (FiniteSpace.open_masks).
     """
     check_compatibility(vs)
     # check_ep_system runs check_system first, so the bond laws are
@@ -230,8 +268,8 @@ def _ep_limit(vs: ValuedSystem, max_points, max_opens) -> LimitValuation:
     and ep laws hold, by a check or by construction.  max_opens=None
     skips the size guard."""
     limit = _materialize(vs.system, max_points)
-    if max_opens is not None:
-        limit.space.open_masks(max_opens)
+    if max_opens is not None and limit.space._opens_past(max_opens):
+        raise SizeLimit("open lattice", max_opens)
     return LimitValuation(vs, limit, _ep_valuation(vs, limit), "ep")
 
 
@@ -323,7 +361,7 @@ def pointed_product_valuation(spaces, marginals,
     coordinate-dropping bonds compose and are ep by construction, so
     check_system and check_ep_system would only re-prove that, and the
     limit law holds by ep_limit_valuation's theorem.  The product's opens
-    are listed under max_opens, as ep_limit_valuation's size guard.
+    are counted under max_opens, as ep_limit_valuation's size guard.
     """
     spaces = tuple(spaces)
     for pos, sp in enumerate(spaces):
@@ -631,24 +669,44 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
     For every index i and open U at i, every rational way below the
     marginal value of U (it is enough to scan 0 and the attained table
     values) must be carried by some up-set Q of the limit whose
-    saturated projection lands in U; equivalently, the supremum of mu
-    over such Q must reach the marginal value, and the projection of the
-    inner regularization of mu must reproduce every marginal.
+    saturated projection lands in U; mu(Q) is the least marginal value
+    of Q's saturated projections, so the supremum of mu over such Q must
+    reach the marginal value.  That supremum is mu(q*) for
+    q* = p_i^-1(U), the upper adjoint of the saturated image (Abramsky
+    and Jung, Domain Theory, 3.1): up(p_i(Q)) is inside U exactly when
+    Q is inside q*, as U is an up-set; so the Q in question are the
+    up-sets inside q*, q* among them, and mu, a minimum of monotone
+    functions, is largest at q*.
 
-    That supremum is mu(q*) for q* = p_i^-1(U), the upper adjoint of the
-    saturated image (Abramsky and Jung, Domain Theory, 3.1):
-    up(p_i(Q)) is inside U exactly when Q is inside q*, as U is an
-    up-set; so the Q in question are the up-sets inside q*, q* among
-    them, and mu, a minimum of monotone functions, is largest at q*.
-    The check therefore compares, index by index, the column mu(q*)
-    with the marginal column, and the first open where they differ is
-    the failure.  mu and the marginal values are compared as integers on
-    one common scale, and the saturated projections (for mu) and the
-    preimages (for q*) are unions of the images of single points
-    (_kernels.union_map).  report.mu holds those integers and decodes
-    its values on read; only a failure is built as ExtRat here.  The
-    first Q realizing each supremum is a witness, found only when
-    report.witnesses is read (UniformTightnessWitnesses).
+    On a materialized limit a theorem decides the test.  Let t be the
+    top index and nu_L the top marginal carried to the limit
+    (_ep_valuation), and suppose (P1) p_t is the identity and the limit
+    carries X_t's order, and (P2) every p_i pushes nu_L to nu_i weight
+    for weight (_top_marginal checks both on the limit as given).  For
+    an up-set Q of the limit, Q lies inside p_i^-1(up p_i(Q)), so by P2
+    nu_i(up p_i(Q)) = nu_L(p_i^-1(up p_i(Q))) >= nu_L(Q), with equality
+    at i = t, where up p_t(Q) = Q by P1.  So mu = nu_L on every up-set,
+    and mu(q*) = nu_L(p_i^-1 U) = nu_i(U) at every open: the verdict is
+    True, with no failure, and mu is one column, nu_L's scaled weights
+    summed over the limit's opens (_kernels.eval_weights).  The limit's
+    opens are listed; each level's are only counted against max_opens
+    (FiniteSpace._opens_past), as no column runs there.  The paper's
+    Prohorov theorem has content for infinite index sets (LazyChain),
+    which no materialized limit reaches.
+
+    Where P1 or P2 fails (an incompatible family, finite weights that an
+    infinite weight masks, a limit built by hand with other
+    projections), the column walk decides: mu is the least of the
+    indices' saturated-projection columns, each index's column mu(q*)
+    is compared with its marginal column, and the first open where they
+    differ is the failure.  mu and the marginal values are compared as
+    integers on one common scale, and the saturated projections (for
+    mu) and the preimages (for q*) are unions of the images of single
+    points (_kernels.union_map).  Either way report.mu holds those
+    integers and decodes its values on read; only a failure is built as
+    ExtRat here.  The first Q realizing each supremum is a witness,
+    found only when report.witnesses is read
+    (UniformTightnessWitnesses).
 
     Compatibility of vs is a precondition, not re-verified here: the
     check is meaningful (and fails honestly) on engineered families,
@@ -669,23 +727,41 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
     # marginal values compare as integers (inf is infinity)
     den, ints = _scale(tuple(w for i in idxs for w in vs.val(i).weights))
     level_ints = {}
-    mu_keys = None
     start = 0
     for i in idxs:
         n = sys.space(i).n
         level_ints[i] = ints[start:start + n]
         start += n
-        col = _kernels.eval_weights(level_ints[i],
-                                    _saturated_images(limit, i, qmasks))
+    if _top_marginal(vs, limit) is None:
+        mu, failure = _tightness_walk(vs, limit, qmasks, den, level_ints,
+                                      max_opens)
+    else:
+        if any(sys.space(i)._opens_past(max_opens) for i in idxs):
+            raise SizeLimit("open lattice", max_opens)
+        top_col = _kernels.eval_weights(level_ints[_top_index(sys)], qmasks)
+        mu = TabulatedSetFunction._from_scaled(
+            limit.space, tuple(qmasks), den, tuple(top_col), "upsets")
+        failure = None
+    witnesses = UniformTightnessWitnesses(limit, mu, failure, max_opens)
+    return UniformTightnessReport(sys, limit, mu, failure is None,
+                                  witnesses, failure, inf in ints)
+
+
+def _tightness_walk(vs, limit, qmasks, den, level_ints, max_opens) -> tuple:
+    """(mu, failure) of uniform_tightness_check by the column walk, with
+    level_ints[i] index i's weights on the common scale den."""
+    sys = vs.system
+    mu_keys = None
+    for i, ints in level_ints.items():
+        col = _kernels.eval_weights(ints, _saturated_images(limit, i, qmasks))
         mu_keys = col if mu_keys is None else list(map(min, mu_keys, col))
     mu = TabulatedSetFunction._from_scaled(limit.space, tuple(qmasks), den,
                                            tuple(mu_keys), "upsets")
     row = mu._index
-    failure = None
-    for i in idxs:
+    for i, ints in level_ints.items():
         xi = sys.space(i)
         opens_i = xi.open_masks(max_opens)
-        raw = _kernels.eval_weights(level_ints[i], opens_i)
+        raw = _kernels.eval_weights(ints, opens_i)
         # q* for every open: the union of the fibres of p_i over its points
         fibres = [0] * xi.n
         for t, x in enumerate(limit.projection(i).graph):
@@ -707,11 +783,8 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
                 gap = ExtRat((best.frac + target.frac) / 2)
             else:
                 gap = ExtRat(best.frac + 1)
-        failure = (i, opens_i[k], gap)
-        break
-    witnesses = UniformTightnessWitnesses(limit, mu, failure, max_opens)
-    return UniformTightnessReport(sys, limit, mu, failure is None,
-                                  witnesses, failure, inf in ints)
+        return mu, (i, opens_i[k], gap)
+    return mu, None
 
 
 def _rationals(raw, den) -> list:
@@ -726,15 +799,37 @@ def prohorov_limit(vs: ValuedSystem, report: UniformTightnessReport = None,
     """Limit valuation by the tight route.
 
     Verifies compatibility and uniform tightness (NotUniformlyTight on
-    failure; a precomputed report is accepted).  The inner regularization
-    of the outer set function mu is certified as a valuation by the full
-    axiom check, its marginals are verified to reproduce the family, and
-    the output is asserted equal to the top marginal transported to the
-    limit, the ep route's valuation: on a materialized limit the top
-    projection is the identity, so that is the only candidate, ep bonds
-    or not (there is only one limit valuation to find).  The result is
-    tight without a check: every table check_valuation accepts passes
-    nu_bullet's cover check, so the composite reproduces it (is_tight).
+    failure; a precomputed report is accepted).  On a materialized limit
+    there is only one limit valuation to find: the top projection is the
+    identity, so the top marginal carried to the limit, nu_L
+    (_ep_valuation), is the only candidate, ep bonds or not.  The result
+    is nu_L, returned without a re-check, when
+
+    * (P1)-(P2) of uniform_tightness_check hold for vs on report.limit
+      (_top_marginal): p_t is the identity on X_t's order, and every
+      p_i pushes nu_L to nu_i weight for weight;
+    * (P3) nu_L has no infinite weight;
+    * (P4) report.mu is nu_L's table on the limit's opens, listed in
+      (size, mask) order on nu_L's scale.
+
+    Then the full certificate would pass and return nu_L: mu_circ(mu)
+    is mu, as nu_L is monotone and the best value over the up-sets
+    inside an open is its own; check_valuation inverts that table to
+    nu_L's weights, as no infinite weight shadows another (P3); every
+    marginal pushes to nu_i (P2); and the comparison with nu_L agrees.
+    The result is tight without a check: every table check_valuation
+    accepts passes nu_bullet's cover check, so the composite reproduces
+    it (is_tight).
+
+    Otherwise that certificate runs in full: the inner regularization of
+    mu (mu_circ) is certified as a valuation by the full axiom check
+    (check_valuation), so a shadowing infinity is refused as NotSimple;
+    its marginals are verified to reproduce the family
+    (LimitLawViolation "marginal"), and it is compared with nu_L
+    (LimitLawViolation "uniqueness").  That covers a report for another
+    family, a hand-built report or limit, and a family the walk passed
+    without P2.  Either way the limit's lattice is listed under
+    max_opens (SizeLimit past it).
 
     verify_compatibility=False lets a deliberately broken family through
     to the tightness stage, where it fails as NotUniformlyTight instead
@@ -750,6 +845,10 @@ def prohorov_limit(vs: ValuedSystem, report: UniformTightnessReport = None,
         i, u, r = report.failure
         raise NotUniformlyTight(i, vs.system.space(i).points_of(u), r)
     limit = report.limit
+    nu = _reported_top_marginal(vs, report, max_opens)
+    if nu is not None:
+        return LimitValuation(vs, limit, nu, "tight", report.mu,
+                              report.witnesses)
     inner = mu_circ(report.mu, max_opens)
     nu = check_valuation(inner, max_opens)
     lv = LimitValuation(vs, limit, nu, "tight", report.mu, report.witnesses)
@@ -758,6 +857,26 @@ def prohorov_limit(vs: ValuedSystem, report: UniformTightnessReport = None,
     if w is not None:
         raise LimitLawViolation("uniqueness", w.members)
     return lv
+
+
+def _reported_top_marginal(vs, report, max_opens):
+    """nu_L when (P1)-(P4) of prohorov_limit hold for vs and report,
+    else None.  The limit's lattice is listed first, so its SizeLimit is
+    the one mu_circ would raise."""
+    limit, mu = report.limit, report.mu
+    if mu.space != limit.space:
+        return None
+    opens = limit.space.open_masks(max_opens)
+    if mu.masks != tuple(opens):
+        return None
+    nu = _top_marginal(vs, limit)
+    if nu is None:
+        return None
+    den, ints = nu._scaled
+    if inf in ints or mu._scaled != (
+            den, tuple(_kernels.eval_weights(ints, opens))):
+        return None
+    return nu
 
 
 @dataclass(frozen=True)

@@ -8,20 +8,32 @@ places at once.
 
 from fractions import Fraction
 from math import inf, lcm
+from operator import ne
 
 from valim import (
     AxiomViolation,
     ExtRat,
     FiniteSpace,
     LimitLawViolation,
+    LimitValuation,
     NotSimple,
     NotSupported,
+    NotUniformlyTight,
+    UniformTightnessReport,
+    UniformTightnessWitnesses,
     UpSet,
     ValimError,
     Valuation,
+    check_compatibility,
+    check_valuation,
+    first_differing_open,
+    image_valuation,
+    materialize_limit,
+    mu_circ,
     subspace,
     upper_adjoint,
 )
+from valim import _kernels
 from valim.documents import (
     _parse_space,
     _parse_weights,
@@ -30,7 +42,14 @@ from valim.documents import (
 )
 from valim.errors import BadDocument
 from valim.extreal import INF, ZERO, inf_of, sup_of, way_below
-from valim.valuation import TabulatedSetFunction
+from valim.order import DEFAULT_MAX_OPENS, DEFAULT_MAX_POINTS
+from valim.valuation import (
+    TabulatedSetFunction,
+    _ext,
+    _first_difference,
+    _pushes_to,
+    _scale,
+)
 
 
 def all_upsets(space: FiniteSpace):
@@ -521,3 +540,106 @@ def row_loop_valuation(obj):
     ints = tuple([inf if n == inf else n * (den // d)
                   for n, d in zip(nums, dens)])
     return TabulatedSetFunction._from_scaled(space, tuple(masks), den, ints)
+
+
+# --- the tight route as it ran before the top-marginal theorem ----------
+#
+# uniform_tightness_check and prohorov_limit used to decide every family
+# by the column walk and certify every limit by the full axiom check.
+# These are those two functions, kept whole, so that the shortcut can be
+# compared with them on any input, broken ones and misuse included.
+
+
+def _walk_saturated_images(limit, i, masks):
+    up = limit.system.space(i).up
+    return _kernels.union_map([up[x] for x in limit.projection(i).graph],
+                              masks, limit.space.n)
+
+
+def walked_uniform_tightness_check(vs, supplier=None, limit=None,
+                                   max_points=DEFAULT_MAX_POINTS,
+                                   max_opens=DEFAULT_MAX_OPENS):
+    """uniform_tightness_check by the column walk at every index: mu is
+    the least column of saturated-image values, and each open U at each
+    index is decided at its preimage p_i^-1(U)."""
+    sys = vs.system
+    if limit is None:
+        limit = materialize_limit(sys, max_points)
+    idxs = list(sys.indices())
+    qmasks = limit.space.open_masks(max_opens)
+    den, ints = _scale(tuple(w for i in idxs for w in vs.val(i).weights))
+    level_ints = {}
+    mu_keys = None
+    start = 0
+    for i in idxs:
+        n = sys.space(i).n
+        level_ints[i] = ints[start:start + n]
+        start += n
+        col = _kernels.eval_weights(level_ints[i],
+                                    _walk_saturated_images(limit, i, qmasks))
+        mu_keys = col if mu_keys is None else list(map(min, mu_keys, col))
+    mu = TabulatedSetFunction._from_scaled(limit.space, tuple(qmasks), den,
+                                           tuple(mu_keys), "upsets")
+    row = mu._index
+    failure = None
+    for i in idxs:
+        xi = sys.space(i)
+        opens_i = xi.open_masks(max_opens)
+        raw = _kernels.eval_weights(level_ints[i], opens_i)
+        fibres = [0] * xi.n
+        for t, x in enumerate(limit.projection(i).graph):
+            fibres[x] |= 1 << t
+        sups = [mu_keys[row[q]]
+                for q in _kernels.union_map(fibres, opens_i, xi.n)]
+        k = _first_difference(sups, raw, ne)
+        if k == len(raw):
+            continue
+        best, target = _ext(sups[k], den), _ext(raw[k], den)
+        rationals = sorted({ZERO} | {_ext(v, den) for v in set(raw)})
+        gap = next((r for r in reversed(rationals)
+                    if way_below(r, target) and r > best), None)
+        if gap is None:
+            if target.is_finite:
+                gap = ExtRat((best.frac + target.frac) / 2)
+            else:
+                gap = ExtRat(best.frac + 1)
+        failure = (i, opens_i[k], gap)
+        break
+    witnesses = UniformTightnessWitnesses(limit, mu, failure, max_opens)
+    return UniformTightnessReport(sys, limit, mu, failure is None,
+                                  witnesses, failure, inf in ints)
+
+
+def checked_prohorov_limit(vs, report=None, max_points=DEFAULT_MAX_POINTS,
+                           max_opens=DEFAULT_MAX_OPENS,
+                           verify_compatibility=True):
+    """prohorov_limit with the whole certificate: mu_circ of the report's
+    mu, check_valuation of that, every marginal compared (the first
+    differing open where scaled weights differ), and the result compared
+    with the top marginal carried to the limit."""
+    if verify_compatibility:
+        check_compatibility(vs)
+    if report is None:
+        report = walked_uniform_tightness_check(vs, None, None, max_points,
+                                                max_opens)
+    if not report.verdict:
+        i, u, r = report.failure
+        raise NotUniformlyTight(i, vs.system.space(i).points_of(u), r)
+    limit = report.limit
+    inner = mu_circ(report.mu, max_opens)
+    nu = check_valuation(inner, max_opens)
+    lv = LimitValuation(vs, limit, nu, "tight", report.mu, report.witnesses)
+    for i in vs.system.indices():
+        nu_i = vs.val(i)
+        if _pushes_to(limit.projection(i), nu, nu_i):
+            continue
+        w = first_differing_open(image_valuation(limit.projection(i), nu),
+                                 nu_i)
+        if w is not None:
+            raise LimitLawViolation("marginal", (i, w.members))
+    sys = vs.system
+    top = sys.top_index() if sys.kind == "poset" else sys.last
+    w = first_differing_open(nu, Valuation(limit.space, vs.val(top).weights))
+    if w is not None:
+        raise LimitLawViolation("uniqueness", w.members)
+    return lv
