@@ -195,8 +195,8 @@ def _top_marginal(vs: ValuedSystem, limit: LimitSpace):
       (_pushes_to).
 
     Both are checked on the limit as given, whoever built it, in
-    O(points x levels).  The theorem is in uniform_tightness_check's
-    docstring."""
+    O(points x levels).  P2 holds at t by P1, as nu_L has nu_t's
+    weights.  The theorem is in uniform_tightness_check's docstring."""
     sys, space = vs.system, limit.space
     top = _top_index(sys)
     xt = sys.space(top)
@@ -205,8 +205,12 @@ def _top_marginal(vs: ValuedSystem, limit: LimitSpace):
         return None
     nu = _ep_valuation(vs, limit)
     for i in sys.indices():
-        f = limit.projection(i)
-        if not (f.source == space and f.target == sys.space(i)
+        if i == top:
+            continue
+        f, xi = limit.projection(i), sys.space(i)
+        # identity first, as == compares the spaces' tables
+        if not ((f.source is space or f.source == space)
+                and (f.target is xi or f.target == xi)
                 and _pushes_to(f, nu, vs.val(i))):
             return None
     return nu
@@ -864,7 +868,7 @@ def _reported_top_marginal(vs, report, max_opens):
     else None.  The limit's lattice is listed first, so its SizeLimit is
     the one mu_circ would raise."""
     limit, mu = report.limit, report.mu
-    if mu.space != limit.space:
+    if mu.space is not limit.space and mu.space != limit.space:
         return None
     opens = limit.space.open_masks(max_opens)
     if mu.masks != tuple(opens):

@@ -3,7 +3,9 @@
 Everything here is written the slow, obvious way on purpose: filter all
 2^n subsets, scan all opens, iterate bonds until nothing moves.  Keep
 these independent of the package internals so a bug cannot hide in both
-places at once.
+places at once.  The exception is the tight route at the end: the
+column walk and the full certificate, kept whole on the package's
+kernels, as the reference its shortcut is compared with.
 """
 
 from fractions import Fraction
