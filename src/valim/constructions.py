@@ -662,8 +662,7 @@ def _saturated_images(limit: LimitSpace, i, masks) -> list:
                               masks, limit.space.n)
 
 
-def uniform_tightness_check(vs: ValuedSystem, supplier=None,
-                            limit: LimitSpace = None,
+def uniform_tightness_check(vs: ValuedSystem, limit: LimitSpace = None,
                             max_points: int = DEFAULT_MAX_POINTS,
                             max_opens: int = DEFAULT_MAX_OPENS,
                             ) -> UniformTightnessReport:
@@ -715,12 +714,6 @@ def uniform_tightness_check(vs: ValuedSystem, supplier=None,
     Compatibility of vs is a precondition, not re-verified here: the
     check is meaningful (and fails honestly) on engineered families,
     e.g. nonzero marginals over an empty limit.
-
-    supplier, an (i, U, r) -> CompactFamily such as loccomp_certificate
-    produces, is accepted and never consulted: the thread set of a
-    family it supplies would count only where its saturated projection
-    fits in U, which puts it inside q*, so mu values it no higher than
-    the best the limit's up-sets already reach.
     """
     sys = vs.system
     if limit is None:
@@ -843,8 +836,7 @@ def prohorov_limit(vs: ValuedSystem, report: UniformTightnessReport = None,
     if verify_compatibility:
         check_compatibility(vs)
     if report is None:
-        report = uniform_tightness_check(vs, None, None, max_points,
-                                         max_opens)
+        report = uniform_tightness_check(vs, None, max_points, max_opens)
     if not report.verdict:
         i, u, r = report.failure
         raise NotUniformlyTight(i, vs.system.space(i).points_of(u), r)
@@ -902,13 +894,6 @@ class LocCompCertificate:
     level_floor: ExtRat
     mu_value: ExtRat | None
 
-    def as_supplier(self):
-        """Adapt to the (i, U, r) -> CompactFamily shape
-        uniform_tightness_check consults."""
-        def supply(i, u, r):
-            return self.family
-        return supply
-
 
 def loccomp_certificate(vs: ValuedSystem, i, u: UpSet, r,
                         max_points: int = DEFAULT_MAX_POINTS,
@@ -924,8 +909,7 @@ def loccomp_certificate(vs: ValuedSystem, i, u: UpSet, r,
     ties broken by lowest mask; it propagates through the system upward
     by preimage and downward by saturated image (through the top for a
     branching index, which keeps the family matched).  The family is
-    verified and feeds find_dominating_level and the tightness check
-    directly.
+    verified and feeds find_dominating_level directly.
     """
     sys = vs.system
     nu_i = vs.val(i)

@@ -459,11 +459,28 @@ def _compatibility_scan(vs: ValuedSystem):
 
 @dataclass(frozen=True)
 class LimitSpace:
-    """A materialized canonical limit: carrier plus all projections."""
+    """A materialized canonical limit: carrier plus all projections.
+
+    Each projection must map space to its index's space; the spaces are
+    compared by identity first, so a limit _materialize builds is
+    checked in O(levels)."""
 
     system: object
     space: FiniteSpace
     projections: tuple
+
+    def __post_init__(self):
+        sys, space = self.system, self.space
+        idxs = sys.indices()
+        if len(self.projections) != len(idxs):
+            raise ValimError("one projection per index required")
+        for i, f in zip(idxs, self.projections):
+            xi = sys.space(i)
+            if not ((f.source is space or f.source == space)
+                    and (f.target is xi or f.target == xi)):
+                raise ValimError(
+                    f"projection at {i} does not map the limit to the "
+                    f"space at {i}")
 
     def projection(self, i) -> MonotoneMap:
         if self.system.kind == "prefix":

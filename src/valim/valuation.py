@@ -589,26 +589,39 @@ def _as_table(nu, max_opens):
     return nu, lattice
 
 
+def _check_covers(table, opens):
+    """Refuse, with ValimError, a table where some lower cover of an
+    open outweighs that open; opens is the table's open lattice in
+    (size, mask) order.  The tables that pass are the monotone ones, as
+    every up-set inside an open other than itself lies inside a lower
+    cover (_walk_below).  The lower covers of u are the u minus x, x
+    minimal in u: one comprehension per point x, over the opens x is
+    minimal in.  The refusal names no open."""
+    value = dict(zip(table.masks, table._scaled[1]))
+    down = table.space.down
+    for x in range(table.space.n):
+        bit = 1 << x
+        low = down[x]
+        if [u for u in opens
+                if u & low == bit and value[u ^ bit] > value[u]]:
+            raise ValimError("inf over neighborhoods missed the direct value")
+
+
 def nu_bullet(nu, max_opens: int = DEFAULT_MAX_OPENS) -> TabulatedSetFunction:
     """Outer approximation on compact saturated sets.
 
     value(Q) = inf of nu over opens containing Q.  Every up-set of a
     finite space is open, so the inf is attained at Q, and the table's
     own values are returned, exactly when nu is monotone: when no lower
-    cover is worth more than its open (ValimError otherwise).  nu is a
-    Valuation or a table on exactly the open lattice (NotOnLattice;
-    SizeLimit past max_opens).
+    cover is worth more than its open (_check_covers; ValimError
+    otherwise).  A Valuation is monotone, as its weights are
+    non-negative, and is not checked.  nu is a Valuation or a table on
+    exactly the open lattice (NotOnLattice; SizeLimit past max_opens).
     """
     table, opens = _as_table(nu, max_opens)
+    if not isinstance(nu, Valuation):
+        _check_covers(table, opens)
     den, ints = table._scaled
-    key_of = dict(zip(table.masks, ints))
-
-    def check(u, below):
-        own = key_of[u]
-        if any(k > own for k in below):
-            raise ValimError("inf over neighborhoods missed the direct value")
-        return own
-    _walk_below(table.space, opens, check)
     return TabulatedSetFunction._from_scaled(table.space, table.masks, den,
                                              ints, "upsets")
 
@@ -633,24 +646,65 @@ class TightnessWitnesses(Mapping):
     worth at least the rational, for every rational way below the open's
     value.
 
-    Entries are not stored.  The view keeps the open lattice in (size,
-    mask) order, the scaled value at each position, each open's
+    Entries are not stored.  The view keeps the monotone table and its
+    open lattice in (size, mask) order.  Built on first read and kept:
+    the scaled value at each position of the lattice, each open's
     staircase (the positions of the running-max records of the values
-    over the up-sets inside it, the open's own last) and the rationals
-    tried with their scaled values, in the order of the set is_tight
-    builds them in.  A lookup is one bisect on a staircase.  Iteration
-    runs over the opens in order, then the rationals in that order, as
-    a dict filled the same way would; len counts by bisecting the
-    sorted values.
+    over the up-sets inside it, the open's own last; _walk_below) and
+    the rationals tried with their scaled values, in the order of a set
+    filled in table order.  A lookup is one bisect on a staircase.
+    Iteration runs over the opens in order, then the rationals in that
+    order, as a dict filled the same way would; len counts by bisecting
+    the sorted scaled values, and builds neither staircases nor
+    rationals.
     """
 
-    def __init__(self, opens, keys, stairs, ranked, den):
+    def __init__(self, table, opens):
+        self._table = table
         self._opens = opens
-        self._keys = keys
-        self._stairs = stairs
-        self._ranked = ranked
-        self._den = den
-        self._attained = frozenset(ri for _, ri in ranked)
+
+    @cached_property
+    def _keys(self) -> list:
+        # values by position in opens, which is the staircases' order
+        table = self._table
+        ints = table._scaled[1]
+        return [ints[table._index[u]] for u in self._opens]
+
+    @cached_property
+    def _stairs(self) -> dict:
+        keys = self._keys
+        pos = {u: p for p, u in enumerate(self._opens)}
+
+        def records(u, below):
+            # the table is monotone, so the records below end at or
+            # under u's own value
+            stair, top = [], -1
+            for p in sorted(set().union(*below)):
+                if keys[p] > top:
+                    stair.append(p)
+                    top = keys[p]
+            if keys[pos[u]] > top:
+                stair.append(pos[u])
+            return stair
+        return _walk_below(self._table.space, self._opens, records)
+
+    @cached_property
+    def _ranked(self) -> list:
+        # each distinct finite value decoded and hashed once; they join
+        # the set one at a time in table order, as the set's order is
+        # the witnesses' order
+        den, ints = self._table._scaled
+        rationals = {ZERO}
+        rationals.update([_ext(v, den) for v in dict.fromkeys(ints)
+                          if v != inf])
+        return [(r, r.frac.numerator * (den // r.frac.denominator))
+                for r in rationals]
+
+    @cached_property
+    def _attained(self) -> frozenset:
+        # the scaled values of the rationals tried
+        return frozenset([0, *(v for v in self._table._scaled[1]
+                               if v != inf)])
 
     def __getitem__(self, key):
         stair = r = None
@@ -661,7 +715,7 @@ class TightnessWitnesses(Mapping):
             raise KeyError(key)
         # r on the table's scale; a value that is not a multiple of 1/den
         # is not attained
-        den, keys = self._den, self._keys
+        den, keys = self._table._scaled[0], self._keys
         num, d = r.frac.numerator, r.frac.denominator
         ri = num * (den // d)
         if den % d or ri not in self._attained or (
@@ -685,8 +739,9 @@ class TightnessWitnesses(Mapping):
 
     def __len__(self):
         # the zero rational, and every non-zero one below the open's value
-        values = sorted(ri for _, ri in self._ranked if ri)
-        return sum([1 + bisect_left(values, top) for top in self._keys])
+        values = sorted(self._attained - {0})
+        return sum([1 + bisect_left(values, top)
+                    for top in self._table._scaled[1]])
 
     def items(self):
         return _WitnessItems(self)
@@ -738,48 +793,24 @@ def is_tight(nu, max_opens: int = DEFAULT_MAX_OPENS) -> TightnessReport:
     The witness for (U, r) is the first Q inside U, in (size, mask)
     order, with r <= nu(Q): the first step of U's staircase (the
     running-max records of nu over the up-sets inside U) to reach r.
-    U's staircase is its lower covers' merged, then U (_walk_below).
-    The witnesses are served from the staircases (TightnessWitnesses).
+    The witnesses are served from the staircases, built on first read
+    (TightnessWitnesses).
 
-    One walk also decides the composite law, that the inner
-    approximation of the outer approximation reproduces nu.  The walk
-    refuses, with nu_bullet's ValimError, an open worth less than the
-    best record below it; as every up-set inside U other than U lies
-    inside a lower cover, what passes is monotone.  On a monotone table
-    the inf over the opens containing Q is attained at Q (nu_bullet
-    returns the table), the sup over the up-sets inside U at U (mu_circ
-    returns it again), and U's staircase ends at nu(U), so every r way
-    below nu(U) has a witness: verdict and composite_matches hold
-    exactly when nothing is raised.
+    The verdict, and the composite law that the inner approximation of
+    the outer approximation reproduces nu, need no staircase.  A table
+    is refused with nu_bullet's ValimError where some lower cover
+    outweighs an open (_check_covers); a Valuation is monotone as it
+    stands.  On a monotone table the inf over the opens containing Q is
+    attained at Q (nu_bullet returns the table), the sup over the
+    up-sets inside U at U (mu_circ returns it again), and U's staircase
+    ends at nu(U), so every r way below nu(U) has a witness: verdict and
+    composite_matches hold exactly when nothing is raised.
     """
     table, opens = _as_table(nu, max_opens)
-    den, ints = table._scaled
-    # values by position in opens, which is the staircases' order
-    keys = [ints[table._index[u]] for u in opens]
-    pos = {u: p for p, u in enumerate(opens)}
-
-    def records(u, below):
-        stair, top = [], -1
-        for p in sorted(set().union(*below)):
-            if keys[p] > top:
-                stair.append(p)
-                top = keys[p]
-        own = keys[pos[u]]
-        if top > own:
-            raise ValimError("inf over neighborhoods missed the direct value")
-        if own > top:
-            stair.append(pos[u])
-        return stair
-    stairs = _walk_below(table.space, opens, records)
-    # each distinct finite value decoded and hashed once; they join the
-    # set one at a time in table order, as the set's order is the
-    # witnesses' order
-    rationals = {ZERO}
-    rationals.update([_ext(v, den) for v in dict.fromkeys(ints) if v != inf])
-    ranked = [(r, r.frac.numerator * (den // r.frac.denominator))
-              for r in rationals]
-    witnesses = TightnessWitnesses(opens, keys, stairs, ranked, den)
-    return TightnessReport(table.space, True, True, witnesses, None)
+    if not isinstance(nu, Valuation):
+        _check_covers(table, opens)
+    return TightnessReport(table.space, True, True,
+                           TightnessWitnesses(table, opens), None)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,17 @@
 Everything here is written the slow, obvious way on purpose: filter all
 2^n subsets, scan all opens, iterate bonds until nothing moves.  Keep
 these independent of the package internals so a bug cannot hide in both
-places at once.  The exception is the tight route at the end: the
-column walk and the full certificate, kept whole on the package's
-kernels, as the reference its shortcut is compared with.
+places at once.  The exceptions are at the end, kept whole on the
+package's kernels as the references their shortcuts are compared with:
+the tight route's column walk and full certificate, and the eager
+tightness walk on one space.
 """
 
+from bisect import bisect_left
+from collections.abc import Mapping
 from fractions import Fraction
 from math import inf, lcm
-from operator import ne
+from operator import itemgetter, ne
 
 from valim import (
     AxiomViolation,
@@ -21,6 +24,7 @@ from valim import (
     NotSimple,
     NotSupported,
     NotUniformlyTight,
+    TightnessReport,
     UniformTightnessReport,
     UniformTightnessWitnesses,
     UpSet,
@@ -47,10 +51,12 @@ from valim.extreal import INF, ZERO, inf_of, sup_of, way_below
 from valim.order import DEFAULT_MAX_OPENS, DEFAULT_MAX_POINTS
 from valim.valuation import (
     TabulatedSetFunction,
+    _as_table,
     _ext,
     _first_difference,
     _pushes_to,
     _scale,
+    _walk_below,
 )
 
 
@@ -364,8 +370,12 @@ def brute_uniform_tightness(vs, limit, supplier=None):
     mu(Q) is the least marginal value of Q's saturated projections, and
     the witness is where the running max of mu over the up-sets whose
     projection fits the open first stops growing or reaches the open's
-    value.  The supplier and the gap rational are treated as
-    uniform_tightness_check documents them."""
+    value.  Where that max falls short, a supplier's family counts only
+    where its saturated projection fits the open, which puts its thread
+    set inside the open's preimage: it never raises the max, which the
+    tests check against uniform_tightness_check, which takes no
+    supplier.  The gap rational is as uniform_tightness_check documents
+    it."""
     sys = vs.system
     idxs = list(sys.indices())
     qmasks = limit.space.open_masks()
@@ -645,3 +655,105 @@ def checked_prohorov_limit(vs, report=None, max_points=DEFAULT_MAX_POINTS,
     if w is not None:
         raise LimitLawViolation("uniqueness", w.members)
     return lv
+
+
+# --- tightness on one space as it ran before the shared cover check -----
+#
+# nu_bullet refused a table by a walk of the open lattice, and is_tight
+# built every open's witness staircase eagerly, refusing by that same
+# walk, and decoded every distinct value before returning.  These are
+# the two functions and the eager witness view, kept whole.
+
+
+def walked_nu_bullet(nu, max_opens=DEFAULT_MAX_OPENS):
+    """nu_bullet by a walk of the open lattice that compares each open's
+    value with its lower covers' (_walk_below)."""
+    table, opens = _as_table(nu, max_opens)
+    den, ints = table._scaled
+    key_of = dict(zip(table.masks, ints))
+
+    def check(u, below):
+        own = key_of[u]
+        if any(k > own for k in below):
+            raise ValimError("inf over neighborhoods missed the direct value")
+        return own
+    _walk_below(table.space, opens, check)
+    return TabulatedSetFunction._from_scaled(table.space, table.masks, den,
+                                             ints, "upsets")
+
+
+class EagerTightnessWitnesses(Mapping):
+    """TightnessWitnesses as it was: every staircase and every decoded
+    rational built by walked_is_tight before it returns."""
+
+    def __init__(self, opens, keys, stairs, ranked, den):
+        self._opens = opens
+        self._keys = keys
+        self._stairs = stairs
+        self._ranked = ranked
+        self._den = den
+        self._attained = frozenset(ri for _, ri in ranked)
+
+    def __getitem__(self, key):
+        stair = r = None
+        if isinstance(key, tuple) and len(key) == 2:
+            u, r = key
+            stair = self._stairs.get(u)
+        if stair is None or not isinstance(r, ExtRat) or r.frac is None:
+            raise KeyError(key)
+        den, keys = self._den, self._keys
+        num, d = r.frac.numerator, r.frac.denominator
+        ri = num * (den // d)
+        if den % d or ri not in self._attained or (
+                ri and ri >= keys[stair[-1]]):
+            raise KeyError(key)
+        return self._opens[stair[bisect_left(stair, ri,
+                                             key=keys.__getitem__)]]
+
+    def _entries(self, ranked):
+        opens, keys = self._opens, self._keys
+        for u, top, stair in zip(opens, keys, self._stairs.values()):
+            tops = [keys[p] for p in stair]
+            for r, ri in ranked:
+                if ri < top or ri == 0:
+                    yield (u, r), opens[stair[bisect_left(tops, ri)]]
+
+    def __iter__(self):
+        return (key for key, _ in self._entries(self._ranked))
+
+    def __len__(self):
+        values = sorted(ri for _, ri in self._ranked if ri)
+        return sum([1 + bisect_left(values, top) for top in self._keys])
+
+    def ascending(self):
+        return self._entries(sorted(self._ranked, key=itemgetter(1)))
+
+
+def walked_is_tight(nu, max_opens=DEFAULT_MAX_OPENS):
+    """is_tight by one walk that builds each open's staircase from its
+    lower covers' and refuses an open worth less than the best record
+    below it, with nu_bullet's ValimError."""
+    table, opens = _as_table(nu, max_opens)
+    den, ints = table._scaled
+    keys = [ints[table._index[u]] for u in opens]
+    pos = {u: p for p, u in enumerate(opens)}
+
+    def records(u, below):
+        stair, top = [], -1
+        for p in sorted(set().union(*below)):
+            if keys[p] > top:
+                stair.append(p)
+                top = keys[p]
+        own = keys[pos[u]]
+        if top > own:
+            raise ValimError("inf over neighborhoods missed the direct value")
+        if own > top:
+            stair.append(pos[u])
+        return stair
+    stairs = _walk_below(table.space, opens, records)
+    rationals = {ZERO}
+    rationals.update([_ext(v, den) for v in dict.fromkeys(ints) if v != inf])
+    ranked = [(r, r.frac.numerator * (den // r.frac.denominator))
+              for r in rationals]
+    witnesses = EagerTightnessWitnesses(opens, keys, stairs, ranked, den)
+    return TightnessReport(table.space, True, True, witnesses, None)

@@ -51,7 +51,7 @@ from valim.generators import (
     shrinking_injection_chain,
 )
 
-from _oracles import independent_joint
+from _oracles import brute_uniform_tightness, independent_joint
 
 SIER = FiniteSpace(("bot", "top"), (0b11, 0b10))
 ANTI = FiniteSpace(("x", "y"), (0b01, 0b10))
@@ -496,5 +496,11 @@ def test_loccomp_supplier_feeds_uniform_tightness():
     ch = vs.system
     u = UpSet(ch.space(1), 0b11)
     cert = loccomp_certificate(vs, 1, u, frac(1, 2))
-    rep = uniform_tightness_check(vs, supplier=cert.as_supplier())
+    rep = uniform_tightness_check(vs)
     assert rep.verdict
+    # the oracle fed the certificate's family decides as the library,
+    # which takes no supplier: a supplied family never raises mu
+    want = brute_uniform_tightness(vs, rep.limit,
+                                   lambda i, u, r: cert.family)
+    assert (list(rep.mu.values), rep.verdict, dict(rep.witnesses),
+            rep.failure) == want

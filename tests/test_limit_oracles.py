@@ -218,8 +218,10 @@ def test_uniform_tightness_matches_the_oracle_on_broken_families(seed,
     ch = PrefixChain(tuple(spaces), tuple(steps))
     vs = ValuedSystem(ch, tuple(
         rand_valuation(rng, sp, inf_prob=0.1) for sp in spaces))
+    # the oracle with a supplier, the library without: a supplied
+    # family never raises mu's supremum
     supplier = full_supplier(ch) if supply else None
-    rep = uniform_tightness_check(vs, supplier)
+    rep = uniform_tightness_check(vs)
     want = brute_uniform_tightness(vs, rep.limit, supplier)
     assert report_tuple(rep) == want
     if rep.verdict:
@@ -261,15 +263,18 @@ def tight_family(seed, shape, kind):
 def test_uniform_tightness_matches_the_cover_walk(seed, shape, kind,
                                                    supply):
     # the decision at each open's preimage gives what the walk over the
-    # opens at each index gave, with or without a supplier
+    # opens at each index gave, with or without a supplier there
     rng, vs = tight_family(seed, shape, kind)
     supplier = None
     if supply:
         i = rng.choice(list(vs.system.indices()))
         xi = vs.system.space(i)
         u = UpSet(xi, rng.choice(xi.open_masks()))
-        supplier = loccomp_certificate(vs, i, u, ZERO).as_supplier()
-    rep = uniform_tightness_check(vs, supplier)
+        cert = loccomp_certificate(vs, i, u, ZERO)
+
+        def supplier(i, u, r):
+            return cert.family
+    rep = uniform_tightness_check(vs)
     want = walk_uniform_tightness(vs, rep.limit, supplier)
     assert report_tuple(rep) == want
     assert list(rep.witnesses.items()) == list(want[2].items())

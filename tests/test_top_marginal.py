@@ -25,6 +25,7 @@ from valim import (
     MonotoneMap,
     PrefixChain,
     SizeLimit,
+    ValimError,
     Valuation,
     ValuedSystem,
     ep_limit_valuation,
@@ -181,7 +182,7 @@ def assert_same(vs, misuse, verify, rng, limit=None):
              "old": (walked_uniform_tightness_check, checked_prohorov_limit)}
     got = {}
     for side, (check, limit_of) in sides.items():
-        rep = outcome(check, other or vs, None, limit, **check_opts)
+        rep = outcome(check, other or vs, limit=limit, **check_opts)
         if rep[0] == "ok" and misuse == "hand-built report":
             # the same table listed in reverse, its masks reversed under
             # the values (another table), or one value raised
@@ -248,21 +249,28 @@ def test_a_collapsing_top_projection_takes_the_walk():
                          "limit law uniqueness fails at ('b',)")
 
 
-def test_a_projection_off_the_limit_takes_the_walk():
-    # p_0 pushes nu_L onto nu_0 weight for weight, but it is monotone
-    # only from the antichain on the limit's points, not from the limit:
-    # the preimage of up(d) is {a}, no open of the limit, and the walk
-    # cannot look it up
+def test_a_projection_off_the_limit_is_refused():
+    # p_0 would push nu_L onto nu_0 weight for weight, but it is a map
+    # out of the antichain on the limit's points, not out of the limit:
+    # the preimage of up(d) would be {a}, no open of the limit
     chain = FiniteSpace(("a", "b"), (0b11, 0b10))
     anti = FiniteSpace(("a", "b"), (0b01, 0b10))
     low = FiniteSpace(("c", "d"), (0b11, 0b10))
     ch = PrefixChain((low, chain), (MonotoneMap(chain, low, (0, 1)),))
-    vs = marginal_family_from_joint(ch, Valuation(chain, (ONE, ONE)))
     limit = materialize_limit(ch)
-    off = LimitSpace(ch, limit.space, (MonotoneMap(anti, low, (1, 0)),
-                                       limit.projections[1]))
-    got = assert_same(vs, "none", True, random.Random(0), off)
-    assert got[0][:2] == ("raised", KeyError)
+    with pytest.raises(ValimError) as e:
+        LimitSpace(ch, limit.space, (MonotoneMap(anti, low, (1, 0)),
+                                     limit.projections[1]))
+    assert str(e.value) == \
+        "projection at 0 does not map the limit to the space at 0"
+    # and one whose target is not the index's space
+    with pytest.raises(ValimError) as e:
+        LimitSpace(ch, limit.space, (limit.projections[0],
+                                     limit.projections[0]))
+    assert str(e.value) == \
+        "projection at 1 does not map the limit to the space at 1"
+    with pytest.raises(ValimError, match="one projection per index"):
+        LimitSpace(ch, limit.space, limit.projections[:1])
 
 
 def test_a_permuted_top_projection_takes_the_walk():

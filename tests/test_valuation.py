@@ -713,31 +713,41 @@ def test_tightness_witnesses_are_a_read_only_mapping():
     assert list(back.witnesses.items()) == list(witnesses.items())
 
 
-def test_is_tight_walks_once_and_hashes_each_value_once(monkeypatch):
-    # the witnesses are served from the staircases, so no per-entry dict,
-    # keyed by ExtRat, is built
+def test_is_tight_on_a_valuation_builds_witnesses_on_first_read(
+        monkeypatch):
+    # a valuation is monotone as it stands: no cover pass, and nothing of
+    # the witnesses until they are read; then one walk, and each distinct
+    # value decoded and hashed once, with no per-entry dict keyed by
+    # ExtRat
     rng = random.Random(7)
     sp = rand_poset(rng, 7, edge_prob=0.2)
-    table = rand_valuation(rng, sp, inf_prob=0.1).tabulate()
-    walks = []
+    nu = rand_valuation(rng, sp, inf_prob=0.1)
+    calls = {"_check_covers": 0, "_walk_below": 0, "_ext": 0}
     hashes = []
-    real_walk = valuation_module._walk_below
+    for name in calls:
+        def counted(*args, _real=getattr(valuation_module, name),
+                    _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(valuation_module, name, counted)
     real_hash = ExtRat.__hash__
-
-    def counting_walk(*args):
-        walks.append(args[1])
-        return real_walk(*args)
 
     def counting_hash(self):
         hashes.append(self)
         return real_hash(self)
-    monkeypatch.setattr(valuation_module, "_walk_below", counting_walk)
     monkeypatch.setattr(ExtRat, "__hash__", counting_hash)
-    rep = is_tight(table)
-    distinct = len(set(table._scaled[1]))
-    assert len(walks) == 1
-    assert len(hashes) <= distinct + 1
-    assert len(rep.witnesses) > 2 * distinct
+    rep = is_tight(nu)
+    assert calls == {"_check_covers": 0, "_walk_below": 0, "_ext": 0}
+    assert hashes == []
+    distinct = set(nu.tabulate()._scaled[1])
+    items = list(rep.witnesses.items())
+    assert calls["_check_covers"] == 0
+    assert calls["_walk_below"] == 1
+    assert calls["_ext"] <= len(distinct)
+    assert len(hashes) <= len(distinct) + 1
+    assert len(rep.witnesses) == len(items) > 2 * len(distinct)
+    list(rep.witnesses.ascending())
+    assert calls["_walk_below"] == 1
 
 
 def test_local_finiteness_flags_infinite_opens():
