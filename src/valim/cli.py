@@ -291,7 +291,7 @@ def _cmd_product(args) -> int:
               for lab in dk.space.labels),
         dk.space.up,
     )
-    out = Valuation(flat, dk.valuation.weights)
+    out = Valuation._from_scaled(flat, *dk.valuation._scaled)
     rep = _report(
         "product", text, verdict="ok",
         factors=[sp.n for sp in factors],

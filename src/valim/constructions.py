@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from math import inf, prod
+from math import inf, lcm, prod
 from operator import lt, ne
 
 from . import _kernels
@@ -65,7 +65,7 @@ from .valuation import (
     _first_best_below,
     _first_difference,
     _pushes_to,
-    _scale,
+    _same_scaled,
     check_valuation,
     first_differing_open,
     image_valuation,
@@ -181,7 +181,8 @@ def marginal_family_from_joint(sys, joint: Valuation) -> ValuedSystem:
 def _ep_valuation(vs: ValuedSystem, limit: LimitSpace) -> Valuation:
     """The ep route's limit valuation: a materialized carrier is the top
     space in thread clothing, so the top marginal transports verbatim."""
-    return Valuation(limit.space, vs.val(_top_index(vs.system)).weights)
+    return Valuation._from_scaled(limit.space,
+                                  *vs.val(_top_index(vs.system))._scaled)
 
 
 def _top_marginal(vs: ValuedSystem, limit: LimitSpace):
@@ -214,6 +215,25 @@ def _top_marginal(vs: ValuedSystem, limit: LimitSpace):
                 and _pushes_to(f, nu, vs.val(i))):
             return None
     return nu
+
+
+def _check_limit_of(sys, limit: LimitSpace):
+    """ValimError at the first index of sys whose projection in limit is
+    missing or does not land on sys's space there.  A limit of sys itself
+    passes on identity, as LimitSpace checks its projections against its
+    own system."""
+    if limit.system is sys:
+        return
+    for i in sys.indices():
+        xi = sys.space(i)
+        try:
+            target = limit.projection(i).target
+        except IndexError:
+            target = None
+        if not (target is xi or target == xi):
+            raise ValimError(
+                f"the limit's projection at {i} does not land on the "
+                f"space at {i}")
 
 
 def _assert_marginals(lv: LimitValuation):
@@ -511,7 +531,8 @@ def _dk_product(spaces, marginals, max_points, max_opens, validate,
         if big._opens_past(max_opens):
             raise SizeLimit("open lattice", max_opens)
     space = parts.spaces[top]
-    return DkProduct(spaces, subsets, space, Valuation(space, nu.weights),
+    return DkProduct(spaces, subsets, space,
+                     Valuation._from_scaled(space, *nu._scaled),
                      projections, (family, max_points, max_opens, False,
                                    parts))
 
@@ -535,10 +556,12 @@ def _lifted_product(spaces, marginals, max_points, max_opens, validate,
         lifted_prod = lifted_sys.space(i)
         at = _product_index(parts.digits[i], [sizes[p] + 1 for p in s],
                             parts.spaces[i].n)
-        weights = [ZERO] * lifted_prod.n
-        for x, w in zip(at, marginals[s].weights):
+        den, ints = marginals[s]._scaled
+        weights = [0] * lifted_prod.n
+        for x, w in zip(at, ints):
             weights[x] = w
-        lifted_marginals[s] = Valuation(lifted_prod, tuple(weights))
+        lifted_marginals[s] = Valuation._from_scaled(lifted_prod, den,
+                                                     tuple(weights))
     lifted_joint = _pointed_extension(lifted_sys, subsets, lifted_marginals,
                                       max_points, None)
     # the limit carrier is the top space in thread clothing: the thread's
@@ -559,7 +582,7 @@ def _lifted_product(spaces, marginals, max_points, max_opens, validate,
     # the restriction's order under the threads' top components, which
     # are distinct as the top component determines the thread
     space = FiniteSpace._trusted(tuple(lab[top] for lab in rs.labels), rs.up)
-    valuation = Valuation(space, restriction.valuation.weights)
+    valuation = Valuation._from_scaled(space, *restriction.valuation._scaled)
     digits = [[d[t] for t in restriction.inclusion.graph]
               for d in lifted_digits]
     projections = {}
@@ -713,22 +736,25 @@ def uniform_tightness_check(vs: ValuedSystem, limit: LimitSpace = None,
 
     Compatibility of vs is a precondition, not re-verified here: the
     check is meaningful (and fails honestly) on engineered families,
-    e.g. nonzero marginals over an empty limit.
+    e.g. nonzero marginals over an empty limit.  A given limit must have
+    a projection onto vs's space at every index (_check_limit_of:
+    ValimError names the first index where it does not).
     """
     sys = vs.system
     if limit is None:
         limit = materialize_limit(sys, max_points)
+    else:
+        _check_limit_of(sys, limit)
     idxs = list(sys.indices())
     qmasks = limit.space.open_masks(max_opens)
     # one scale for every marginal, so that mu, its witnesses and the
     # marginal values compare as integers (inf is infinity)
-    den, ints = _scale(tuple(w for i in idxs for w in vs.val(i).weights))
-    level_ints = {}
-    start = 0
-    for i in idxs:
-        n = sys.space(i).n
-        level_ints[i] = ints[start:start + n]
-        start += n
+    scaled = [vs.val(i)._scaled for i in idxs]
+    den = lcm(*(d for d, _ in scaled))
+    level_ints = {i: ints if d == den
+                  else tuple([w if w == inf else w * (den // d)
+                              for w in ints])
+                  for i, (d, ints) in zip(idxs, scaled)}
     if _top_marginal(vs, limit) is None:
         mu, failure = _tightness_walk(vs, limit, qmasks, den, level_ints,
                                       max_opens)
@@ -740,8 +766,9 @@ def uniform_tightness_check(vs: ValuedSystem, limit: LimitSpace = None,
             limit.space, tuple(qmasks), den, tuple(top_col), "upsets")
         failure = None
     witnesses = UniformTightnessWitnesses(limit, mu, failure, max_opens)
-    return UniformTightnessReport(sys, limit, mu, failure is None,
-                                  witnesses, failure, inf in ints)
+    return UniformTightnessReport(
+        sys, limit, mu, failure is None, witnesses, failure,
+        any(inf in ints for ints in level_ints.values()))
 
 
 def _tightness_walk(vs, limit, qmasks, den, level_ints, max_opens) -> tuple:
@@ -796,7 +823,8 @@ def prohorov_limit(vs: ValuedSystem, report: UniformTightnessReport = None,
     """Limit valuation by the tight route.
 
     Verifies compatibility and uniform tightness (NotUniformlyTight on
-    failure; a precomputed report is accepted).  On a materialized limit
+    failure; a precomputed report is accepted, when its limit projects
+    onto vs's space at every index: _check_limit_of).  On a materialized limit
     there is only one limit valuation to find: the top projection is the
     identity, so the top marginal carried to the limit, nu_L
     (_ep_valuation), is the only candidate, ep bonds or not.  The result
@@ -837,6 +865,8 @@ def prohorov_limit(vs: ValuedSystem, report: UniformTightnessReport = None,
         check_compatibility(vs)
     if report is None:
         report = uniform_tightness_check(vs, None, max_points, max_opens)
+    else:
+        _check_limit_of(vs.system, report.limit)
     if not report.verdict:
         i, u, r = report.failure
         raise NotUniformlyTight(i, vs.system.space(i).points_of(u), r)
@@ -869,8 +899,8 @@ def _reported_top_marginal(vs, report, max_opens):
     if nu is None:
         return None
     den, ints = nu._scaled
-    if inf in ints or mu._scaled != (
-            den, tuple(_kernels.eval_weights(ints, opens))):
+    if inf in ints or not _same_scaled(
+            den, _kernels.eval_weights(ints, opens), *mu._scaled):
         return None
     return nu
 

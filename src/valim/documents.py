@@ -126,12 +126,13 @@ def _parse_space(obj, where="space") -> FiniteSpace:
         if not isinstance(e, str):
             raise BadDocument(f"{where}: elements must be strings")
     covers = _require(obj, "covers", list, where)
+    known = set(elements)
     pairs = []
     for c in covers:
         if (not isinstance(c, list)) or len(c) != 2 \
                 or not all(isinstance(x, str) for x in c):
             raise BadDocument(f"{where}: covers must be [lower, upper] pairs")
-        if c[0] not in elements or c[1] not in elements:
+        if c[0] not in known or c[1] not in known:
             raise BadDocument(f"{where}: cover {c!r} names a missing element")
         pairs.append((c[0], c[1]))
     try:

@@ -1,9 +1,11 @@
 """Seeded random instances for tests, benchmarks and the gallery.
 
 Everything here takes a random.Random (never the module-level RNG) so
-runs are reproducible from a single seed.  Spaces come out of the full
-axiom checks, not trusted constructions: a generator bug should fail
-loudly at generation time.
+runs are reproducible from a single seed.  Spaces come out of
+check_space, not trusted constructions: a relation that is closed
+transitively there is still checked for antisymmetry, the one law its
+closure can break, and any other relation for every law, so a generator
+bug fails loudly at generation time.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ def rand_weights(rng: Random, n: int, max_den: int = 6,
             out.append(INF)
         else:
             den = rng.randint(1, max_den)
-            out.append(ExtRat(Fraction(rng.randint(0, 2 * den), den)))
+            # a non-negative Fraction, built once
+            out.append(ExtRat._trusted(Fraction(rng.randint(0, 2 * den),
+                                                den)))
     return tuple(out)
 
 

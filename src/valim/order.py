@@ -72,7 +72,8 @@ class FiniteSpace:
     Public construction (FiniteSpace(...), check_space, documents)
     validates the poset laws; spaces derived inside the library from
     spaces that are already valid (products, lifts, subspaces, limit
-    carriers) are built by _trusted without re-checking.
+    carriers), and relations check_space has closed and found
+    antisymmetric, are built by _trusted without re-checking.
     """
 
     labels: tuple
@@ -257,6 +258,14 @@ def check_space(labels, relation, *, reflexive_closure=True,
     to demand explicit (x, x) pairs.  Transitivity is checked, not
     repaired, unless transitive_closure is set.  Raises NotAPoset naming
     the first violated axiom with a witness.
+
+    With transitive_closure the relation is closed on its bit rows
+    (Warshall), and then only antisymmetry can still fail.  In a
+    reflexive, transitive relation, i <= j <= i exactly when rows i and
+    j are equal, so antisymmetry holds when the rows are distinct; the
+    witness is the one FiniteSpace reports, the least point whose row
+    repeats and the next point with that row.  The space is then built
+    without the pair-by-pair re-check (FiniteSpace._trusted).
     """
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
@@ -275,12 +284,16 @@ def check_space(labels, relation, *, reflexive_closure=True,
         for i in range(n):
             if not (up[i] >> i) & 1:
                 raise NotAPoset("reflexivity", labels[i])
-    if transitive_closure:
-        for k in range(n):
-            for i in range(n):
-                if (up[i] >> k) & 1:
-                    up[i] |= up[k]
-    return FiniteSpace(labels, tuple(up))
+    if not transitive_closure:
+        return FiniteSpace(labels, tuple(up))
+    for k in range(n):
+        bit, row = 1 << k, up[k]
+        up = [r | row if r & bit else r for r in up]
+    if len(set(up)) != n:
+        i = next(i for i, r in enumerate(up) if up.count(r) > 1)
+        raise NotAPoset("antisymmetry",
+                        (labels[i], labels[up.index(up[i], i + 1)]))
+    return FiniteSpace._trusted(labels, tuple(up))
 
 
 def space_from_covers(labels, covers) -> FiniteSpace:

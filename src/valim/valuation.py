@@ -9,13 +9,15 @@ validates that inversion on every call; check_valuation accepts a table
 exactly when that inversion succeeds.  Whole-table work and single
 evaluations run on one currency: the values scaled to a common
 denominator as integers, math.inf standing for infinity (see _scale).
-A Valuation caches its weights in that form; evaluate, total and
-image_valuation (_push) sum those integers, and _ext turns one back into
-an ExtRat, built only for results.  Tables the library derives
-(tabulate, nu_bullet, mu_circ, support_check's restriction) and tables
-read from documents are held in that form too
-(TabulatedSetFunction._from_scaled) and decode their values on first
-read; a publicly built table is scaled once, on first use.
+Valuations and tables the library derives rest in that form
+(Valuation._from_scaled: image_valuation, check_valuation, limits,
+products, restrictions; TabulatedSetFunction._from_scaled: tabulate,
+nu_bullet, mu_circ, support_check's restriction, tables read from
+documents) and decode their weights or values on first read, through
+_ext; a publicly built one is scaled once, on first use.  evaluate,
+total and image_valuation (_push) sum those integers, and
+first_differing_mask compares two valuations by one sum of their
+difference, so an ExtRat is built only for a result.
 """
 
 from __future__ import annotations
@@ -107,7 +109,14 @@ class NotSupported(ValimError):
 
 @dataclass(frozen=True)
 class Valuation:
-    """A simple valuation: one ExtRat weight per point."""
+    """A simple valuation: one ExtRat weight per point.
+
+    Public construction validates and stores the given weights;
+    valuations derived inside the library (image_valuation, check_valuation,
+    limits, products, restrictions) are built by _from_scaled from their
+    scaled integers, and decode weights only when they are first read.
+    Either kind pickles in the public form, space and weights.
+    """
 
     space: FiniteSpace
     weights: tuple
@@ -118,6 +127,31 @@ class Valuation:
         for w in self.weights:
             if not isinstance(w, ExtRat):
                 raise ValimError(f"weights must be ExtRat, got {w!r}")
+
+    @classmethod
+    def _from_scaled(cls, space, den, ints) -> "Valuation":
+        """A valuation held as its scaled weights (_scale): ints is a
+        tuple with one entry per point, non-negative by construction;
+        not re-validated."""
+        nu = object.__new__(cls)
+        object.__setattr__(nu, "space", space)
+        object.__setattr__(nu, "_scaled", (den, ints))
+        return nu
+
+    def __getattr__(self, name):
+        # reached only when lookup fails: the weights of a _from_scaled
+        # valuation, decoded on first read and kept
+        if name != "weights" or "_scaled" not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        den, ints = self._scaled
+        weights = tuple([_ext(w, den) for w in ints])
+        object.__setattr__(self, "weights", weights)
+        return weights
+
+    def __getstate__(self):
+        # the public form: no cache travels with a pickle
+        return {"space": self.space, "weights": self.weights}
 
     @classmethod
     def from_dict(cls, space, mapping) -> "Valuation":
@@ -151,10 +185,9 @@ class Valuation:
         return self.evaluate(self.space.full_mask)
 
     def support_points(self) -> tuple:
+        ints = self._scaled[1]
         return tuple(
-            self.space.labels[i]
-            for i in range(self.space.n)
-            if self.weights[i] != ZERO
+            self.space.labels[i] for i in range(self.space.n) if ints[i]
         )
 
     def labels_weights(self):
@@ -404,7 +437,7 @@ def _decompose(table, masks_are_opens) -> Valuation:
     if bad < len(got):
         raise NotSimple("weights do not reproduce the table",
                         space.points_of(table.masks[bad]))
-    return Valuation(space, tuple([_ext(w, den) for w in weights]))
+    return Valuation._from_scaled(space, den, tuple(weights))
 
 
 def image_valuation(f: MonotoneMap, nu: Valuation) -> Valuation:
@@ -412,8 +445,8 @@ def image_valuation(f: MonotoneMap, nu: Valuation) -> Valuation:
     if nu.space != f.source:
         raise ValimError("valuation does not live on the map's source")
     den, ints = nu._scaled
-    out = _push(ints, f.graph, f.target.n)
-    return Valuation(f.target, tuple([_ext(v, den) for v in out]))
+    return Valuation._from_scaled(f.target, den,
+                                  tuple(_push(ints, f.graph, f.target.n)))
 
 
 def _pushes_to(f: MonotoneMap, nu: Valuation, mu: Valuation) -> bool:
@@ -423,15 +456,20 @@ def _pushes_to(f: MonotoneMap, nu: Valuation, mu: Valuation) -> bool:
     mean equal valuations; unequal weights can still agree on every open
     when an infinite weight masks the finite ones below it, which only
     first_differing_open decides."""
-    den_nu, ints = nu._scaled
-    den_mu, target = mu._scaled
-    pushed = _push(ints, f.graph, f.target.n)
-    if den_nu == den_mu:
-        return pushed == list(target)
+    den, ints = nu._scaled
+    return _same_scaled(den, _push(ints, f.graph, f.target.n), *mu._scaled)
+
+
+def _same_scaled(den_a, a, den_b, b) -> bool:
+    """Whether two equally long scaled vectors, on denominators den_a and
+    den_b, hold the same values: each side is cross-multiplied by the
+    other's denominator."""
+    if den_a == den_b:
+        return list(a) == list(b)
     # inf times an int past float range overflows, so inf is compared
     # as itself
-    return all(a == b if a == inf or b == inf else a * den_mu == b * den_nu
-               for a, b in zip(pushed, target))
+    return all(x == y if x == inf or y == inf else x * den_b == y * den_a
+               for x, y in zip(a, b))
 
 
 def restrict_to_open(nu: Valuation, u: UpSet) -> Valuation:
@@ -439,28 +477,39 @@ def restrict_to_open(nu: Valuation, u: UpSet) -> Valuation:
     if nu.space != u.space:
         raise ValimError("open does not live on the valuation's space")
     sub, inclusion = subspace(nu.space, u.mask)
-    weights = tuple(nu.weights[i] for i in inclusion.graph)
-    return Valuation(sub, weights)
+    den, ints = nu._scaled
+    return Valuation._from_scaled(sub, den,
+                                  tuple([ints[i] for i in inclusion.graph]))
 
 
 def first_differing_mask(nu_a: Valuation, nu_b: Valuation, masks):
     """The first of `masks`, in the given order, on which the two
     valuations differ; None when they agree on all of them.
 
-    Both weight vectors are scaled to one denominator (_scale) and every
-    mask is evaluated by one _kernels.eval_weights call per side, so a
-    comparison over the whole open lattice adds no ExtRat.  The masks are
-    taken as given; pass opens, where the values are the valuations'.
+    One _kernels.eval_weights call sums the finite weight difference
+    a - b, cross-multiplied onto one denominator, over every mask, so a
+    comparison over the whole open lattice adds no ExtRat.  Each side's
+    infinite points are kept as a mask: a mask differs when exactly one
+    side has an infinite point in it, or when neither has and the
+    difference sums to non-zero.  The masks are taken as given; pass
+    opens, where the values are the valuations'.  IndexError for a mask
+    with more points than the space.
     """
     if nu_a.space != nu_b.space:
         raise ValimError("valuations live on different spaces")
-    n = nu_a.space.n
-    _, ints = _scale(nu_a.weights + nu_b.weights)
-    values_a = _kernels.eval_weights(ints[:n], masks)
-    values_b = _kernels.eval_weights(ints[n:], masks)
-    if values_a == values_b:
-        return None
-    return next(m for m, a, b in zip(masks, values_a, values_b) if a != b)
+    (den_a, a), (den_b, b) = nu_a._scaled, nu_b._scaled
+    inf_a = sum([1 << i for i, w in enumerate(a) if w == inf])
+    inf_b = sum([1 << i for i, w in enumerate(b) if w == inf])
+    # the difference at an infinite point is never read: the masks that
+    # hold one are decided by the two masks of infinite points
+    sums = _kernels.eval_weights(
+        [0 if x == inf or y == inf else x * den_b - y * den_a
+         for x, y in zip(a, b)], masks)
+    either = inf_a | inf_b
+    if either:
+        sums = [(not m & inf_a) != (not m & inf_b) if m & either else s
+                for m, s in zip(masks, sums)]
+    return next(compress(masks, sums), None)
 
 
 def first_differing_open(nu_a: Valuation, nu_b: Valuation):
@@ -480,7 +529,7 @@ def first_differing_open(nu_a: Valuation, nu_b: Valuation):
     """
     if nu_a.space != nu_b.space:
         raise ValimError("valuations live on different spaces")
-    if nu_a.weights == nu_b.weights:
+    if _same_scaled(*nu_a._scaled, *nu_b._scaled):
         return None
     space = nu_a.space
     candidates = set()
@@ -571,8 +620,8 @@ def support_check(nu: Valuation | TabulatedSetFunction, points,
             mu = TabulatedSetFunction._from_scaled(sub, tuple(traces), den,
                                                    tuple(lo))
             return Restriction(sub, inclusion, mu)
-    weights = tuple(nu.weights[i] for i in inclusion.graph)
-    return Restriction(sub, inclusion, Valuation(sub, weights))
+    return Restriction(sub, inclusion, Valuation._from_scaled(
+        sub, den, tuple([ints[i] for i in inclusion.graph])))
 
 
 def _as_table(nu, max_opens):
@@ -836,8 +885,8 @@ def is_locally_finite(nu: Valuation,
     """
     space = nu.space
     inf_points = 0
-    for i, w in enumerate(nu.weights):
-        if not w.is_finite:
+    for i, w in enumerate(nu._scaled[1]):
+        if w == inf:
             inf_points |= 1 << i
     cond1 = True
     witness = None

@@ -5,8 +5,9 @@ Everything here is written the slow, obvious way on purpose: filter all
 these independent of the package internals so a bug cannot hide in both
 places at once.  The exceptions are at the end, kept whole on the
 package's kernels as the references their shortcuts are compared with:
-the tight route's column walk and full certificate, and the eager
-tightness walk on one space.
+the tight route's column walk and full certificate, the eager
+tightness walk on one space, check_space's pair-by-pair validation of
+a closed relation and the two-column valuation comparison.
 """
 
 from bisect import bisect_left
@@ -20,6 +21,7 @@ from valim import (
     ExtRat,
     FiniteSpace,
     LimitLawViolation,
+    NotAPoset,
     LimitValuation,
     NotSimple,
     NotSupported,
@@ -757,3 +759,56 @@ def walked_is_tight(nu, max_opens=DEFAULT_MAX_OPENS):
               for r in rationals]
     witnesses = EagerTightnessWitnesses(opens, keys, stairs, ranked, den)
     return TightnessReport(table.space, True, True, witnesses, None)
+
+
+# --- spaces and comparisons as they ran before valuations rested scaled --
+#
+# check_space closed a relation by a double loop over its points and
+# then validated it as FiniteSpace(...) does, transitivity and all; and
+# first_differing_mask scaled both weight vectors to one denominator and
+# evaluated each side's whole column.  These are the two functions, kept
+# whole.
+
+
+def validated_check_space(labels, relation, *, reflexive_closure=True,
+                          transitive_closure=False) -> FiniteSpace:
+    """check_space, closing by the double loop and validating the
+    closed relation with every poset law (FiniteSpace(...))."""
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise NotAPoset("distinct labels", labels)
+    idx = {lab: i for i, lab in enumerate(labels)}
+    n = len(labels)
+    up = [0] * n
+    for a, b in relation:
+        if a not in idx or b not in idx:
+            raise NotAPoset("unknown label", (a, b))
+        up[idx[a]] |= 1 << idx[b]
+    if reflexive_closure:
+        for i in range(n):
+            up[i] |= 1 << i
+    else:
+        for i in range(n):
+            if not (up[i] >> i) & 1:
+                raise NotAPoset("reflexivity", labels[i])
+    if transitive_closure:
+        for k in range(n):
+            for i in range(n):
+                if (up[i] >> k) & 1:
+                    up[i] |= up[k]
+    return FiniteSpace(labels, tuple(up))
+
+
+def two_column_first_differing_mask(nu_a: Valuation, nu_b: Valuation,
+                                    masks):
+    """first_differing_mask by one _kernels.eval_weights column per side,
+    both weight vectors on one denominator (_scale)."""
+    if nu_a.space != nu_b.space:
+        raise ValimError("valuations live on different spaces")
+    n = nu_a.space.n
+    _, ints = _scale(nu_a.weights + nu_b.weights)
+    values_a = _kernels.eval_weights(ints[:n], masks)
+    values_b = _kernels.eval_weights(ints[n:], masks)
+    if values_a == values_b:
+        return None
+    return next(m for m, a, b in zip(masks, values_a, values_b) if a != b)

@@ -23,6 +23,7 @@ from valim import (
     FiniteSpace,
     LimitLawViolation,
     MonotoneMap,
+    PosetSystem,
     PrefixChain,
     SizeLimit,
     ValimError,
@@ -271,6 +272,38 @@ def test_a_projection_off_the_limit_is_refused():
         "projection at 1 does not map the limit to the space at 1"
     with pytest.raises(ValimError, match="one projection per index"):
         LimitSpace(ch, limit.space, limit.projections[:1])
+
+
+def test_a_limit_of_another_system_is_refused():
+    # vs lives on a one-point chain, the limit on a three-point antichain,
+    # whose fibres the walk would have looked up by the point's index
+    point = FiniteSpace(("p",), (0b1,))
+    anti = FiniteSpace(("x", "y", "z"), (0b001, 0b010, 0b100))
+    vs = ValuedSystem(PrefixChain((point,), ()), (Valuation(point, (ONE,)),))
+    foreign = materialize_limit(PrefixChain((anti,), ()))
+    message = "the limit's projection at 0 does not land on the space at 0"
+    with pytest.raises(ValimError) as e:
+        uniform_tightness_check(vs, limit=foreign)
+    assert str(e.value) == message
+    report = uniform_tightness_check(ValuedSystem(
+        foreign.system, (Valuation(anti, (ONE, ONE, ONE)),)))
+    with pytest.raises(ValimError) as e:
+        prohorov_limit(vs, report)
+    assert str(e.value) == message
+    # a poset system's limit with fewer indices has no projection at 1
+    rng = random.Random(4)
+    vs = rand_valued_poset_system(rng, "chain2")
+    one = PosetSystem(FiniteSpace(("0",), (0b1,)), (vs.system.space(0),), {})
+    with pytest.raises(ValimError) as e:
+        uniform_tightness_check(vs, limit=materialize_limit(one))
+    assert str(e.value) == \
+        "the limit's projection at 1 does not land on the space at 1"
+    # while the limit of an equal system is a limit of vs.system
+    twin = dataclasses.replace(vs.system)
+    assert twin is not vs.system and twin == vs.system
+    assert report_fields(uniform_tightness_check(
+        vs, limit=materialize_limit(twin)))[2:] == report_fields(
+        uniform_tightness_check(vs))[2:]
 
 
 def test_a_permuted_top_projection_takes_the_walk():
