@@ -139,15 +139,7 @@ class Valuation:
         return nu
 
     def __getattr__(self, name):
-        # reached only when lookup fails: the weights of a _from_scaled
-        # valuation, decoded on first read and kept
-        if name != "weights" or "_scaled" not in self.__dict__:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        den, ints = self._scaled
-        weights = tuple([_ext(w, den) for w in ints])
-        object.__setattr__(self, "weights", weights)
-        return weights
+        return _decoded(self, name, "weights")
 
     def __getstate__(self):
         # the public form: no cache travels with a pickle
@@ -242,15 +234,7 @@ class TabulatedSetFunction:
         return t
 
     def __getattr__(self, name):
-        # reached only when lookup fails: the values of a _from_scaled
-        # table, decoded on first read and kept
-        if name != "values" or "_scaled" not in self.__dict__:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        den, ints = self._scaled
-        values = tuple([_ext(v, den) for v in ints])
-        object.__setattr__(self, "values", values)
-        return values
+        return _decoded(self, name, "values")
 
     @cached_property
     def _index(self) -> dict:
@@ -272,6 +256,19 @@ class TabulatedSetFunction:
 
     def items(self):
         return zip(self.masks, self.values)
+
+
+def _decoded(obj, name, field) -> tuple:
+    """The __getattr__ of a type built by _from_scaled, reached only when
+    lookup fails: field, the scaled integers decoded on first read
+    (_ext) and kept; AttributeError for any other name."""
+    if name != field or "_scaled" not in obj.__dict__:
+        raise AttributeError(
+            f"{type(obj).__name__!r} object has no attribute {name!r}")
+    den, ints = obj._scaled
+    out = tuple([_ext(v, den) for v in ints])
+    object.__setattr__(obj, field, out)
+    return out
 
 
 def point_mass(space, label, mass=None) -> Valuation:
