@@ -21,8 +21,8 @@ from valim import (
     ExtRat,
     FiniteSpace,
     LimitLawViolation,
-    NotAPoset,
     LimitValuation,
+    NotAPoset,
     NotSimple,
     NotSupported,
     NotUniformlyTight,
