@@ -41,6 +41,8 @@ from .order import (
     FiniteSpace,
     MonotoneMap,
     UpSet,
+    _EMPTY_PRODUCT,
+    _product_step,
     lift,
     product_space,
     sobriety_witness,
@@ -324,7 +326,10 @@ class _PartialProducts:
     """The products of the factors, of sizes[p] points, over every subset
     of their positions: subsets in (size, positions) order, so the full
     one is last, spaces[b] the product at subsets[b] and digits[b][c] the
-    graph of its c-th coordinate."""
+    graph of its c-th coordinate.  Each product is its first factor
+    times the product at the subset's tail, which comes earlier in that
+    order, as product_space builds it (_product_step).  SizeLimit when
+    some product would pass max_points."""
 
     def __init__(self, spaces, max_points=DEFAULT_MAX_POINTS):
         k = len(spaces)
@@ -332,10 +337,18 @@ class _PartialProducts:
         self.subsets = tuple(sorted(
             (tuple(p for p in range(k) if (bits >> p) & 1)
              for bits in range(1 << k)), key=lambda s: (len(s), s)))
-        self.spaces, coordinates = zip(*(
-            product_space([spaces[p] for p in s], max_points)
-            for s in self.subsets))
-        self.digits = tuple(tuple(f.graph for f in fs) for fs in coordinates)
+        # the product of no factors has one point
+        if max_points < 1:
+            raise SizeLimit("product points", max_points)
+        parts = {(): _EMPTY_PRODUCT}
+        for s in self.subsets[1:]:
+            tail = parts[s[1:]]
+            if self.sizes[s[0]] * len(tail[0]) > max_points:
+                raise SizeLimit("product points", max_points)
+            parts[s] = _product_step(spaces[s[0]], tail)
+        self.spaces = tuple(FiniteSpace._trusted(*parts[s][:2])
+                            for s in self.subsets)
+        self.digits = tuple(parts[s][2] for s in self.subsets)
 
     def drop(self, b, a) -> MonotoneMap:
         """The map from spaces[b] onto spaces[a], for subsets[a] inside

@@ -416,40 +416,47 @@ def product_space(factors, max_points: int = DEFAULT_MAX_POINTS):
         total *= f.n
     if total > max_points:
         raise SizeLimit("product points", max_points)
-    labels = [()]
-    for f in factors:
-        labels = [c + (lab,) for c in labels for lab in f.labels]
-    # rows are built from the last factor back: putting factor f in front
-    # of a product of `size` points places (i, rest) at i * size + rest,
-    # and its row is rest's row copied into the block of every j above
-    # i, one multiplication because the blocks are `size` bits apart
-    rows = [1]
-    size = 1
-    strides = []
+    # built from the last factor back
+    part = _EMPTY_PRODUCT
     for f in reversed(factors):
-        strides.append(size)
-        new = []
-        for i in range(f.n):
-            spread = 0
-            m = f.up[i]
-            while m:
-                b = m & -m
-                spread |= 1 << ((b.bit_length() - 1) * size)
-                m ^= b
-            new += [r * spread for r in rows]
-        rows = new
-        size *= f.n
-    # the componentwise order of partial orders is one, and tuples of
-    # distinct labels are distinct
-    space = FiniteSpace._trusted(tuple(labels), tuple(rows))
-    # a factor's coordinate runs through its points, each repeated
-    # `stride` times, once per block of stride * n points
-    projections = []
-    for f, stride in zip(factors, reversed(strides)):
-        block = tuple([x for x in range(f.n) for _ in range(stride)])
-        projections.append(MonotoneMap._trusted(
-            space, f, block * (total // (len(block) or 1))))
-    return space, projections
+        part = _product_step(f, part)
+    labels, rows, digits = part
+    space = FiniteSpace._trusted(labels, rows)
+    return space, [MonotoneMap._trusted(space, f, d)
+                   for f, d in zip(factors, digits)]
+
+
+# the product of no factors: one point, the empty tuple
+_EMPTY_PRODUCT = (((),), (1,), ())
+
+
+def _product_step(f, part) -> tuple:
+    """f times a product given as (labels, up rows, coordinate graphs),
+    f's coordinate first, in the same form.
+
+    Putting f in front of a product of `size` points places (i, rest)
+    at i * size + rest.  Its label is (f's i-th label,) + rest's, and
+    its row is rest's row copied into the block of every j above i, one
+    multiplication because the blocks are `size` bits apart.  f's
+    coordinate runs through its points, each repeated `size` times, and
+    each old coordinate repeats its graph once per point of f.  The
+    componentwise order of partial orders is one, and tuples of
+    distinct labels are distinct, so the rows make a trusted space.
+    """
+    labels, rows, digits = part
+    size = len(labels)
+    spreads = []
+    for m in f.up:
+        spread = 0
+        while m:
+            b = m & -m
+            spread |= 1 << ((b.bit_length() - 1) * size)
+            m ^= b
+        spreads.append(spread)
+    return (tuple([(lab,) + c for lab in f.labels for c in labels]),
+            tuple([r * spread for spread in spreads for r in rows]),
+            (tuple([x for x in range(f.n) for _ in range(size)]),)
+            + tuple([d * f.n for d in digits]))
 
 
 def subspace(space: FiniteSpace, points):

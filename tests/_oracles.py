@@ -72,6 +72,25 @@ def all_upsets(space: FiniteSpace):
     return out
 
 
+def closed_upsets(space: FiniteSpace, cap: int):
+    """Every upward-closed mask, as the unions of principal up-sets
+    reached from the empty set one principal up-set at a time; None once
+    more than cap are found.  For spaces too large to filter 2^n subsets
+    whose lattices are small."""
+    seen = {0}
+    todo = [0]
+    while todo:
+        u = todo.pop()
+        for row in space.up:
+            v = u | row
+            if v not in seen:
+                seen.add(v)
+                if len(seen) > cap:
+                    return None
+                todo.append(v)
+    return list(seen)
+
+
 def by_size(masks):
     """Masks in scan order: by popcount, then by value."""
     return sorted(masks, key=lambda m: (bin(m).count("1"), m))

@@ -3,6 +3,7 @@ witness a failing scan reports first."""
 
 import math
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,15 @@ from valim._kernels import (
 )
 from valim.extreal import INF
 from valim.generators import rand_poset
-from valim.order import product_space
+from valim.order import check_space, product_space
 
-from _oracles import all_upsets, brute_axiom_witness, by_size, mask_value
+from _oracles import (
+    all_upsets,
+    brute_axiom_witness,
+    by_size,
+    closed_upsets,
+    mask_value,
+)
 
 seeds = st.integers(min_value=0, max_value=100_000)
 
@@ -37,13 +44,55 @@ def as_ext(v):
     return INF if v == math.inf else ExtRat(v)
 
 
-@given(seeds, st.integers(min_value=1, max_value=9))
-@settings(max_examples=60)
-def test_enumerate_upsets_matches_powerset_filter(seed, n):
-    sp, opens = lattice_of(seed, n)
-    assert enumerate_upsets(sp.up, sp.n, 1 << 20) == opens
-    assert enumerate_upsets(sp.up, sp.n, len(opens)) == opens
-    assert enumerate_upsets(sp.up, sp.n, len(opens) - 1) is None
+def relabelled(rng, sp):
+    """sp with its points in a random index order, rebuilt through
+    check_space, so that index order need not be a linear extension."""
+    order = list(range(sp.n))
+    rng.shuffle(order)
+    return check_space([sp.labels[i] for i in order],
+                       [(sp.labels[i], sp.labels[j]) for i in range(sp.n)
+                        for j in range(sp.n) if sp.up[i] >> j & 1])
+
+
+def assert_listed(sp, opens):
+    """enumerate_upsets gives opens, in scan order, at every cap they
+    fit, and refuses one short of them, whether _upsets scans the whole
+    list or windows of it."""
+    opens = by_size(opens)
+    for stack_from in (0, 1 << 30):
+        with patch.object(_kernels, "_STACK_FROM", stack_from):
+            for cap in (len(opens) + 1, len(opens), 1 << 20):
+                assert enumerate_upsets(sp.up, sp.n, cap) == opens
+            assert enumerate_upsets(sp.up, sp.n, len(opens) - 1) is None
+
+
+@given(seeds, st.integers(min_value=0, max_value=13),
+       st.floats(min_value=0.05, max_value=0.8))
+@settings(max_examples=60, deadline=None)
+def test_enumerate_upsets_matches_powerset_filter(seed, n, edge_prob):
+    rng = random.Random(seed)
+    sp = relabelled(rng, rand_poset(rng, n, edge_prob))
+    assert_listed(sp, all_upsets(sp))
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_enumerate_upsets_on_products(seed):
+    # the product criterion lists such lattices, up to 2^14 opens
+    rng = random.Random(seed)
+    # now and then an empty factor, and so an empty product
+    factors = [rand_poset(rng, 0 if rng.random() < 0.05
+                          else rng.randint(1, 4), rng.uniform(0.2, 0.8),
+                          f"f{p}_") for p in range(rng.randint(2, 3))]
+    big, _ = product_space([lift(f) for f in factors]
+                           if rng.random() < 0.5 else factors)
+    if rng.random() < 0.5:
+        big = relabelled(rng, big)
+    opens = closed_upsets(big, 1 << 14)
+    if opens is None:
+        assert enumerate_upsets(big.up, big.n, 1 << 14) is None
+    else:
+        assert_listed(big, opens)
 
 
 def test_enumerate_upsets_edge_cases():
@@ -235,6 +284,30 @@ def test_eval_weights_refuses_masks_beyond_the_weights():
     for n in (3, 12, 20):
         with pytest.raises(IndexError):
             eval_weights([1] * n, [1 << (n + 9)])
+
+
+@given(seeds, st.integers(min_value=17, max_value=24))
+@settings(max_examples=40, deadline=None)
+def test_three_byte_lookups_match_the_oracles(seed, n):
+    # 17-24 points: three lookups a mask, no columns
+    rng = random.Random(seed)
+    sp = relabelled(rng, rand_poset(rng, n, rng.uniform(0.05, 0.5)))
+    weights = [math.inf if rng.random() < 0.15 else rng.randint(0, 1 << 70)
+               for _ in range(n)]
+    nu = Valuation(sp, tuple(as_ext(w) for w in weights))
+    opens = [0, sp.full_mask] + [sp.up_close(rng.getrandbits(n))
+                                 for _ in range(60)]
+    assert [as_ext(v) for v in eval_weights(weights, opens)] == [
+        mask_value(nu, m) for m in opens]
+    masks = [rng.getrandbits(n) for _ in range(60)]
+    assert union_map(sp.up, masks, n) == [sp.up_close(m) for m in masks]
+    assert union_map(sp.down, masks, n) == [sp.down_close(m) for m in masks]
+    # a mask past the points is refused, an infinite point in it or not
+    for past in (1 << n, (1 << n) | 1):
+        with pytest.raises(IndexError):
+            eval_weights([math.inf] + weights[1:], opens + [past])
+        with pytest.raises(IndexError):
+            union_map(sp.up, masks + [past], n)
 
 
 def per_mask_sums(weights, masks):

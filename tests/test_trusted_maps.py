@@ -10,6 +10,7 @@ derived space passes the public validation, and every derived map is
 monotone by brute force over all pairs of points.
 """
 
+import itertools
 import json
 import random
 
@@ -32,6 +33,7 @@ from valim import (
     subspace,
 )
 from valim import _kernels
+from valim.constructions import _PartialProducts
 from valim.documents import loads
 from valim.generators import (
     rand_monotone_map,
@@ -179,6 +181,54 @@ def test_subset_bonds_match_the_label_lookup(seed):
     assert {pair: f.graph for pair, f in sys.bonds.items()} == bonds
     for (i, j), f in sys.bonds.items():
         assert (f.source, f.target) == (sys.space(j), sys.space(i))
+
+
+def assert_partial_products(factors):
+    """Each subset's partial product, built from its tail's by one
+    factor step, is product_space's, and its coordinates and drops are
+    the label lookups; refused past max_points only."""
+    parts = _PartialProducts(factors)
+    assert parts.sizes == tuple(f.n for f in factors)
+    for b, t in enumerate(parts.subsets):
+        chosen = [factors[p] for p in t]
+        space, projections = product_space(chosen)
+        assert parts.spaces[b].labels == space.labels == tuple(
+            itertools.product(*(f.labels for f in chosen)))
+        assert parts.spaces[b].up == space.up
+        assert list(space.up) == brute_product_up(chosen)
+        assert parts.digits[b] == tuple(f.graph for f in projections)
+        for c, p in enumerate(t):
+            single = parts.spaces[parts.subsets.index((p,))]
+            assert parts.digits[b][c] == brute_coordinate_graph(
+                space, single, [c])
+        for a, s in enumerate(parts.subsets):
+            if set(s) <= set(t):
+                assert parts.drop(b, a).graph == brute_coordinate_graph(
+                    space, parts.spaces[a], [t.index(p) for p in s])
+    # the largest product at exactly max_points, then one point over
+    largest = max(sp.n for sp in parts.spaces)
+    assert _PartialProducts(factors, largest).spaces == parts.spaces
+    with pytest.raises(SizeLimit):
+        _PartialProducts(factors, largest - 1)
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_partial_products_match_product_space(seed):
+    rng = random.Random(seed)
+    assert_partial_products(tuple(
+        rand_poset(rng, rng.choice((0, 1, 1, 2, 3, 4)),
+                   edge_prob=rng.uniform(0.2, 0.8), prefix=f"f{p}_")
+        for p in range(rng.randint(1, 3))))
+
+
+@pytest.mark.parametrize("sizes", [(0,), (1,), (3,), (0, 2), (2, 0, 3),
+                                   (1, 1, 1), (1, 4, 1)])
+def test_partial_products_of_empty_and_one_point_factors(sizes):
+    rng = random.Random(sum(sizes))
+    assert_partial_products(tuple(
+        rand_poset(rng, k, 0.5, prefix=f"f{p}_")
+        for p, k in enumerate(sizes)))
 
 
 @given(seeds)
