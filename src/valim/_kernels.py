@@ -206,17 +206,18 @@ def _listed_count(up, n, limit):
     return None if out is None else len(out)
 
 
-def scan_axioms(opens, values):
+def scan_axioms(opens, values, index=None):
     """Check strictness, monotonicity and modularity over a full table.
 
-    `opens` must be sorted by (popcount, mask) with `values` parallel.
+    `opens` must be sorted by (popcount, mask) with `values` parallel;
+    `index`, when given, maps each of opens to its position.
     Returns (code, i, j): code 0 = all laws hold, 1 = strictness fails at
     entry i, 2 = monotonicity fails on the pair (i, j), 3 = modularity
     fails on the pair (i, j), 4 = the family is not closed under union or
     intersection at the pair (i, j).  The first violation in scan order is
     the one reported.
     """
-    idx = {m: k for k, m in enumerate(opens)}
+    idx = {m: k for k, m in enumerate(opens)} if index is None else index
     k0 = idx.get(0)
     if k0 is None or values[k0] != 0:
         return (1, 0 if k0 is None else k0, -1)

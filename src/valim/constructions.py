@@ -799,12 +799,9 @@ def _tightness_walk(vs, limit, qmasks, den, level_ints, max_opens) -> tuple:
         xi = sys.space(i)
         opens_i = xi.open_masks(max_opens)
         raw = _kernels.eval_weights(ints, opens_i)
-        # q* for every open: the union of the fibres of p_i over its points
-        fibres = [0] * xi.n
-        for t, x in enumerate(limit.projection(i).graph):
-            fibres[x] |= 1 << t
+        # q* = p_i^-1(U) for every open U
         sups = [mu_keys[row[q]]
-                for q in _kernels.union_map(fibres, opens_i, xi.n)]
+                for q in limit.projection(i).preimage_masks(opens_i)]
         k = _first_difference(sups, raw, ne)
         if k == len(raw):
             continue

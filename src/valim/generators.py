@@ -5,15 +5,19 @@ runs are reproducible from a single seed.  Spaces come out of
 check_space, not trusted constructions: a relation that is closed
 transitively there is still checked for antisymmetry, the one law its
 closure can break, and any other relation for every law, so a generator
-bug fails loudly at generation time.
+bug fails loudly at generation time.  Valuations are born scaled:
+rand_valuation builds its valuation from the integers of its draws
+(Valuation._from_scaled), equal in weights, hash and pickle to the one
+Valuation builds from rand_weights on the same draws.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, inf, lcm
 from random import Random
 
-from .extreal import INF, ExtRat
+from .extreal import INF, ZERO, ExtRat
 from .order import FiniteSpace, MonotoneMap, check_space
 from .projective import LazyChain, PosetSystem, PrefixChain, ValuedSystem
 from .valuation import Valuation
@@ -47,23 +51,42 @@ def rand_poset(rng: Random, n: int, edge_prob: float = 0.35,
     return check_space(labels, relation, transitive_closure=True)
 
 
-def rand_weights(rng: Random, n: int, max_den: int = 6,
-                 inf_prob: float = 0.0) -> tuple:
+def _draws(rng: Random, n: int, max_den: int, inf_prob: float) -> list:
+    """One weight per point, drawn: None for infinity, else (num, den)
+    for num / den."""
     out = []
     for _ in range(n):
         if inf_prob and rng.random() < inf_prob:
-            out.append(INF)
+            out.append(None)
         else:
             den = rng.randint(1, max_den)
-            # a non-negative Fraction, built once
-            out.append(ExtRat._trusted(Fraction(rng.randint(0, 2 * den),
-                                                den)))
-    return tuple(out)
+            out.append((rng.randint(0, 2 * den), den))
+    return out
+
+
+def rand_weights(rng: Random, n: int, max_den: int = 6,
+                 inf_prob: float = 0.0) -> tuple:
+    # each Fraction built once; a zero is ZERO, as the library decodes it
+    return tuple([INF if d is None else ZERO if not d[0]
+                  else ExtRat._trusted(Fraction(*d))
+                  for d in _draws(rng, n, max_den, inf_prob)])
 
 
 def rand_valuation(rng: Random, space: FiniteSpace, max_den: int = 6,
                    inf_prob: float = 0.0) -> Valuation:
-    return Valuation(space, rand_weights(rng, space.n, max_den, inf_prob))
+    """Valuation(space, rand_weights(rng, space.n, max_den, inf_prob)),
+    from the same draws, built in the scaled currency: the weights in
+    lowest terms over the least common denominator, as Valuation scales
+    them."""
+    low = []
+    for d in _draws(rng, space.n, max_den, inf_prob):
+        if d is not None:
+            g = gcd(*d)
+            d = (d[0] // g, d[1] // g)
+        low.append(d)
+    den = lcm(*{d[1] for d in low if d is not None})
+    return Valuation._from_scaled(space, den, tuple([
+        inf if d is None else d[0] * (den // d[1]) for d in low]))
 
 
 def rand_monotone_map(rng: Random, src: FiniteSpace, dst: FiniteSpace,

@@ -550,6 +550,15 @@ class MonotoneMap:
                 out |= 1 << i
         return out
 
+    def preimage_masks(self, masks) -> list:
+        """preimage_mask of every mask, as one column: a preimage is the
+        union of the fibres over the mask's points (_kernels.union_map).
+        IndexError for a mask with points past the target's."""
+        fibres = [0] * self.target.n
+        for s, t in enumerate(self.graph):
+            fibres[t] |= 1 << s
+        return _kernels.union_map(fibres, masks, self.target.n)
+
     def preimage(self, u: UpSet) -> UpSet:
         _same_space(u.space, self.target)
         return UpSet(self.source, self.preimage_mask(u.mask))

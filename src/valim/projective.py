@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import _kernels
 from .errors import SizeLimit, ValimError
 from .order import (
     DEFAULT_MAX_OPENS,
@@ -65,6 +66,7 @@ __all__ = [
     "check_compatibility",
     "materialize_limit",
     "upper_adjoint",
+    "upper_adjoints",
     "embedding_from_projection",
     "check_ep_system",
     "limit_ep_structure",
@@ -551,16 +553,30 @@ def upper_adjoint(limit: LimitSpace, i, u: UpSet) -> UpSet:
     """Largest open V at index i whose cylinder sits inside u.
 
     Satisfies the Galois law: preimage(V') inside u iff V' inside V.
+    V is the upper adjoint of the saturated image (Abramsky and Jung,
+    Domain Theory, 3.1), and has a closed form: a point x at i is
+    outside V exactly when some limit point y outside u has p_i(y) >= x,
+    as p_i^-1(up x) is inside u iff no such y exists.  So V is the
+    points at i minus the down-sets of p_i(y) over the y outside u,
+    which upper_adjoints computes for a whole column of opens.
     """
     if u.space != limit.space:
         raise ValimError("the open must live on the limit")
+    (out,) = upper_adjoints(limit, i, [u.mask])
+    return UpSet(limit.projection(i).target, out)
+
+
+def upper_adjoints(limit: LimitSpace, i, masks) -> list:
+    """upper_adjoint's mask at index i for every mask of limit points:
+    the points at i minus the union of down(p_i(y)) over the limit
+    points y outside the mask (_kernels.union_map).  IndexError for a
+    mask with points past the limit's."""
     p = limit.projection(i)
-    xi = p.target
-    out = 0
-    for x in range(xi.n):
-        if p.preimage_mask(xi.up[x]) & ~u.mask == 0:
-            out |= 1 << x
-    return UpSet(xi, out)
+    down = p.target.down
+    full, full_i = limit.space.full_mask, p.target.full_mask
+    blocked = _kernels.union_map([down[x] for x in p.graph],
+                                 [full ^ m for m in masks], limit.space.n)
+    return [full_i ^ b for b in blocked]
 
 
 def embedding_from_projection(p: MonotoneMap) -> EpPair:

@@ -377,10 +377,14 @@ def check_valuation(table: TabulatedSetFunction,
         return _decompose(table, masks_are_opens=True)
     except NotSimple as err:
         refusal = err
-    # the lattice comes sorted by (size, mask), the scan order
-    ints = table._scaled[1]
-    values = [ints[table._index[m]] for m in lattice]
-    code, i, j = _kernels.scan_axioms(lattice, values)
+    # the lattice comes sorted by (size, mask), the scan order; a table
+    # listed in that order is scanned as it stands
+    ints, index = table._scaled[1], table._index
+    if lattice is table.masks:
+        code, i, j = _kernels.scan_axioms(lattice, ints, index)
+    else:
+        code, i, j = _kernels.scan_axioms(
+            lattice, [ints[index[m]] for m in lattice])
     if code == 1:
         raise AxiomViolation("strictness", (UpSet(space, 0),))
     if code == 2:
@@ -458,15 +462,31 @@ def _pushes_to(f: MonotoneMap, nu: Valuation, mu: Valuation) -> bool:
 
 
 def _same_scaled(den_a, a, den_b, b) -> bool:
-    """Whether two equally long scaled vectors, on denominators den_a and
-    den_b, hold the same values: each side is cross-multiplied by the
-    other's denominator."""
+    """Whether two scaled vectors, on denominators den_a and den_b, are
+    equally long and hold the same values (_first_unequal)."""
     if den_a == den_b:
+        # one comparison in C, about three times faster on short vectors
         return list(a) == list(b)
+    return len(a) == len(b) and _first_unequal(den_a, a, den_b, b) == len(a)
+
+
+def _first_unequal(den_a, a, den_b, b) -> int:
+    """The first position where two equally long scaled vectors, on
+    denominators den_a and den_b, hold different values; len(a) when
+    none does.  Each side is cross-multiplied by the other's
+    denominator, unless the two are the same."""
+    if den_a == den_b:
+        return _first_difference(a, b, ne)
     # inf times an int past float range overflows, so inf is compared
     # as itself
-    return all(x == y if x == inf or y == inf else x * den_b == y * den_a
-               for x, y in zip(a, b))
+    return _first_difference(a, b, lambda x, y: x != y
+                             if x == inf or y == inf
+                             else x * den_b != y * den_a)
+
+
+def _inf_mask(ints) -> int:
+    """The mask of the positions where a scaled vector holds inf."""
+    return sum([1 << i for i, w in enumerate(ints) if w == inf])
 
 
 def restrict_to_open(nu: Valuation, u: UpSet) -> Valuation:
@@ -495,8 +515,7 @@ def first_differing_mask(nu_a: Valuation, nu_b: Valuation, masks):
     if nu_a.space != nu_b.space:
         raise ValimError("valuations live on different spaces")
     (den_a, a), (den_b, b) = nu_a._scaled, nu_b._scaled
-    inf_a = sum([1 << i for i, w in enumerate(a) if w == inf])
-    inf_b = sum([1 << i for i, w in enumerate(b) if w == inf])
+    inf_a, inf_b = _inf_mask(a), _inf_mask(b)
     # the difference at an infinite point is never read: the masks that
     # hold one are decided by the two masks of infinite points
     sums = _kernels.eval_weights(
@@ -622,15 +641,18 @@ def support_check(nu: Valuation | TabulatedSetFunction, points,
 
 
 def _as_table(nu, max_opens):
-    """nu as a table, and its open lattice in (size, mask) order;
-    NotOnLattice for a table whose masks are not exactly the opens."""
+    """nu as a table, and its open lattice in (size, mask) order: the
+    table's own masks when it lists them in that order; NotOnLattice for
+    a table whose masks are not exactly the opens."""
     if not isinstance(nu, TabulatedSetFunction):
         table = nu.tabulate(max_opens)
         return table, table.masks
     lattice = nu.space.open_masks(max_opens)
     # a table listed in lattice order, as derived tables are, is compared
-    # without building sets
-    if nu.masks != tuple(lattice) and set(nu.masks) != set(lattice):
+    # without building sets, and its masks are the lattice returned
+    if nu.masks == tuple(lattice):
+        return nu, nu.masks
+    if set(nu.masks) != set(lattice):
         raise NotOnLattice()
     return nu, lattice
 
@@ -881,10 +903,7 @@ def is_locally_finite(nu: Valuation,
     computed, over lower covers (_walk_below).
     """
     space = nu.space
-    inf_points = 0
-    for i, w in enumerate(nu._scaled[1]):
-        if w == inf:
-            inf_points |= 1 << i
+    inf_points = _inf_mask(nu._scaled[1])
     cond1 = True
     witness = None
     for x in range(space.n):

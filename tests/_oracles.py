@@ -140,6 +140,29 @@ def brute_adjoint_mask(limit, i, u_mask: int) -> int:
     return best
 
 
+def level_law_failures(limit):
+    """Criterion 2's three laws on one limit, checked open by open, then
+    i, then j, then the exhaustion: (position of the open, detail) for
+    every check that fails, in that order."""
+    sys = limit.system
+    idxs = list(sys.indices())
+    for k, w in enumerate(limit.space.open_masks()):
+        adj = {i: brute_adjoint_mask(limit, i, w) for i in idxs}
+        union = 0
+        for i in idxs:
+            pre_i = limit.projection(i).preimage_mask(adj[i])
+            union |= pre_i
+            for j in idxs:
+                if not sys.index_leq(i, j):
+                    continue
+                if sys.bond(i, j).preimage_mask(adj[i]) & ~adj[j]:
+                    yield k, f"bond monotonicity failed at {(i, j)}"
+                if pre_i & ~limit.projection(j).preimage_mask(adj[j]):
+                    yield k, f"approximants not increasing at {(i, j)}"
+        if union != w:
+            yield k, "preimages do not exhaust the open"
+
+
 def brute_eventual_image(chain, i, horizon: int) -> int:
     """Intersection of bond images from above, iterated to the horizon."""
     space = chain.space(i)

@@ -7,18 +7,19 @@ lines; a red test prints its line in the failure body either way.
 
 import dataclasses
 import re
+from itertools import islice
 
 import pytest
 
 from valim import suites
 from valim.constructions import LimitLawViolation
 from valim.errors import ValimError
-from valim.extreal import ONE, ZERO
-from valim.order import DEFAULT_MAX_OPENS, FiniteSpace, UpSet
+from valim.extreal import ONE, ZERO, ExtRat
+from valim.order import DEFAULT_MAX_OPENS, FiniteSpace, MonotoneMap
 from valim.suites import SUITES, run_suite
-from valim.valuation import Valuation
+from valim.valuation import TabulatedSetFunction, Valuation
 
-from _oracles import brute_first_differing_mask
+from _oracles import brute_first_differing_mask, level_law_failures
 
 BUDGETS = {1: 30, 2: 30, 3: 60, 4: 60, 5: 30, 6: 60, 7: 30, 8: 10}
 
@@ -141,6 +142,85 @@ def test_tight_limits_compare_the_routes_on_every_open(monkeypatch):
     assert r.detail == f"routes disagree on open {m:#b}"
 
 
+def swapped_projections(limit):
+    """limit with one projection's images of two points swapped, for
+    every index and pair of points whose images differ, in that order."""
+    n = limit.space.n
+    for pos, p in enumerate(limit.projections):
+        for a in range(n):
+            for b in range(a + 1, n):
+                if p.graph[a] == p.graph[b]:
+                    continue
+                graph = list(p.graph)
+                graph[a], graph[b] = graph[b], graph[a]
+                swapped = list(limit.projections)
+                swapped[pos] = MonotoneMap._trusted(p.source, p.target,
+                                                    tuple(graph))
+                yield dataclasses.replace(limit, projections=tuple(swapped))
+
+
+def test_level_laws_name_what_the_per_open_scan_names(monkeypatch):
+    # criterion 2 checks its laws on columns; on a limit with a swapped
+    # projection, its detail must be the first failure of the per-open
+    # scan.  One limit is tried for each list of the checks that fail at
+    # the scan's first failing open, so that laws and pairs failing
+    # together there are named in the scan's order.
+    real = suites.materialize_limit
+    limits = []
+    monkeypatch.setattr(suites, "materialize_limit", lambda sys: (
+        limits.append(real(sys)) or limits[-1]))
+    assert run_suite(2).passed
+    first = {}
+    for s, lim in enumerate(limits):
+        for t, swapped in enumerate(swapped_projections(lim)):
+            failed = list(level_law_failures(swapped))
+            if failed:
+                at = tuple(d for k, d in failed if k == failed[0][0])
+                first.setdefault(at, (s, t))
+    assert {at[0].split(" at ")[0] for at in first} == {
+        "bond monotonicity failed", "approximants not increasing",
+        "preimages do not exhaust the open"}
+    assert any(len(at) > 1 for at in first)
+    for at, (s, t) in first.items():
+        built = []
+
+        def skew(sys):
+            built.append(real(sys))
+            if len(built) - 1 != s:
+                return built[-1]
+            return next(islice(swapped_projections(built[-1]), t, None))
+
+        monkeypatch.setattr(suites, "materialize_limit", skew)
+        r = run_suite(2)
+        assert (r.passed, r.detail) == (False, at[0])
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["in-order", "reversed"])
+def test_composite_check_names_the_first_differing_open(monkeypatch, order):
+    # the first composite with eight opens or more is skewed at two of
+    # them by 1/7, a denominator no weight has, so the columns are
+    # compared cross-multiplied; a reversed table is read by mask
+    real = suites.mu_circ
+    skewed_at = []
+
+    def skew(nb):
+        comp = real(nb)
+        if skewed_at or len(comp.masks) < 8:
+            return comp
+        values = list(comp.values)
+        for k in (len(values) // 2, len(values) - 1):
+            values[k] = values[k] + ExtRat(1, 7) if values[k].is_finite \
+                else ZERO
+        skewed_at.append(comp.masks[len(values) // 2])
+        return TabulatedSetFunction(comp.space, comp.masks[::order],
+                                    tuple(values[::order]))
+
+    monkeypatch.setattr(suites, "mu_circ", skew)
+    r = run_suite(5)
+    assert not r.passed
+    assert r.detail == f"composite differs on {skewed_at[0]:#b}"
+
+
 def flip_verdict(rep):
     return dataclasses.replace(rep, verdict=not rep.verdict)
 
@@ -153,8 +233,8 @@ def flip_verdict(rep):
 FAULTS = [
     (1, "check_valuation", lambda real, table: skewed(real(table)),
      "round trip broke on seed case 1"),
-    (2, "upper_adjoint",
-     lambda real, limit, i, u: UpSet(real(limit, i, u).space, 0),
+    (2, "upper_adjoints",
+     lambda real, limit, i, masks: [0] * len(real(limit, i, masks)),
      "preimages do not exhaust the open"),
     (5, "is_tight",
      lambda real, nu: dataclasses.replace(real(nu), verdict=False,

@@ -1,16 +1,21 @@
-"""The random builders must only ever emit lawful objects."""
+"""The random builders must only ever emit lawful objects, and the
+valuations they build in the scaled currency must equal the ones their
+public weights build."""
 
+import pickle
 import random
 
 import pytest
 
 from valim import (
+    Valuation,
     check_compatibility,
     check_ep_system,
     check_system,
     check_valuation,
     embedding_from_projection,
 )
+from valim.constructions import marginal_family_from_joint
 from valim.extreal import ZERO
 from valim.valuation import NotSimple
 from valim.generators import (
@@ -23,6 +28,7 @@ from valim.generators import (
     rand_valuation,
     rand_valued_chain,
     rand_valued_poset_system,
+    rand_weights,
     shrinking_injection_chain,
 )
 
@@ -130,3 +136,68 @@ def test_shrinking_injection_chain_levels():
     for k in range(3):
         g = ch.step(k).graph
         assert len(set(g)) == len(g)
+
+
+# rand_valuation builds its valuation from its scaled integers; each
+# test below draws it and its public twin, Valuation over rand_weights,
+# from two Randoms on the same seed.
+
+
+def assert_born_twins(nu, twin):
+    assert "weights" not in vars(nu)
+    # pickled first, so that neither side has been compared or hashed
+    assert pickle.dumps(nu) == pickle.dumps(twin)
+    assert nu == twin and twin == nu and hash(nu) == hash(twin)
+    assert nu.weights == twin.weights
+    assert nu._scaled == twin._scaled
+
+
+def draw_args(rng):
+    return rng.randint(1, 9), rng.choice((0.0, 0.1, 0.4))
+
+
+def test_rand_valuation_equals_its_public_twin():
+    for seed in range(200):
+        rng = random.Random(seed)
+        sp = rand_poset(rng, rng.randint(0, 8), rng.uniform(0.1, 0.7))
+        max_den, inf_prob = draw_args(rng)
+        a, b = random.Random(seed), random.Random(seed)
+        nu = rand_valuation(a, sp, max_den, inf_prob)
+        twin = Valuation(sp, rand_weights(b, sp.n, max_den, inf_prob))
+        assert a.getstate() == b.getstate()
+        assert_born_twins(nu, twin)
+
+
+def assert_families_twin(vs, twin):
+    for nu, other in zip(vs.valuations, twin.valuations, strict=True):
+        assert_born_twins(nu, other)
+    assert vs == twin
+
+
+def test_rand_valued_chain_equals_its_public_twin():
+    for seed in range(200):
+        rng = random.Random(seed)
+        ch = rand_prefix_chain(rng, rng.randint(1, 4), 5)
+        max_den, inf_prob = draw_args(rng)
+        a, b = random.Random(seed), random.Random(seed)
+        vs = rand_valued_chain(a, ch, max_den, inf_prob)
+        top = ch.spaces[-1]
+        twin = marginal_family_from_joint(ch, Valuation(
+            top, rand_weights(b, top.n, max_den, inf_prob)))
+        assert a.getstate() == b.getstate()
+        assert_families_twin(vs, twin)
+
+
+@pytest.mark.parametrize("shape", ["chain2", "chain3", "chain4", "vee",
+                                   "square"])
+def test_rand_valued_poset_system_equals_its_public_twin(shape):
+    for seed in range(200):
+        max_den, inf_prob = draw_args(random.Random(seed))
+        a, b = random.Random(seed), random.Random(seed)
+        vs = rand_valued_poset_system(a, shape, 5, max_den, inf_prob)
+        sys = rand_poset_system(b, shape, 5)
+        top = sys.space(sys.top_index())
+        twin = marginal_family_from_joint(sys, Valuation(
+            top, rand_weights(b, top.n, max_den, inf_prob)))
+        assert a.getstate() == b.getstate()
+        assert_families_twin(vs, twin)

@@ -373,6 +373,9 @@ def test_union_map_refuses_masks_beyond_the_points():
 
 def _kernel_witness(opens, values):
     code, i, j = scan_axioms(opens, values)
+    # a table's own index of its masks gives the same scan
+    index = {m: k for k, m in enumerate(opens)}
+    assert scan_axioms(opens, tuple(values), index) == (code, i, j)
     assert code != 4
     if code == 0:
         return None

@@ -34,6 +34,7 @@ from valim import (
     projective,
     steenrod_nonempty,
     upper_adjoint,
+    upper_adjoints,
     verify_ep_limit_laws,
 )
 from valim.constructions import (
@@ -50,6 +51,7 @@ from valim.generators import (
     rand_prefix_chain,
     rand_valuation,
     rand_valued_chain,
+    rand_valued_poset_system,
     shrinking_injection_chain,
 )
 from valim.order import NotEpPair, lift
@@ -230,6 +232,52 @@ def test_upper_adjoint_matches_brute_force(seed):
         assert got.mask == brute_adjoint_mask(lim, i, u_mask)
         # Galois law, both directions
         assert lim.projection(i).preimage_mask(got.mask) & ~u_mask == 0
+
+
+def assert_adjoint_laws(lim, i):
+    """upper_adjoints and upper_adjoint at index i, on every open of the
+    limit, against the brute-force adjoint, and the Galois law both
+    ways: an open V at i has its cylinder inside u exactly when V is
+    inside u's adjoint."""
+    p = lim.projection(i)
+    masks = lim.space.open_masks()
+    level = all_upsets(p.target)
+    for u_mask, got in zip(masks, upper_adjoints(lim, i, masks),
+                           strict=True):
+        assert got == brute_adjoint_mask(lim, i, u_mask)
+        assert upper_adjoint(lim, i, UpSet(lim.space, u_mask)).mask == got
+        for v in level:
+            assert (p.preimage_mask(v) & ~u_mask == 0) == (v & ~got == 0)
+
+
+@given(seeds, st.sampled_from(
+    ["prefix", "chain2", "chain3", "chain4", "vee", "square"]))
+@settings(max_examples=60, deadline=None)
+def test_upper_adjoints_match_brute_force_on_every_system(seed, kind):
+    rng = random.Random(seed)
+    if kind == "prefix":
+        sys = rand_prefix_chain(rng, rng.randint(1, 4), 5)
+    else:
+        sys = rand_valued_poset_system(rng, kind, max_top=6).system
+    lim = materialize_limit(sys)
+    for i in sys.indices():
+        assert_adjoint_laws(lim, i)
+
+
+@given(seeds, st.sampled_from([0, 1, 5, 8, 9, 16, 17, 20, 24, 30]),
+       st.integers(min_value=0, max_value=40))
+@settings(max_examples=80, deadline=None)
+def test_preimage_masks_match_preimage_mask(seed, n, count):
+    # empty targets, one and two bytes of points, three direct lookups
+    # at 17-24 points, and byte columns past them
+    rng = random.Random(seed)
+    dst = rand_poset(rng, n, 0.1)
+    src = rand_poset(rng, rng.randint(0, 12) if n else 0, 0.3)
+    f = rand_monotone_map(rng, src, dst)
+    masks = [rng.getrandbits(n) for _ in range(count)] + [0, dst.full_mask]
+    assert f.preimage_masks(masks) == [f.preimage_mask(m) for m in masks]
+    with pytest.raises(IndexError):
+        f.preimage_masks(masks + [1 << n])
 
 
 def test_embedding_from_projection_least_preimage():

@@ -168,9 +168,11 @@ def _outcome(fn, table):
 def _corpus(rng, kind):
     """A table over a random poset: lawful, one value corrupted, or with an
     infinite weight strictly above some point (criterion 1's NotSimple
-    cases)."""
+    cases); a shuffled table is a corrupted one with its rows shuffled,
+    so that check_valuation scans it in lattice order, not its own."""
+    corrupted = kind in ("corrupted", "shuffled")
     sp = rand_poset(rng, rng.randint(1, 6), edge_prob=rng.uniform(0.2, 0.7))
-    nu = rand_valuation(rng, sp, inf_prob=0.1 if kind == "corrupted" else 0)
+    nu = rand_valuation(rng, sp, inf_prob=0.1 if corrupted else 0)
     if kind == "shadowed":
         above = [y for y in range(sp.n) if sp.down[y] != 1 << y]
         if above:
@@ -178,16 +180,20 @@ def _corpus(rng, kind):
             weights[rng.choice(above)] = INF
             nu = Valuation(sp, tuple(weights))
     table = nu.tabulate()
-    if kind == "corrupted":
+    if corrupted:
         values = list(table.values)
         k = rng.randrange(len(values))
         values[k] = rng.choice([ZERO, INF, ExtRat(rng.randint(0, 12), 5),
                                 values[k] + ExtRat(1, 5)])
-        table = TabulatedSetFunction(sp, table.masks, tuple(values))
+        rows = list(zip(table.masks, values))
+        if kind == "shuffled":
+            rng.shuffle(rows)
+        table = TabulatedSetFunction(sp, *map(tuple, zip(*rows)))
     return table
 
 
-@pytest.mark.parametrize("kind", ["lawful", "corrupted", "shadowed"])
+@pytest.mark.parametrize("kind", ["lawful", "corrupted", "shadowed",
+                                  "shuffled"])
 def test_check_valuation_matches_the_brute_force_oracle(kind):
     """Same verdict, exception type, witness and message as an ExtRat
     pair scan followed by an ExtRat decomposition."""
@@ -204,6 +210,8 @@ def test_check_valuation_matches_the_brute_force_oracle(kind):
         "lawful": {"ok"},
         "corrupted": {"ok", "strictness", "monotonicity", "modularity",
                       "inf"},
+        "shuffled": {"ok", "strictness", "monotonicity", "modularity",
+                     "inf"},
         "shadowed": {"ok", "inf"},
     }[kind]
     assert seen == expected
