@@ -22,8 +22,9 @@ from .constructions import (
     ep_limit_valuation,
     prohorov_limit,
 )
-from .documents import body_of, input_sha256, load_path
+from .documents import body_of, input_sha256, load_path, loads, read_path
 from .errors import BadDocument, SizeLimit, ValimError
+from .extreal import ExtRat
 from .gallery import GALLERY_NAMES, run_gallery
 from .order import DEFAULT_MAX_OPENS, DEFAULT_MAX_POINTS, FiniteSpace, UpSet
 from .projective import (
@@ -90,15 +91,24 @@ def _open_masks_capped(space, max_opens):
 def _violation_entry(err: ValimError) -> dict:
     entry = {"error": type(err).__name__, "detail": str(err)}
     witness = getattr(err, "witness", None)
-    if isinstance(witness, tuple):
-        entry["witness"] = [
-            list(w.members) if isinstance(w, UpSet) else repr(w)
-            for w in witness
-        ]
-    elif witness is not None:
-        entry["witness"] = (list(witness.members)
-                            if isinstance(witness, UpSet) else repr(witness))
+    if witness is not None:
+        entry["witness"] = _witness_body(witness)
     return entry
+
+
+def _witness_body(w):
+    """A witness in the document grammar: an open as its members' labels,
+    a value as a weight string (_ext_to_str), a tuple as a list, labels
+    and indices as themselves; anything else as its repr."""
+    if isinstance(w, UpSet):
+        return list(w.members)
+    if isinstance(w, ExtRat):
+        return _ext_to_str(w)
+    if isinstance(w, tuple):
+        return [_witness_body(x) for x in w]
+    if isinstance(w, (str, int)):
+        return w
+    return repr(w)
 
 
 def _lawful(v, max_opens):
@@ -120,7 +130,19 @@ def _lawful(v, max_opens):
 
 
 def _cmd_check(args) -> int:
-    doc, text = load_path(args.path)
+    text = read_path(args.path)
+    try:
+        doc = loads(text)
+    except (BadDocument, SizeLimit):
+        raise
+    except ValimError as err:
+        # a law checked as the document is read, such as a map's
+        # monotonicity, is reported with its witness like any other
+        print(f"law violation: {err}", file=sys.stderr)
+        rep = _report("check", text, kind=json.loads(text)["kind"],
+                      verdict="violation", violations=[_violation_entry(err)])
+        _print_report(rep, args.format)
+        return 1
     info = {"kind": doc.kind, "verdict": "ok", "violations": []}
     v = doc.value
 

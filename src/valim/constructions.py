@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import combinations
 from math import inf, lcm, prod
 from operator import lt, ne
 
@@ -322,21 +323,26 @@ def subset_product_system(spaces,
     return PosetSystem(index_space, parts.spaces, bonds), subsets
 
 
+@cache
+def _subsets(k) -> tuple:
+    """The subsets of k factor positions as sorted tuples, in (size,
+    positions) order: combinations lists each size in lexicographic
+    order.  Every product of k factors has the same ones."""
+    return tuple(s for r in range(k + 1) for s in combinations(range(k), r))
+
+
 class _PartialProducts:
     """The products of the factors, of sizes[p] points, over every subset
-    of their positions: subsets in (size, positions) order, so the full
-    one is last, spaces[b] the product at subsets[b] and digits[b][c] the
-    graph of its c-th coordinate.  Each product is its first factor
-    times the product at the subset's tail, which comes earlier in that
-    order, as product_space builds it (_product_step).  SizeLimit when
-    some product would pass max_points."""
+    of their positions: subsets in (size, positions) order (_subsets), so
+    the full one is last, spaces[b] the product at subsets[b] and
+    digits[b][c] the graph of its c-th coordinate.  Each product is its
+    first factor times the product at the subset's tail, which comes
+    earlier in that order, as product_space builds it (_product_step).
+    SizeLimit when some product would pass max_points."""
 
     def __init__(self, spaces, max_points=DEFAULT_MAX_POINTS):
-        k = len(spaces)
         self.sizes = tuple(sp.n for sp in spaces)
-        self.subsets = tuple(sorted(
-            (tuple(p for p in range(k) if (bits >> p) & 1)
-             for bits in range(1 << k)), key=lambda s: (len(s), s)))
+        self.subsets = _subsets(len(spaces))
         # the product of no factors has one point
         if max_points < 1:
             raise SizeLimit("product points", max_points)
@@ -352,20 +358,32 @@ class _PartialProducts:
 
     def drop(self, b, a) -> MonotoneMap:
         """The map from spaces[b] onto spaces[a], for subsets[a] inside
-        subsets[b], that drops the other coordinates."""
+        subsets[b], that drops the other coordinates.  Its graph is the
+        kept digit columns read as one number, first coordinate slowest
+        (_product_index), folded here from the first kept column itself:
+        a single kept coordinate is its column, and keeping none is the
+        constant map onto the one point."""
         s, t = self.subsets[a], self.subsets[b]
-        graph = _product_index([self.digits[b][t.index(p)] for p in s],
-                               [self.sizes[p] for p in s], self.spaces[b].n)
+        digits, sizes = self.digits[b], self.sizes
+        graph = digits[t.index(s[0])] if s else (0,) * self.spaces[b].n
+        for p in s[1:]:
+            size = sizes[p]
+            graph = [g * size + d for g, d in zip(graph, digits[t.index(p)])]
         # dropping coordinates is monotone for componentwise orders
-        return MonotoneMap._trusted(self.spaces[b], self.spaces[a], graph)
+        return MonotoneMap._trusted(self.spaces[b], self.spaces[a],
+                                    tuple(graph))
 
 
 def _product_index(columns, sizes, n) -> tuple:
     """For each x < n, the index in product_space(factors) of the tuple
-    whose c-th coordinate is point columns[c][x] of the c-th factor,
-    of sizes[c] points: the first coordinate is the slowest digit."""
-    graph = [0] * n
-    for col, size in zip(columns, sizes):
+    whose c-th coordinate is point columns[c][x] of the c-th factor, of
+    sizes[c] points: the first coordinate is the slowest digit, so the
+    graph starts from its column.  No columns give the constant map onto
+    the product of no factors."""
+    if not columns:
+        return (0,) * n
+    graph = columns[0]
+    for col, size in zip(columns[1:], sizes[1:]):
         graph = [g * size + d for g, d in zip(graph, col)]
     return tuple(graph)
 
@@ -373,11 +391,18 @@ def _product_index(columns, sizes, n) -> tuple:
 def marginals_from_joint(spaces, joint: Valuation) -> dict:
     """Marginal per subset of factor positions, from a joint valuation
     on the full product (labels must be coordinate tuples in position
-    order, as product_space builds them)."""
+    order, as product_space builds them), read off one _PartialProducts
+    (_marginals)."""
     parts = _PartialProducts(tuple(spaces))
-    top = len(parts.subsets) - 1
-    if joint.space != parts.spaces[top]:
+    if joint.space != parts.spaces[-1]:
         raise ValimError("joint must live on the product of all factors")
+    return _marginals(parts, joint)
+
+
+def _marginals(parts: _PartialProducts, joint: Valuation) -> dict:
+    """joint, a valuation on parts.spaces[-1], pushed along the drop onto
+    every partial product, keyed by subset."""
+    top = len(parts.subsets) - 1
     return {s: image_valuation(parts.drop(top, a), joint)
             for a, s in enumerate(parts.subsets)}
 

@@ -37,6 +37,7 @@ __all__ = [
     "Document",
     "Query",
     "loads",
+    "read_path",
     "load_path",
     "dumps",
     "body_of",
@@ -425,12 +426,17 @@ def loads(text: str) -> Document:
     return Document(kind, value)
 
 
+def read_path(path: str) -> str:
+    """A document's raw text; BadDocument on any I/O trouble."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as err:
+        raise BadDocument(f"cannot read {path}: {err}")
+
+
 def load_path(path: str) -> tuple:
     """Returns (document, raw text); raises BadDocument on any I/O or
     parse trouble."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise BadDocument(f"cannot read {path}: {err}")
+    text = read_path(path)
     return loads(text), text

@@ -965,7 +965,8 @@ def steenrod_nonempty(sys, max_points: int = DEFAULT_MAX_POINTS) -> SteenrodResu
             if prev is not None:
                 allowed &= sys.steps[i - 1].preimage_mask(1 << prev)
             if allowed == 0:
-                raise ValimError("selection through eventual images failed")
+                raise ValimError(
+                    f"selection through eventual images failed at level {i}")
             prev = (allowed & -allowed).bit_length() - 1
             thread.append(xi.labels[prev])
         return SteenrodResult(tuple(thread), None)

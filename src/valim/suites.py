@@ -20,9 +20,10 @@ from random import Random
 
 from . import _kernels
 from .constructions import (
+    _PartialProducts,
+    _marginals,
     dk_product,
     ep_limit_valuation,
-    marginals_from_joint,
     prohorov_limit,
     uniform_tightness_check,
 )
@@ -37,7 +38,6 @@ from .generators import (
     rand_valued_poset_system,
     shrinking_injection_chain,
 )
-from .order import product_space
 from .projective import (
     EpLawViolation,
     Incompatible,
@@ -197,7 +197,9 @@ def suite_products(seed: int = 20231) -> str:
     read off a random joint: the extension equals the joint on every
     open of the materialized product (exhaustively when the open lattice
     is small enough to list, and by the weight-determination argument in
-    every case)."""
+    every case).  The joint is drawn on the top space of one
+    _PartialProducts and its marginals are read off the same products
+    (_marginals); dk_product builds its own, as any caller's."""
     rng = Random(seed)
     cases = 0
     enumerated = 0
@@ -208,14 +210,14 @@ def suite_products(seed: int = 20231) -> str:
                        edge_prob=rng.uniform(0.3, 0.8), prefix=f"f{p}_")
             for p in range(k)
         ]
-        prod, _ = product_space(factors)
-        joint = rand_valuation(rng, prod, max_den=4)
-        fam = marginals_from_joint(factors, joint)
-        dk = dk_product(factors, fam, validate=False)
-        aligned = Valuation(
-            dk.space,
-            tuple(joint.weights[prod.index[lab]] for lab in dk.space.labels),
-        )
+        parts = _PartialProducts(factors)
+        joint = rand_valuation(rng, parts.spaces[-1], max_den=4)
+        dk = dk_product(factors, _marginals(parts, joint), validate=False)
+        # the joint's weights in dk.space's point order, still scaled
+        den, ints = joint._scaled
+        index = joint.space.index
+        aligned = Valuation._from_scaled(
+            dk.space, den, tuple(ints[index[lab]] for lab in dk.space.labels))
         w = first_differing_open(dk.valuation, aligned)
         if w is not None:
             raise _Fail(f"differs on {w.members} (case {cases})")

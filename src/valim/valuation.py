@@ -160,7 +160,7 @@ class Valuation:
     def evaluate(self, arg) -> ExtRat:
         mask = arg.mask if isinstance(arg, UpSet) else arg
         if not self.space.is_upset(mask):
-            raise ValimError("valuations evaluate opens only")
+            raise _not_an_open(self.space, mask)
         den, ints = self._scaled
         total = 0
         m = mask
@@ -216,7 +216,12 @@ class TabulatedSetFunction:
         if len(self.masks) != len(self.values):
             raise ValimError("masks and values must be parallel")
         if len(set(self.masks)) != len(self.masks):
-            raise ValimError("duplicate masks in table")
+            first = {}
+            for k, m in enumerate(self.masks):
+                j = first.setdefault(m, k)
+                if j != k:
+                    raise ValimError(f"duplicate masks in table: rows {j} "
+                                     f"and {k} both hold {m:#b}")
         for v in self.values:
             if not isinstance(v, ExtRat):
                 raise ValimError(f"values must be ExtRat, got {v!r}")
@@ -275,6 +280,13 @@ def point_mass(space, label, mass=None) -> Valuation:
     weights = [ZERO] * space.n
     weights[space.index[label]] = ExtRat(1) if mass is None else ExtRat(mass)
     return Valuation(space, tuple(weights))
+
+
+def _not_an_open(space, mask) -> ValimError:
+    """The refusal of a mask that is not an up-set of space, naming its
+    points."""
+    return ValimError(f"valuations evaluate opens only: "
+                      f"{space.points_of(mask)!r} is not an up-set")
 
 
 def zero_valuation(space) -> Valuation:
@@ -434,7 +446,7 @@ def _decompose(table, masks_are_opens) -> Valuation:
     if not masks_are_opens:
         for mask in table.masks[:bad + 1]:
             if not space.is_upset(mask):
-                raise ValimError("valuations evaluate opens only")
+                raise _not_an_open(space, mask)
     if bad < len(got):
         raise NotSimple("weights do not reproduce the table",
                         space.points_of(table.masks[bad]))

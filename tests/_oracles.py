@@ -363,6 +363,21 @@ def brute_coordinate_graph(src: FiniteSpace, dst: FiniteSpace, keep):
                  for lab in src.labels)
 
 
+def brute_drop_graph(factors, t, s):
+    """The map from the product of the factors at positions t onto the
+    one at positions s, s inside t, that drops the other coordinates:
+    both products listed as label tuples in itertools.product order, each
+    big tuple cut to the coordinates of s and looked up among the small
+    ones."""
+    from itertools import product
+
+    small = {lab: k for k, lab in enumerate(
+        product(*(factors[p].labels for p in s)))}
+    keep = [t.index(p) for p in s]
+    return tuple(small[tuple(lab[c] for c in keep)]
+                 for lab in product(*(factors[p].labels for p in t)))
+
+
 def brute_subset_bonds(sys, subsets):
     """Every bond graph of a subset product system, (i, j) -> graph for
     each pair of subsets s <= t, by label lookup (brute_coordinate_graph)."""

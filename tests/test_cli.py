@@ -635,3 +635,39 @@ def test_repeated_calls_carry_nothing_over(tmp_path, capsys):
         with pytest.raises(SystemExit):
             fresh.parse_args(argv)
         assert capsys.readouterr().out == first
+
+
+def test_map_law_failure_reports_its_label_pair(tmp_path, capsys):
+    # monotonicity is checked as the document is read; the report names
+    # the pair a <= b whose images are out of order, as labels
+    body = {"schema": 1, "kind": "map", "src": CHAIN_AB, "dst": CHAIN_AB,
+            "graph": {"a": "b", "b": "a"}}
+    path = write(tmp_path, "map.json", json.dumps(body))
+    assert main(["--format", "json", "check", path]) == 1
+    captured = capsys.readouterr()
+    assert "map not monotone" in captured.err
+    rep = json.loads(captured.out)
+    assert (rep["kind"], rep["verdict"]) == ("map", "violation")
+    (entry,) = rep["violations"]
+    assert entry["error"] == "NotMonotone"
+    assert entry["witness"] == ["a", "b"]
+
+
+def test_witnesses_render_in_document_grammar():
+    from valim.cli import _violation_entry
+    from valim.constructions import LimitLawViolation
+    from valim.order import UpSet
+
+    up = UpSet(DIAMOND, 0b1010)
+    assert _violation_entry(LimitLawViolation(
+        "family floor", (ExtRat("1/3"), ExtRat("inf"))))["witness"] == [
+        "1/3", "inf"]
+    assert _violation_entry(LimitLawViolation(
+        "product marginal", ((0, 1), ("a", "top"))))["witness"] == [
+        [0, 1], ["a", "top"]]
+    # opens render as their members' labels, as before
+    assert _violation_entry(LimitLawViolation("x", (up, up)))["witness"] == [
+        ["a", "top"], ["a", "top"]]
+    assert _violation_entry(LimitLawViolation("x", up))["witness"] == [
+        "a", "top"]
+    assert _violation_entry(LimitLawViolation("x", 3))["witness"] == 3

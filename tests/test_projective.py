@@ -598,3 +598,18 @@ def test_find_dominating_level():
 def test_eventual_image_members_type():
     img = EventualImage(FiniteSpace(("a",), (1,)), 1, True)
     assert img.members == ("a",)
+
+
+def test_failed_selection_names_its_level(monkeypatch):
+    # with every image taken as the whole level, the bottom choice is
+    # "b", which the one point above does not map to
+    x0 = FiniteSpace(("b", "a"), (0b01, 0b10))
+    x1 = FiniteSpace(("c",), (0b1,))
+    ch = PrefixChain((x0, x1), (MonotoneMap(x1, x0, (1,)),))
+    assert steenrod_nonempty(ch).thread == ("a", "c")
+    monkeypatch.setattr(MonotoneMap, "image_mask",
+                        lambda f, mask: f.target.full_mask)
+    with pytest.raises(ValimError) as err:
+        steenrod_nonempty(ch)
+    assert str(err.value) == (
+        "selection through eventual images failed at level 1")

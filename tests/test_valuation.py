@@ -890,3 +890,35 @@ def test_first_differing_mask_edge_cases():
                 == brute_first_differing_mask(got, other, opens[::-1]))
     with pytest.raises(ValimError, match="different spaces"):
         first_differing_mask(nu, Valuation(SIER, (ONE, ONE)), [0])
+
+
+# --- refusals name their mask ---------------------------------------------
+
+CHAIN_AB = FiniteSpace(("a", "b"), (0b11, 0b10))
+
+
+def test_evaluate_off_the_opens_names_the_points():
+    # on the chain a < b, {a} is not an up-set
+    nu = Valuation(CHAIN_AB, (ONE, ONE))
+    with pytest.raises(ValimError) as err:
+        nu.evaluate(0b01)
+    assert str(err.value) == (
+        "valuations evaluate opens only: ('a',) is not an up-set")
+
+
+def test_decompose_off_the_opens_names_the_points():
+    # the weights reproduce every row, so the non-open row is what fails
+    table = TabulatedSetFunction(CHAIN_AB, (0b00, 0b01, 0b10, 0b11), tuple(
+        ExtRat(v) for v in (0, 1, 1, 2)))
+    with pytest.raises(ValimError) as err:
+        decompose_simple(table)
+    assert str(err.value) == (
+        "valuations evaluate opens only: ('a',) is not an up-set")
+
+
+def test_duplicate_masks_name_the_first_repeated_row():
+    masks = (0b00, 0b10, 0b11, 0b10, 0b11)
+    with pytest.raises(ValimError) as err:
+        TabulatedSetFunction(CHAIN_AB, masks, (ZERO,) * len(masks))
+    assert str(err.value) == (
+        "duplicate masks in table: rows 1 and 3 both hold 0b10")
