@@ -60,11 +60,11 @@ def valim_modules():
 def test_criterion_4_builds_one_product_table_per_case(monkeypatch):
     # the suite draws each joint on one _PartialProducts and reads its
     # marginals there; dk_product builds the only other one
-    calls = {"product_space": 0, "marginals_from_joint": 0, "dk_product": 0}
-    for name in calls:
-        real = getattr(constructions if name != "product_space" else order,
-                       name)
-
+    reals = {"product_space": order.product_space,
+             "marginals_from_joint": constructions.marginals_from_joint,
+             "dk_product": constructions.dk_product}
+    calls = dict.fromkeys(reals, 0)
+    for name, real in reals.items():
         def counting(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
