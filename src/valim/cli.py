@@ -22,7 +22,7 @@ from .constructions import (
     ep_limit_valuation,
     prohorov_limit,
 )
-from .documents import body_of, input_sha256, load_path, loads, read_path
+from .documents import body_of, input_sha256, load_path
 from .errors import BadDocument, SizeLimit, ValimError
 from .extreal import ExtRat
 from .gallery import GALLERY_NAMES, run_gallery
@@ -43,7 +43,7 @@ from .valuation import (
     is_tight,
     support_check,
 )
-from .documents import _ext_to_str, _parse_space, _parse_weights
+from .documents import _ext_to_str, _parse_space, _parse_weights, _read_text
 
 __all__ = ["main"]
 
@@ -130,16 +130,16 @@ def _lawful(v, max_opens):
 
 
 def _cmd_check(args) -> int:
-    text = read_path(args.path)
     try:
-        doc = loads(text)
+        doc, text = load_path(args.path)
     except (BadDocument, SizeLimit):
         raise
     except ValimError as err:
         # a law checked as the document is read, such as a map's
-        # monotonicity, is reported with its witness like any other
+        # monotonicity, is reported with its witness like any other,
+        # after the stderr line main prints for every law violation
         print(f"law violation: {err}", file=sys.stderr)
-        rep = _report("check", text, kind=json.loads(text)["kind"],
+        rep = _report("check", _read_text(args.path), kind=err.document_kind,
                       verdict="violation", violations=[_violation_entry(err)])
         _print_report(rep, args.format)
         return 1

@@ -360,31 +360,28 @@ class _PartialProducts:
         """The map from spaces[b] onto spaces[a], for subsets[a] inside
         subsets[b], that drops the other coordinates.  Its graph is the
         kept digit columns read as one number, first coordinate slowest
-        (_product_index), folded here from the first kept column itself:
-        a single kept coordinate is its column, and keeping none is the
-        constant map onto the one point."""
-        s, t = self.subsets[a], self.subsets[b]
-        digits, sizes = self.digits[b], self.sizes
-        graph = digits[t.index(s[0])] if s else (0,) * self.spaces[b].n
-        for p in s[1:]:
-            size = sizes[p]
-            graph = [g * size + d for g, d in zip(graph, digits[t.index(p)])]
+        (_product_index), so a single kept coordinate is its column and
+        keeping none is the constant map onto the one point."""
+        graph = _product_index(self.digits[b], self.subsets[b],
+                               self.subsets[a], self.sizes, self.spaces[b].n)
         # dropping coordinates is monotone for componentwise orders
-        return MonotoneMap._trusted(self.spaces[b], self.spaces[a],
-                                    tuple(graph))
+        return MonotoneMap._trusted(self.spaces[b], self.spaces[a], graph)
 
 
-def _product_index(columns, sizes, n) -> tuple:
-    """For each x < n, the index in product_space(factors) of the tuple
-    whose c-th coordinate is point columns[c][x] of the c-th factor, of
-    sizes[c] points: the first coordinate is the slowest digit, so the
-    graph starts from its column.  No columns give the constant map onto
-    the product of no factors."""
-    if not columns:
+def _product_index(columns, at, keep, sizes, n) -> tuple:
+    """For each x < n, the index in product_space of the factors at
+    positions keep of the tuple whose coordinate at position p is point
+    columns[at.index(p)][x] of factor p, of sizes[p] points.  The first
+    kept coordinate is the slowest digit, so the graph starts from its
+    column; keeping none gives the constant map onto the product of no
+    factors.  Positions index sizes directly, so no caller builds a
+    list per call."""
+    if not keep:
         return (0,) * n
-    graph = columns[0]
-    for col, size in zip(columns[1:], sizes[1:]):
-        graph = [g * size + d for g, d in zip(graph, col)]
+    graph = columns[at.index(keep[0])]
+    for p in keep[1:]:
+        size = sizes[p]
+        graph = [g * size + d for g, d in zip(graph, columns[at.index(p)])]
     return tuple(graph)
 
 
@@ -589,10 +586,11 @@ def _lifted_product(spaces, marginals, max_points, max_opens, validate,
     # last, so a point's coordinates index the lifted factors as they
     # index the plain ones
     sizes = parts.sizes
+    lifted_sizes = tuple(size + 1 for size in sizes)
     lifted_marginals = {}
     for i, s in enumerate(subsets):
         lifted_prod = lifted_sys.space(i)
-        at = _product_index(parts.digits[i], [sizes[p] + 1 for p in s],
+        at = _product_index(parts.digits[i], s, s, lifted_sizes,
                             parts.spaces[i].n)
         den, ints = marginals[s]._scaled
         weights = [0] * lifted_prod.n
@@ -625,8 +623,7 @@ def _lifted_product(spaces, marginals, max_points, max_opens, validate,
               for d in lifted_digits]
     projections = {}
     for i, s in enumerate(subsets):
-        graph = _product_index([digits[p] for p in s],
-                               [sizes[p] for p in s], space.n)
+        graph = _product_index(digits, subsets[-1], s, sizes, space.n)
         # space carries the componentwise order of the factors (lifting
         # only adds points below), so dropping coordinates is monotone
         projections[s] = MonotoneMap._trusted(space, parts.spaces[i], graph)

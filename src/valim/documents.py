@@ -26,7 +26,7 @@ from functools import reduce
 from math import gcd, inf, lcm
 from operator import or_
 
-from .errors import BadDocument, ValimError
+from .errors import BadDocument, SizeLimit, ValimError
 from .extreal import ExtRat
 from .order import FiniteSpace, MonotoneMap, space_from_covers, _hasse_covers
 from .projective import PosetSystem, PrefixChain, ValuedSystem
@@ -37,7 +37,6 @@ __all__ = [
     "Document",
     "Query",
     "loads",
-    "read_path",
     "load_path",
     "dumps",
     "body_of",
@@ -411,22 +410,30 @@ def loads(text: str) -> Document:
     kind = obj.get("kind")
     if kind not in KINDS:
         raise BadDocument(f"kind must be one of {', '.join(KINDS)}")
-    if kind == "space":
-        value = _parse_space(obj, "space")
-    elif kind == "valuation":
-        value = _parse_valuation(obj)
-    elif kind == "map":
-        value = _parse_map(obj)
-    elif kind == "system":
-        value = _parse_system(_require(obj, "system", dict, "system"))
-    elif kind == "valued-system":
-        value = _parse_valued_system(obj)
-    else:
-        value = _parse_query(obj)
+    try:
+        if kind == "space":
+            value = _parse_space(obj, "space")
+        elif kind == "valuation":
+            value = _parse_valuation(obj)
+        elif kind == "map":
+            value = _parse_map(obj)
+        elif kind == "system":
+            value = _parse_system(_require(obj, "system", dict, "system"))
+        elif kind == "valued-system":
+            value = _parse_valued_system(obj)
+        else:
+            value = _parse_query(obj)
+    except (BadDocument, SizeLimit):
+        raise
+    except ValimError as err:
+        # a law the value breaks, such as a map's monotonicity: valim
+        # check reports it under the document's kind
+        err.document_kind = kind
+        raise
     return Document(kind, value)
 
 
-def read_path(path: str) -> str:
+def _read_text(path: str) -> str:
     """A document's raw text; BadDocument on any I/O trouble."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -438,5 +445,5 @@ def read_path(path: str) -> str:
 def load_path(path: str) -> tuple:
     """Returns (document, raw text); raises BadDocument on any I/O or
     parse trouble."""
-    text = read_path(path)
+    text = _read_text(path)
     return loads(text), text

@@ -671,3 +671,23 @@ def test_witnesses_render_in_document_grammar():
     assert _violation_entry(LimitLawViolation("x", up))["witness"] == [
         "a", "top"]
     assert _violation_entry(LimitLawViolation("x", 3))["witness"] == 3
+
+
+def test_check_reads_its_document_through_load_path(tmp_path, capsys):
+    # check takes the (document, text) pair load_path gives, so a caller
+    # that swaps the loader swaps what check sees, on both outcomes
+    from unittest import mock
+
+    from valim import cli
+
+    ok = write(tmp_path, "space.json", json.dumps(
+        {"schema": 1, "kind": "space", **CHAIN_AB}))
+    bad = write(tmp_path, "map.json", json.dumps(
+        {"schema": 1, "kind": "map", "src": CHAIN_AB, "dst": CHAIN_AB,
+         "graph": {"a": "b", "b": "a"}}))
+    for path, code in ((ok, 0), (bad, 1)):
+        with mock.patch("valim.cli.load_path",
+                        wraps=cli.load_path) as loader:
+            assert main(["--format", "json", "check", path]) == code
+        loader.assert_called_once_with(path)
+        capsys.readouterr()
