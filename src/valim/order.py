@@ -158,6 +158,9 @@ class FiniteSpace:
         )
 
     def up_close(self, mask: int) -> int:
+        """The least up-set holding mask; ValimError for a mask with a
+        point outside the space."""
+        _inside(self, mask)
         out = 0
         m = mask
         while m:
@@ -167,6 +170,9 @@ class FiniteSpace:
         return out
 
     def down_close(self, mask: int) -> int:
+        """The least down-set holding mask; ValimError for a mask with a
+        point outside the space."""
+        _inside(self, mask)
         out = 0
         m = mask
         while m:
@@ -215,8 +221,6 @@ class UpSet:
     mask: int
 
     def __post_init__(self):
-        if self.mask & ~self.space.full_mask:
-            raise ValimError("mask outside the space")
         if not self.space.is_upset(self.mask):
             raise ValimError(
                 f"not upward closed: {self.space.points_of(self.mask)}"
@@ -243,6 +247,13 @@ class UpSet:
     def __le__(self, other: "UpSet") -> bool:
         _same_space(self.space, other.space)
         return self.mask & ~other.mask == 0
+
+
+def _inside(space: FiniteSpace, mask: int):
+    """Refuse a mask with a point outside space (a negative mask has
+    infinitely many)."""
+    if mask & ~space.full_mask:
+        raise ValimError("mask outside the space")
 
 
 def _same_space(a: FiniteSpace, b: FiniteSpace):

@@ -17,7 +17,8 @@ documents) and decode their weights or values on first read, through
 _ext; a publicly built one is scaled once, on first use.  evaluate,
 total and image_valuation (_push) sum those integers, and
 first_differing_mask compares two valuations by one sum of their
-difference, so an ExtRat is built only for a result.
+difference (_first_differing_upset carries that sum through the listing
+of every open), so an ExtRat is built only for a result.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import inf, lcm
 from operator import itemgetter, ne, or_
 
 from . import _kernels
-from .errors import ValimError
+from .errors import SizeLimit, ValimError
 from .extreal import INF, ZERO, ExtRat, way_below
 from .order import (
     DEFAULT_MAX_OPENS,
@@ -516,28 +517,69 @@ def first_differing_mask(nu_a: Valuation, nu_b: Valuation, masks):
     valuations differ; None when they agree on all of them.
 
     One _kernels.eval_weights call sums the finite weight difference
-    a - b, cross-multiplied onto one denominator, over every mask, so a
-    comparison over the whole open lattice adds no ExtRat.  Each side's
-    infinite points are kept as a mask: a mask differs when exactly one
-    side has an infinite point in it, or when neither has and the
-    difference sums to non-zero.  The masks are taken as given; pass
-    opens, where the values are the valuations'.  IndexError for a mask
-    with more points than the space.
+    (_difference) over every mask, so a comparison over the whole open
+    lattice adds no ExtRat; _differs decides the masks that hold an
+    infinite point.  The masks are taken as given; pass opens, where the
+    values are the valuations'.  IndexError for a mask with more points
+    than the space.
     """
+    weights, inf_a, inf_b = _difference(nu_a, nu_b)
+    sums = _kernels.eval_weights(weights, masks)
+    return next(compress(masks, _differs(masks, sums, inf_a, inf_b)), None)
+
+
+def _first_differing_upset(nu_a: Valuation, nu_b: Valuation, max_opens):
+    """The least open, by (size, mask), on which the two valuations
+    differ; None when they agree on every open.  The witness of
+    first_differing_mask(nu_a, nu_b, space.open_masks(max_opens)), and
+    SizeLimit at the same caps, with the same text.
+
+    The opens are listed unsorted with each one's sum of the finite
+    weight difference carried along (_kernels._upsets with weights), so
+    no open is evaluated after it is listed.  Every sum is zero exactly
+    when every packed entry lies in [0, 2^n), which one min and one max
+    decide; only a difference unpacks the list.  The space's cache of
+    its opens is neither read nor filled.
+    """
+    weights, inf_a, inf_b = _difference(nu_a, nu_b)
+    space = nu_a.space
+    n = space.n
+    packed = None if space._opens_past(max_opens) \
+        else _kernels._upsets(space.up, n, max_opens, weights)
+    if packed is None:
+        raise SizeLimit("open lattice", max_opens)
+    low = (1 << n) - 1
+    if not inf_a | inf_b and min(packed) >= 0 and max(packed) <= low:
+        return None
+    masks = [c & low for c in packed]
+    sums = [c >> n for c in packed]
+    differing = compress(masks, _differs(masks, sums, inf_a, inf_b))
+    return min(differing, key=lambda m: (m.bit_count(), m), default=None)
+
+
+def _difference(nu_a: Valuation, nu_b: Valuation) -> tuple:
+    """(weights, inf_a, inf_b): the finite weight difference a - b of two
+    valuations on one space, cross-multiplied onto one denominator, and
+    each side's mask of infinite points.  The difference at an infinite
+    point is 0 and never read: the masks that hold one are decided by
+    the two masks (_differs)."""
     if nu_a.space != nu_b.space:
         raise ValimError("valuations live on different spaces")
     (den_a, a), (den_b, b) = nu_a._scaled, nu_b._scaled
-    inf_a, inf_b = _inf_mask(a), _inf_mask(b)
-    # the difference at an infinite point is never read: the masks that
-    # hold one are decided by the two masks of infinite points
-    sums = _kernels.eval_weights(
-        [0 if x == inf or y == inf else x * den_b - y * den_a
-         for x, y in zip(a, b)], masks)
+    return ([0 if x == inf or y == inf else x * den_b - y * den_a
+             for x, y in zip(a, b)], _inf_mask(a), _inf_mask(b))
+
+
+def _differs(masks, sums, inf_a, inf_b) -> list:
+    """Per mask, whether the two valuations of _difference differ on it,
+    given the sums of their difference over masks: a mask differs when
+    exactly one side has an infinite point in it, or when neither has
+    and its sum is not zero."""
     either = inf_a | inf_b
-    if either:
-        sums = [(not m & inf_a) != (not m & inf_b) if m & either else s
-                for m, s in zip(masks, sums)]
-    return next(compress(masks, sums), None)
+    if not either:
+        return sums
+    return [(not m & inf_a) != (not m & inf_b) if m & either else s
+            for m, s in zip(masks, sums)]
 
 
 def first_differing_open(nu_a: Valuation, nu_b: Valuation):
@@ -552,8 +594,10 @@ def first_differing_open(nu_a: Valuation, nu_b: Valuation):
     opens agree (a point mass of infinite weight hides finite weight
     changes strictly below it), so raw weight comparison is only usable
     as a shortcut for the equal case.  The candidates are compared by
-    first_differing_mask; to compare every open instead, call that with
-    space.open_masks().
+    first_differing_mask; to compare every open instead, call
+    _first_differing_upset(nu_a, nu_b, max_opens), which names the same
+    witness as first_differing_mask over space.open_masks(max_opens)
+    without sorting or evaluating the lattice.
     """
     if nu_a.space != nu_b.space:
         raise ValimError("valuations live on different spaces")

@@ -11,11 +11,11 @@ from itertools import islice
 
 import pytest
 
-from valim import suites
+from valim import _kernels, suites
 from valim.constructions import LimitLawViolation
 from valim.errors import ValimError
 from valim.extreal import ONE, ZERO, ExtRat
-from valim.order import DEFAULT_MAX_OPENS, FiniteSpace, MonotoneMap
+from valim.order import MonotoneMap
 from valim.suites import SUITES, run_suite
 from valim.valuation import TabulatedSetFunction, Valuation
 
@@ -122,6 +122,27 @@ def test_products_compare_every_open(monkeypatch):
         assert not r.passed
         assert r.detail == f"open {space.up[k]:#b} (case {case})"
         k, points = k + 1, space.n
+
+
+def test_products_list_no_sorted_lattice_and_evaluate_no_column(
+        monkeypatch):
+    # every product open is compared by the sum carried through its
+    # listing, so a passing pass sorts no lattice and sums no column
+    calls = []
+
+    def record(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real[name](*args, **kwargs)
+        return call
+
+    real = {name: getattr(_kernels, name)
+            for name in ("enumerate_upsets", "eval_weights")}
+    for name in real:
+        monkeypatch.setattr(_kernels, name, record(name))
+    r = run_suite(4)
+    assert (r.passed, r.detail) == (True, DETAILS[4])
+    assert calls == []
 
 
 def test_tight_limits_compare_the_routes_on_every_open(monkeypatch):
@@ -285,14 +306,8 @@ def test_only_the_expected_refusals_are_skipped(monkeypatch):
     def refuse(*args, **kwargs):
         raise ValimError("injected")
 
-    real = FiniteSpace.open_masks
-
-    def open_masks(space, max_opens=DEFAULT_MAX_OPENS):
-        if max_opens == 1 << 14:
-            refuse()
-        return real(space, max_opens)
-
-    monkeypatch.setattr(FiniteSpace, "open_masks", open_masks)
+    # criterion 4 lists and compares every open in one call
+    monkeypatch.setattr(suites, "_first_differing_upset", refuse)
     monkeypatch.setattr(suites, "check_ep_system", refuse)
     for number in (4, 6):
         r = run_suite(number)

@@ -10,9 +10,15 @@ each is better higher or lower are read from the change's
 BENCHMARK.json.  Pair k runs every workload on seed k of --seeds, one
 `python3 perfbench/run.py` at a time: even pairs run the parent first,
 odd pairs the change first.  With --trace-seed, one --trace 1 run per
-side and workload follows on that seed, keeping every per-layer metric.  The summary gives, per workload and metric, each side's
-median and quartiles (statistics.quantiles, n=4, inclusive), the pairs
-the change won (ties count for neither side) and the ratio of medians.
+side and workload follows on that seed, keeping every per-layer metric.
+The summary gives, per workload and metric, each side's median and
+quartiles (statistics.quantiles, n=4, inclusive), the pairs the change
+won (ties count for neither side) and the ratio of medians.  It also
+states the verdict: per metric, whether the change's median is
+within the metric's `bound` of the parent's (a fraction of it, in the
+worse direction), and for the --claim metric whether the change won at
+least 9 pairs in 10 and beat the parent's median by more than the
+parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -96,11 +102,39 @@ def quartiles(values) -> dict:
             "q3": round(q3, 4)}
 
 
-def summarize(runs, metrics) -> dict:
+def within_bound(parent, change, better, bound) -> bool:
+    """Whether the change's median is worse than the parent's by no
+    more than bound, a fraction of the parent's."""
+    if better == "higher":
+        return change >= parent * (1 - bound)
+    return change <= parent * (1 + bound)
+
+
+def claim_verdict(parent, change, better, wins) -> dict:
+    """Whether a claimed gain holds on the two sides' values, pair k at
+    position k: the change won at least 9 pairs in 10, and its median is
+    better than the parent's by more than the parent's interquartile
+    range."""
+    q = quartiles(parent)
+    gap = statistics.median(change) - statistics.median(parent)
+    if better == "lower":
+        gap = -gap
+    iqr = q["q3"] - q["q1"]
+    enough_wins = 10 * wins >= 9 * len(parent)
+    return {"wins_9_of_10": enough_wins, "median_gain": round(gap, 4),
+            "parent_iqr": round(iqr, 4), "gain_past_iqr": gap > iqr,
+            "holds": enough_wins and gap > iqr}
+
+
+def summarize(runs, metrics, bounds=None, claim=None) -> dict:
     """Per workload: for each end-to-end metric (name -> "higher" or
     "lower") both sides' median and quartiles, the change's pair wins
     and the ratio of medians; then failures, attempts, correctness and
-    seeds.  runs are the trace-0 run records of run_pairs."""
+    seeds.  runs are the trace-0 run records of run_pairs.  With bounds
+    (name -> bound), each metric also states whether the change stays
+    within its bound; with claim, a (workload, metric) pair, that
+    metric states whether the claimed gain holds (claim_verdict)."""
+    bounds = bounds or {}
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -121,6 +155,13 @@ def summarize(runs, metrics) -> dict:
                 "median_ratio_change_over_parent":
                     round(change / parent, 3) if parent else None,
             }
+            if name in bounds:
+                out[name]["bound"] = bounds[name]
+                out[name]["within_bound"] = within_bound(
+                    parent, change, better, bounds[name])
+            if claim == (workload, name):
+                out[name]["claim"] = claim_verdict(
+                    values["parent"], values["change"], better, wins)
         for key in ("failed", "attempted"):
             out[key] = {side: sum(by[side, k][key] for k in pairs)
                         for side in SIDES}
@@ -185,6 +226,8 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         bench = json.load(f)
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]
+              if "bound" in m}
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     seeds = parse_seeds(args.seeds)
@@ -208,14 +251,16 @@ def main(argv=None) -> int:
                    f"odd pairs the change first; quartiles by "
                    f"statistics.quantiles(n=4, method='inclusive')",
     }
+    claim = None
     if args.claim:
         workload, metric, expected = args.claim.split(":", 2)
+        claim = (workload, metric)
         doc["claim"] = {"workload": workload, "metric": metric,
                         "expected": expected,
                         "seeds_note": args.seeds_note}
     runs = run_pairs(roots, workloads, seeds, seconds,
                      log=lambda line: print(line, file=sys.stderr))
-    doc["summary"] = summarize(runs, metrics)
+    doc["summary"] = summarize(runs, metrics, bounds, claim)
     if args.trace_seed is not None:
         doc["trace_per_layer"] = trace_layers(
             roots, workloads, args.trace_seed, seconds)
