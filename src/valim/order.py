@@ -159,8 +159,9 @@ class FiniteSpace:
 
     def up_close(self, mask: int) -> int:
         """The least up-set holding mask; ValimError for a mask with a
-        point outside the space."""
-        _inside(self, mask)
+        point outside the space (a negative mask has infinitely many)."""
+        if mask & ~self.full_mask:
+            raise ValimError("mask outside the space")
         out = 0
         m = mask
         while m:
@@ -171,8 +172,9 @@ class FiniteSpace:
 
     def down_close(self, mask: int) -> int:
         """The least down-set holding mask; ValimError for a mask with a
-        point outside the space."""
-        _inside(self, mask)
+        point outside the space (a negative mask has infinitely many)."""
+        if mask & ~self.full_mask:
+            raise ValimError("mask outside the space")
         out = 0
         m = mask
         while m:
@@ -247,13 +249,6 @@ class UpSet:
     def __le__(self, other: "UpSet") -> bool:
         _same_space(self.space, other.space)
         return self.mask & ~other.mask == 0
-
-
-def _inside(space: FiniteSpace, mask: int):
-    """Refuse a mask with a point outside space (a negative mask has
-    infinitely many)."""
-    if mask & ~space.full_mask:
-        raise ValimError("mask outside the space")
 
 
 def _same_space(a: FiniteSpace, b: FiniteSpace):
