@@ -226,8 +226,7 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         bench = json.load(f)
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]
-              if "bound" in m}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     seeds = parse_seeds(args.seeds)
