@@ -16,8 +16,9 @@ Three routes onto the limit of a compatible valued system:
   subsets of a factor list extends to the full product.  Pointed factors
   support this directly (dropping coordinates is a projection whose
   embedding pads with bottoms); for arbitrary factors (dk_product) the
-  full marginal is the extension when it pushes onto every other, and
-  lifting below fresh bottoms is left to refusals and to first reads.
+  full marginal is the extension.  Lifting below fresh bottoms, the
+  paper's proof, accepts exactly that product, so it is left to
+  refusals and to first reads.
 
 loccomp_certificate rounds the picture out: a way-below witness at one
 level is traded for a matched family of compact saturated sets, the
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations
 from math import inf, lcm, prod
-from operator import lt, ne
+from operator import ne
 
 from . import _kernels
 from .errors import SizeLimit, ValimError
@@ -165,15 +166,10 @@ class LimitValuation:
         return direct
 
 
-def _top_index(sys):
-    """A finite directed index set's top; a chain's last index."""
-    return sys.top_index() if sys.kind == "poset" else sys.last
-
-
 def marginal_family_from_joint(sys, joint: Valuation) -> ValuedSystem:
     """The compatible family obtained by pushing a top-level valuation
     down every bond.  Compatible by functoriality of pushforward."""
-    top = _top_index(sys)
+    top = sys.top_index()
     if joint.space != sys.space(top):
         raise ValimError("joint valuation must live on the top space")
     down = _bonds_to(sys, top)
@@ -185,7 +181,7 @@ def _ep_valuation(vs: ValuedSystem, limit: LimitSpace) -> Valuation:
     """The ep route's limit valuation: a materialized carrier is the top
     space in thread clothing, so the top marginal transports verbatim."""
     return Valuation._from_scaled(limit.space,
-                                  *vs.val(_top_index(vs.system))._scaled)
+                                  *vs.val(vs.system.top_index())._scaled)
 
 
 def _top_marginal(vs: ValuedSystem, limit: LimitSpace):
@@ -202,7 +198,7 @@ def _top_marginal(vs: ValuedSystem, limit: LimitSpace):
     O(points x levels).  P2 holds at t by P1, as nu_L has nu_t's
     weights.  The theorem is in uniform_tightness_check's docstring."""
     sys, space = vs.system, limit.space
-    top = _top_index(sys)
+    top = sys.top_index()
     xt = sys.space(top)
     if space.up != xt.up or limit.projection(top).graph != tuple(
             range(xt.n)):
@@ -240,15 +236,12 @@ def _check_limit_of(sys, limit: LimitSpace):
 
 
 def _assert_marginals(lv: LimitValuation):
-    """The marginal law at every index, in index order: scaled weights
-    are compared first (_pushes_to), and the first differing open is
-    looked for only where they differ, as an infinite weight can mask
-    finite ones below it."""
+    """The marginal law at every index, in index order.  Scaled weights
+    are compared first (first_differing_open), and the first differing
+    open is looked for only where they differ, as an infinite weight can
+    mask finite ones below it."""
     for i in lv.source.system.indices():
-        nu_i = lv.source.val(i)
-        if _pushes_to(lv.limit.projection(i), lv.valuation, nu_i):
-            continue
-        w = first_differing_open(lv.marginal(i), nu_i)
+        w = first_differing_open(lv.marginal(i), lv.source.val(i))
         if w is not None:
             raise LimitLawViolation("marginal", (i, w.members))
 
@@ -279,7 +272,7 @@ def ep_limit_valuation(vs: ValuedSystem,
     evaluation exact.  tests/test_limit_oracles.py checks the theorem
     against the per-open oracle.  The limit's opens are counted, not
     listed, under max_opens, as a size guard (SizeLimit past it:
-    FiniteSpace._opens_past); nothing is cached on the limit space, and
+    FiniteSpace._guard_opens); nothing is cached on the limit space, and
     a caller that compares over every open lists them itself
     (FiniteSpace.open_masks).
     """
@@ -295,8 +288,8 @@ def _ep_limit(vs: ValuedSystem, max_points, max_opens) -> LimitValuation:
     and ep laws hold, by a check or by construction.  max_opens=None
     skips the size guard."""
     limit = _materialize(vs.system, max_points)
-    if max_opens is not None and limit.space._opens_past(max_opens):
-        raise SizeLimit("open lattice", max_opens)
+    if max_opens is not None:
+        limit.space._guard_opens(max_opens)
     return LimitValuation(vs, limit, _ep_valuation(vs, limit), "ep")
 
 
@@ -481,8 +474,9 @@ class DkProduct:
     to it, projections the maps onto the partial products (keyed by
     subset).  lifted is the limit valuation on the product of the lifted
     factors, and restriction the support-check step that removes the
-    padding bottoms.  dk_product's lifted route builds both on first read
-    and caches them; == and repr leave them out.
+    padding bottoms (_lifted_product).  Both are built on first read and
+    cached, unless dk_product built them to decide; == and repr leave
+    them out.
     """
 
     spaces: tuple
@@ -490,13 +484,13 @@ class DkProduct:
     space: FiniteSpace
     valuation: Valuation
     projections: dict
-    # the lifted route's arguments after spaces
+    # _lifted_product's arguments after spaces
     _route: tuple = field(repr=False, compare=False)
 
     @cached_property
     def _lifted(self) -> tuple:
         """(lifted, restriction), built by the lifted route."""
-        return _lifted_product(self.spaces, *self._route)._lifted
+        return _lifted_product(self.spaces, *self._route)
 
     lifted = property(lambda self: self._lifted[0])
     restriction = property(lambda self: self._lifted[1])
@@ -515,24 +509,33 @@ def dk_product(spaces, marginals, max_points: int = DEFAULT_MAX_POINTS,
     s inside t, (p_st)+ nu_t = (p_st)+ (p_t)+ nu = (p_s)+ nu = nu_s: the
     family is compatible, and nu extends it with the marginal law holding.
 
-    The lifted route (_lifted_product) lifts each factor below a fresh
-    bottom, pads each marginal with zeros on the tuples that touch a
-    bottom, extends that family by the pointed construction, restricts
-    the lifted joint to the bottom-free tuples (support_check) and checks
-    the marginal law again.  Lifted bonds map bottom-free tuples as the
-    plain ones do, so equal plain weights are equal lifted weights: every
-    lifted check passes, with the same result.  So the lifted route runs
-    only when a push differs, on the plain products already built: for
-    an incompatible family (Incompatible names the same pair and witness)
-    or one whose finite weights an infinite weight masks (accepted).  Its
-    refusals before that come first, in its order: SizeLimit when the
-    lifted top product would pass max_points, then ValimError for the
-    first marginal missing or off its partial product.  lifted and
-    restriction are built on first read (DkProduct).
+    The paper's proof lifts each factor below a fresh bottom, pads each
+    marginal with zeros on the tuples that touch a bottom, extends that
+    family by the pointed construction and restricts the lifted joint to
+    the bottom-free tuples (_lifted_product).  That route decides where
+    a push differs: for an incompatible family, or one whose finite
+    weights an infinite weight masks.  What it accepts is the plain
+    product above:
+
+    * the bottom-free tuples at s are an up-set of the lifted product at
+      s, so every open of the plain product at s is a lifted open too;
+    * the padded marginals take their plain values on those opens, and
+      the padded joint weighs only bottom-free tuples;
+    * so lifted compatibility on the pair (s, full) is exactly the plain
+      marginal law at s, and an accepted family needs no second check;
+    * the restricted joint is nu on the plain top product, and its
+      projections drop coordinates as the plain ones do.
+
+    So the lifted route only refuses (Incompatible names the lifted pair
+    and witness) or builds lifted and restriction early; elsewhere they
+    are built on first read (DkProduct).  Refusals come in the lifted
+    route's order: SizeLimit when the lifted top product would pass
+    max_points, ValimError for the first marginal missing or off its
+    partial product, Incompatible, then the open count below.
 
     validate counts the lifted top product's opens under max_opens, as
     ep_limit_valuation's size guard (SizeLimit past it), rather than
-    listing them (FiniteSpace._opens_past); validate=False skips it, as
+    listing them (FiniteSpace._guard_opens); validate=False skips it, as
     that lattice can pass a million opens while the product takes
     milliseconds.  Every space built here is derived from the factors
     and trusted (FiniteSpace._trusted).
@@ -555,88 +558,52 @@ def _dk_product(spaces, marginals, max_points, max_opens, validate,
     family = _checked_family(marginals, parts.spaces, parts.subsets)
     subsets, top = parts.subsets, len(parts.subsets) - 1
     nu = family[subsets[top]]
-    projections = {}
-    for a, s in enumerate(subsets):
-        projections[s] = parts.drop(top, a)
-        if not _pushes_to(projections[s], nu, family[s]):
-            return _lifted_product(spaces, family, max_points, max_opens,
-                                   validate, parts)
+    projections = {s: parts.drop(top, a) for a, s in enumerate(subsets)}
+    route = (family, max_points, parts)
+    lifted = None
+    if not all(_pushes_to(projections[s], nu, family[s]) for s in subsets):
+        lifted = _lifted_product(spaces, *route)
     if validate:
-        big, _ = product_space([lift(sp) for sp in spaces], max_points)
-        if big._opens_past(max_opens):
-            raise SizeLimit("open lattice", max_opens)
+        product_space([lift(sp) for sp in spaces],
+                      max_points)[0]._guard_opens(max_opens)
     space = parts.spaces[top]
-    return DkProduct(spaces, subsets, space,
-                     Valuation._from_scaled(space, *nu._scaled),
-                     projections, (family, max_points, max_opens, False,
-                                   parts))
+    dk = DkProduct(spaces, subsets, space,
+                   Valuation._from_scaled(space, *nu._scaled), projections,
+                   route)
+    if lifted is not None:
+        dk.__dict__["_lifted"] = lifted
+    return dk
 
 
-def _lifted_product(spaces, marginals, max_points, max_opens, validate,
-                    parts=None) -> DkProduct:
-    """dk_product by the lifted route, with lifted and restriction built.
-    parts, when given, are the plain partial products, and marginals
-    have been checked against them."""
+def _lifted_product(spaces, family, max_points, parts) -> tuple:
+    """(lifted, restriction) of dk_product's lifted route, for a family
+    checked against the plain partial products parts: the marginals
+    padded with zeros on the tuples that touch a bottom and extended by
+    the pointed construction (Incompatible when they do not fit), and the
+    lifted joint restricted to the bottom-free tuples.  It weighs no
+    other tuple, so support_check scans no traces."""
     lifted_sys, subsets = subset_product_system(tuple(map(lift, spaces)),
                                                 max_points)
-    if parts is None:
-        parts = _PartialProducts(spaces, max_points)
-        marginals = _checked_family(marginals, parts.spaces, parts.subsets)
     # lift keeps a factor's points at their indices and adds its bottom
     # last, so a point's coordinates index the lifted factors as they
     # index the plain ones
-    sizes = parts.sizes
-    lifted_sizes = tuple(size + 1 for size in sizes)
+    lifted_sizes = tuple(size + 1 for size in parts.sizes)
     lifted_marginals = {}
     for i, s in enumerate(subsets):
         lifted_prod = lifted_sys.space(i)
         at = _product_index(parts.digits[i], s, s, lifted_sizes,
                             parts.spaces[i].n)
-        den, ints = marginals[s]._scaled
+        den, ints = family[s]._scaled
         weights = [0] * lifted_prod.n
         for x, w in zip(at, ints):
             weights[x] = w
         lifted_marginals[s] = Valuation._from_scaled(lifted_prod, den,
                                                      tuple(weights))
-    lifted_joint = _pointed_extension(lifted_sys, subsets, lifted_marginals,
-                                      max_points, None)
-    # the limit carrier is the top space in thread clothing: the thread's
-    # component at the top index is the plain coordinate tuple
-    big = lifted_joint.valuation.space
-    # the size guard counts the lifted opens; nothing lists them
-    if validate and big._opens_past(max_opens):
-        raise SizeLimit("open lattice", max_opens)
-    top = lifted_sys.top_index()
-    # the carrier's points are the lifted top product's; a thread is
-    # bottom-free when no coordinate sits on its factor's bottom
-    lifted_digits = [lifted_sys.bond(subsets.index((p,)), top).graph
-                     for p in range(len(spaces))]
-    clean = sum(1 << t for t, ds in enumerate(zip(*lifted_digits))
-                if all(map(lt, ds, sizes)))
-    restriction = support_check(lifted_joint.valuation, clean, max_opens)
-    rs = restriction.space
-    # the restriction's order under the threads' top components, which
-    # are distinct as the top component determines the thread
-    space = FiniteSpace._trusted(tuple(lab[top] for lab in rs.labels), rs.up)
-    valuation = Valuation._from_scaled(space, *restriction.valuation._scaled)
-    digits = [[d[t] for t in restriction.inclusion.graph]
-              for d in lifted_digits]
-    projections = {}
-    for i, s in enumerate(subsets):
-        graph = _product_index(digits, subsets[-1], s, sizes, space.n)
-        # space carries the componentwise order of the factors (lifting
-        # only adds points below), so dropping coordinates is monotone
-        projections[s] = MonotoneMap._trusted(space, parts.spaces[i], graph)
-        if _pushes_to(projections[s], valuation, marginals[s]):
-            continue
-        pushed = image_valuation(projections[s], valuation)
-        w = first_differing_open(pushed, marginals[s])
-        if w is not None:
-            raise LimitLawViolation("product marginal", (s, w.members))
-    dk = DkProduct(spaces, subsets, space, valuation, projections,
-                   (marginals, max_points, max_opens, False, parts))
-    dk.__dict__["_lifted"] = (lifted_joint, restriction)
-    return dk
+    lifted = _pointed_extension(lifted_sys, subsets, lifted_marginals,
+                                max_points, None)
+    # the limit carrier is the lifted top product in thread clothing, and
+    # at, the full subset's, lists its bottom-free tuples
+    return lifted, support_check(lifted.valuation, sum(1 << x for x in at))
 
 
 @dataclass(frozen=True)
@@ -751,7 +718,7 @@ def uniform_tightness_check(vs: ValuedSystem, limit: LimitSpace = None,
     True, with no failure, and mu is one column, nu_L's scaled weights
     summed over the limit's opens (_kernels.eval_weights).  The limit's
     opens are listed; each level's are only counted against max_opens
-    (FiniteSpace._opens_past), as no column runs there.  The paper's
+    (FiniteSpace._guard_opens), as no column runs there.  The paper's
     Prohorov theorem has content for infinite index sets (LazyChain),
     which no materialized limit reaches.
 
@@ -794,9 +761,9 @@ def uniform_tightness_check(vs: ValuedSystem, limit: LimitSpace = None,
         mu, failure = _tightness_walk(vs, limit, qmasks, den, level_ints,
                                       max_opens)
     else:
-        if any(sys.space(i)._opens_past(max_opens) for i in idxs):
-            raise SizeLimit("open lattice", max_opens)
-        top_col = _kernels.eval_weights(level_ints[_top_index(sys)], qmasks)
+        for i in idxs:
+            sys.space(i)._guard_opens(max_opens)
+        top_col = _kernels.eval_weights(level_ints[sys.top_index()], qmasks)
         mu = TabulatedSetFunction._from_scaled(
             limit.space, tuple(qmasks), den, tuple(top_col), "upsets")
         failure = None

@@ -193,19 +193,21 @@ class FiniteSpace:
         before it is listed, so a refusal caches nothing and lists
         nothing unless max_opens is small (_kernels.count_upsets)."""
         masks = self.__dict__.get("_open_masks")
-        if masks is None and not self._opens_past(max_opens):
+        if masks is None:
+            self._guard_opens(max_opens)
             masks = _kernels.enumerate_upsets(self.up, self.n, max_opens)
             self.__dict__["_open_masks"] = masks
-        if masks is None or len(masks) > max_opens:
+        elif len(masks) > max_opens:
             raise SizeLimit("open lattice", max_opens)
         return masks
 
-    def _opens_past(self, max_opens: int) -> bool:
-        """Whether there are more than max_opens opens, counted rather
-        than listed, and only when 2^n passes max_opens, as fewer points
-        cannot have that many."""
-        return (1 << self.n > max_opens
-                and _kernels.count_upsets(self.up, self.n, max_opens) is None)
+    def _guard_opens(self, max_opens: int):
+        """SizeLimit when there are more than max_opens opens, counted
+        rather than listed, and only when 2^n passes max_opens, as fewer
+        points cannot have that many."""
+        if (1 << self.n > max_opens
+                and _kernels.count_upsets(self.up, self.n, max_opens) is None):
+            raise SizeLimit("open lattice", max_opens)
 
     def bottom(self):
         """The least point, or None if there is no single least point."""

@@ -232,6 +232,11 @@ class _Chain:
     def designated_ub(self, i, j) -> int:
         return max(i, j)
 
+    def top_index(self) -> int:
+        """The last index: a PrefixChain's last prefix level, a
+        LazyChain's depth."""
+        return self.last
+
     def given(self):
         return self.covers()
 
@@ -268,9 +273,6 @@ class PrefixChain(_Chain):
     @property
     def last(self) -> int:
         return len(self.spaces) - 1
-
-    def top_index(self) -> int:
-        return self.last
 
     def space(self, i) -> FiniteSpace:
         spaces = self.spaces
@@ -445,16 +447,15 @@ def check_compatibility(vs: ValuedSystem) -> ValuedSystem:
 
 
 def _compatibility_scan(vs: ValuedSystem):
-    """check_compatibility over every index pair, in (i, j) order."""
+    """check_compatibility over every index pair, in (i, j) order;
+    first_differing_open compares the scaled weights before any open."""
     sys = vs.system
     for i in sys.indices():
         for j in sys.indices():
             if not sys.index_leq(i, j):
                 continue
-            f = sys.bond(i, j)
-            if _pushes_to(f, vs.val(j), vs.val(i)):
-                continue
-            w = first_differing_open(vs.val(i), image_valuation(f, vs.val(j)))
+            pushed = image_valuation(sys.bond(i, j), vs.val(j))
+            w = first_differing_open(vs.val(i), pushed)
             if w is not None:
                 raise Incompatible(i, j, w)
 

@@ -33,7 +33,7 @@ from math import inf, lcm
 from operator import itemgetter, ne, or_
 
 from . import _kernels
-from .errors import SizeLimit, ValimError
+from .errors import ValimError
 from .extreal import INF, ZERO, ExtRat, way_below
 from .order import (
     DEFAULT_MAX_OPENS,
@@ -544,10 +544,8 @@ def _first_differing_upset(nu_a: Valuation, nu_b: Valuation, max_opens):
     weights, inf_a, inf_b = _difference(nu_a, nu_b)
     space = nu_a.space
     n = space.n
-    packed = None if space._opens_past(max_opens) \
-        else _kernels._upsets(space.up, n, max_opens, weights)
-    if packed is None:
-        raise SizeLimit("open lattice", max_opens)
+    space._guard_opens(max_opens)
+    packed = _kernels._upsets(space.up, n, max_opens, weights)
     low = (1 << n) - 1
     if not inf_a | inf_b and min(packed) >= 0 and max(packed) <= low:
         return None
@@ -720,15 +718,30 @@ def _check_covers(table, opens):
     every up-set inside an open other than itself lies inside a lower
     cover (_walk_below).  The lower covers of u are the u minus x, x
     minimal in u: one comprehension per point x, over the opens x is
-    minimal in.  The refusal names no open."""
+    minimal in.  The refusal's witness is the first outweighed open, in
+    (size, mask) order, and the least point whose removal gives a cover
+    that outweighs it."""
     value = dict(zip(table.masks, table._scaled[1]))
-    down = table.space.down
-    for x in range(table.space.n):
+    space = table.space
+    down = space.down
+    first = None
+    for x in range(space.n):
         bit = 1 << x
         low = down[x]
-        if [u for u in opens
-                if u & low == bit and value[u ^ bit] > value[u]]:
-            raise ValimError("inf over neighborhoods missed the direct value")
+        hit = [u for u in opens
+               if u & low == bit and value[u ^ bit] > value[u]]
+        # a later point names only a strictly earlier open
+        if hit and (first is None or (hit[0].bit_count(), hit[0])
+                    < (first[0].bit_count(), first[0])):
+            first = hit[0], x
+    if first is not None:
+        u, x = first
+        err = ValimError(
+            f"inf over neighborhoods missed the direct value: the open "
+            f"{space.points_of(u)!r} is worth less than its lower cover "
+            f"without {space.labels[x]!r}")
+        err.witness = (UpSet(space, u), space.labels[x])
+        raise err
 
 
 def nu_bullet(nu, max_opens: int = DEFAULT_MAX_OPENS) -> TabulatedSetFunction:

@@ -726,7 +726,8 @@ def checked_prohorov_limit(vs, report=None, max_points=DEFAULT_MAX_POINTS,
 
 def walked_nu_bullet(nu, max_opens=DEFAULT_MAX_OPENS):
     """nu_bullet by a walk of the open lattice that compares each open's
-    value with its lower covers' (_walk_below)."""
+    value with its lower covers' (_walk_below), refusing at the first
+    open a cover outweighs (outweighed)."""
     table, opens = _as_table(nu, max_opens)
     den, ints = table._scaled
     key_of = dict(zip(table.masks, ints))
@@ -734,11 +735,27 @@ def walked_nu_bullet(nu, max_opens=DEFAULT_MAX_OPENS):
     def check(u, below):
         own = key_of[u]
         if any(k > own for k in below):
-            raise ValimError("inf over neighborhoods missed the direct value")
+            raise outweighed(table.space, u, below, lambda k: k > own)
         return own
     _walk_below(table.space, opens, check)
     return TabulatedSetFunction._from_scaled(table.space, table.masks, den,
                                              ints, "upsets")
+
+
+def outweighed(space, u, below, outweighs):
+    """The cover check's refusal where a walk stops at the open u, below
+    holding the walk's results at u's lower covers, u minus x for x
+    minimal in u, in ascending x: it names u and the least x whose
+    result outweighs u."""
+    minimal = [x for x in range(space.n)
+               if u >> x & 1 and space.down[x] & u == 1 << x]
+    x = next(x for x, got in zip(minimal, below) if outweighs(got))
+    err = ValimError(
+        f"inf over neighborhoods missed the direct value: the open "
+        f"{space.points_of(u)!r} is worth less than its lower cover "
+        f"without {space.labels[x]!r}")
+    err.witness = (UpSet(space, u), space.labels[x])
+    return err
 
 
 class EagerTightnessWitnesses(Mapping):
@@ -790,8 +807,8 @@ class EagerTightnessWitnesses(Mapping):
 
 def walked_is_tight(nu, max_opens=DEFAULT_MAX_OPENS):
     """is_tight by one walk that builds each open's staircase from its
-    lower covers' and refuses an open worth less than the best record
-    below it, with nu_bullet's ValimError."""
+    lower covers' and refuses the first open worth less than the best
+    record below it, with nu_bullet's ValimError (outweighed)."""
     table, opens = _as_table(nu, max_opens)
     den, ints = table._scaled
     keys = [ints[table._index[u]] for u in opens]
@@ -805,7 +822,8 @@ def walked_is_tight(nu, max_opens=DEFAULT_MAX_OPENS):
                 top = keys[p]
         own = keys[pos[u]]
         if top > own:
-            raise ValimError("inf over neighborhoods missed the direct value")
+            raise outweighed(table.space, u, below,
+                             lambda stair: keys[stair[-1]] > own)
         if own > top:
             stair.append(pos[u])
         return stair

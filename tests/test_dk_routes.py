@@ -1,16 +1,22 @@
 """dk_product decides on the plain partial products and runs the lifted
-route only where that cannot accept.  Its docstring proves the two agree;
-here the lifted route, kept as constructions._lifted_product, is the
-oracle: on every kind of family, lawful or not, both give the same
-product or the same refusal.  lifted and restriction are built on first
-read, once.
+route only where that cannot accept.  Its docstring proves that the
+lifted route accepts exactly the plain product; here a reference that
+runs neither checks it.  On every kind of family, lawful or not, an
+accepted product matches the componentwise order (brute_product_up), the
+coordinate drops (brute_drop_graph) and the full marginal's weights; its
+lifted and restriction match pointed_product_valuation on the lifted
+factors followed by support_check; and a refusal has the reference's
+type, text and vars.  lifted and restriction are built on first read,
+once.
 """
 
 import json
 import pickle
 import random
 from dataclasses import FrozenInstanceError
+from itertools import combinations, product
 from math import prod
+from operator import ne
 
 import pytest
 from hypothesis import given, settings
@@ -20,17 +26,23 @@ from valim import (
     FiniteSpace,
     Incompatible,
     PosetSystem,
+    SizeLimit,
+    ValimError,
     Valuation,
     dk_product,
     lift,
     marginals_from_joint,
+    pointed_product_valuation,
     product_space,
+    support_check,
 )
 from valim import _kernels, cli, constructions
 from valim.cli import main
 from valim.documents import dumps
-from valim.extreal import INF, ONE
+from valim.extreal import INF, ONE, ZERO
 from valim.generators import rand_poset, rand_valuation
+
+from _oracles import brute_drop_graph, brute_product_up
 
 CHAIN2 = FiniteSpace(("lo", "hi"), (0b11, 0b10))
 
@@ -114,13 +126,62 @@ def outcome(build, args):
             dk.lifted.valuation, dk.restriction)
 
 
+def by_the_lifted_route(factors, family, max_points, max_opens, validate):
+    """outcome of dk_product as the paper builds it, with neither
+    dk_product nor its partial products: the lifted top product's size
+    first, then the family against products ordered by brute_product_up,
+    then each marginal padded with zeros onto the lifted partial product
+    and extended by pointed_product_valuation (its compatibility check
+    and open count, which max_opens=None skips when validate is off).
+    An accepted product is the plain one: the full marginal's weights,
+    the coordinate drops of brute_drop_graph, and the lifted joint
+    restricted by support_check to the tuples that avoid every bottom."""
+    subsets = [s for r in range(len(factors) + 1)
+               for s in combinations(range(len(factors)), r)]
+    try:
+        if prod(f.n + 1 for f in factors) > max_points:
+            raise SizeLimit("product points", max_points)
+        plain = {s: FiniteSpace(
+            tuple(product(*(factors[p].labels for p in s))),
+            tuple(brute_product_up([factors[p] for p in s])))
+            for s in subsets}
+        for s in subsets:
+            if s not in family:
+                raise ValimError(f"marginal missing for subset {s!r}")
+            if family[s].space != plain[s]:
+                raise ValimError(
+                    f"marginal at {s!r} does not live on that partial "
+                    f"product")
+        lifted = [lift(f) for f in factors]
+        padded = {}
+        for s in subsets:
+            space, _ = product_space([lifted[p] for p in s])
+            weights = [ZERO] * space.n
+            for lab, w in family[s].labels_weights():
+                weights[space.index[lab]] = w
+            padded[s] = Valuation(space, tuple(weights))
+        joint = pointed_product_valuation(lifted, padded, max_points,
+                                          max_opens if validate else None)
+    except Exception as e:  # noqa: BLE001 - the refusal is the outcome
+        return type(e), str(e), vars(e)
+    # a thread's last component is its tuple at the full subset
+    bottoms = [f.bottom() for f in lifted]
+    carrier = joint.valuation.space
+    clean = carrier.mask_of([lab for lab in carrier.labels
+                             if all(map(ne, lab[-1], bottoms))])
+    full = subsets[-1]
+    space = plain[full]
+    return (space, Valuation(space, family[full].weights),
+            {s: (space, plain[s], brute_drop_graph(factors, full, s))
+             for s in subsets},
+            joint.valuation, support_check(joint.valuation, clean))
+
+
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(CASES))
 @settings(max_examples=250, deadline=None)
 def test_dk_product_matches_the_lifted_route(seed, case):
     args = case_arguments(seed, case)
-    want = outcome(constructions._lifted_product, args)
-    got = outcome(dk_product, args)
-    assert got == want
+    assert outcome(dk_product, args) == by_the_lifted_route(*args)
 
 
 def test_every_case_kind_reaches_its_outcome():

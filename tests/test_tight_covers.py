@@ -4,27 +4,34 @@ A table is refused exactly where some lower cover of an open outweighs
 that open, and a Valuation is never checked; is_tight's witnesses are
 built on first read.  The oracles in _oracles.py are the two functions
 as they ran before: nu_bullet's walk of the open lattice, and is_tight's
-eager staircase walk with its own refusal.  Valuations, raw tables,
-tables with one outweighed open, tables with masked infinities and
-tables listed out of lattice order must give the same verdicts, the
-same refusals and equal witness mappings, read in any order.
+eager staircase walk with its own refusal, which names the open where
+the walk stops and its outweighing cover.  Valuations, raw tables,
+tables with one or several outweighed opens, tables with masked
+infinities and tables listed out of lattice order must give the same
+verdicts, the same refusals (type, text and witness) and equal witness
+mappings, read in any order.
 """
 
 import pickle
 import random
 from itertools import islice
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valim import (
     ExtRat,
+    FiniteSpace,
     TabulatedSetFunction,
+    UpSet,
+    ValimError,
     is_tight,
     mu_circ,
     nu_bullet,
 )
-from valim.extreal import INF, ZERO
+from valim.cli import _violation_entry
+from valim.extreal import INF, ONE, ZERO
 from valim.generators import rand_poset, rand_valuation
 
 from _oracles import walked_is_tight, walked_nu_bullet
@@ -32,7 +39,8 @@ from _oracles import walked_is_tight, walked_nu_bullet
 seeds = st.integers(min_value=0, max_value=10_000)
 
 KINDS = ("valuation", "infinite weights", "monotone", "outweighed",
-         "masked", "shuffled")
+         "several outweighed", "masked", "shuffled")
+OUTWEIGHED = ("outweighed", "several outweighed")
 READS = ("len", "ascending", "items", "lookup", "pickle")
 
 
@@ -46,14 +54,15 @@ def case(rng, kind):
         # finite weights below infinite ones, read as a table
         return rand_valuation(rng, sp, inf_prob=0.4).tabulate()
     if kind == "shuffled":
-        table = case(rng, rng.choice(("monotone", "outweighed", "masked")))
+        table = case(rng, rng.choice(("monotone", "masked") + OUTWEIGHED))
         rows = list(zip(table.masks, table.values))
         rng.shuffle(rows)
         masks, values = zip(*rows)
         return TabulatedSetFunction(table.space, masks, values)
     # the monotone hull of a raw table whose values are all positive, so
     # that lowering one non-empty open to 0 makes its covers outweigh it
-    # and no other open changes its standing
+    # and no other open changes its standing; lowering several leaves
+    # the smallest of them outweighed by every cover
     masks = tuple(sp.open_masks())
     raw = TabulatedSetFunction(sp, masks, tuple(
         INF if rng.random() < 0.1 else ExtRat(rng.randint(1, 9), 4)
@@ -61,6 +70,9 @@ def case(rng, kind):
     values = list(mu_circ(raw).values)
     if kind == "outweighed":
         values[rng.randrange(1, len(masks))] = ZERO
+    elif kind == "several outweighed":
+        for k in rng.sample(range(1, len(masks)), min(len(masks) - 1, 3)):
+            values[k] = ZERO
     return TabulatedSetFunction(sp, masks, tuple(values))
 
 
@@ -68,7 +80,7 @@ def outcome(fn, nu):
     try:
         return "ok", fn(nu)
     except Exception as e:  # the two sides must refuse alike
-        return "raised", type(e), str(e)
+        return "raised", type(e), str(e), vars(e)
 
 
 def assert_same_witnesses(new, old, reads):
@@ -105,7 +117,7 @@ def assert_same_witnesses(new, old, reads):
 def test_cover_check_matches_the_eager_walk(seed, kind, reads):
     nu = case(random.Random(seed), kind)
     got, want = outcome(is_tight, nu), outcome(walked_is_tight, nu)
-    if kind == "outweighed":
+    if kind in OUTWEIGHED:
         assert want[0] == "raised"
     if kind in ("valuation", "infinite weights", "monotone", "masked"):
         assert want[0] == "ok"
@@ -128,3 +140,26 @@ def test_cover_check_matches_the_eager_walk(seed, kind, reads):
             old.space, old.masks, old.on, old._scaled)
         assert list(new.values) == list(old.values)
 
+
+
+ANTI = FiniteSpace(("x", "y"), (0b01, 0b10))
+
+
+def test_the_refusal_names_the_first_outweighed_open_and_its_cover():
+    # one outweighed open, which both covers outweigh: the least point
+    # names the cover; then two, where the later point's open comes first
+    two = ExtRat(2)
+    for values, (u, x) in (((ZERO, two, ONE, ZERO), (0b11, "x")),
+                           ((ONE, two, ZERO, ZERO), (0b10, "y"))):
+        table = TabulatedSetFunction(ANTI, (0, 0b01, 0b10, 0b11), values)
+        for check in (nu_bullet, is_tight):
+            with pytest.raises(ValimError) as e:
+                check(table)
+            err = e.value
+            members = ANTI.points_of(u)
+            assert str(err) == (
+                "inf over neighborhoods missed the direct value: the open "
+                f"{members!r} is worth less than its lower cover without "
+                f"{x!r}")
+            assert err.witness == (UpSet(ANTI, u), x)
+            assert _violation_entry(err)["witness"] == [list(members), x]

@@ -603,8 +603,9 @@ def test_nu_bullet_and_mu_circ_match_brute_inf_and_sup(seed, n):
 
 def test_nu_bullet_refuses_a_table_that_is_not_monotone():
     table = TabulatedSetFunction(SIER, (0, 0b10, 0b11), (ZERO, ONE, ZERO))
-    with pytest.raises(ValimError, match="inf over neighborhoods"):
+    with pytest.raises(ValimError, match="inf over neighborhoods") as e:
         nu_bullet(table)
+    assert e.value.witness == (UpSet(SIER, 0b11), "bot")
 
 
 @given(seeds, st.integers(min_value=1, max_value=5))
@@ -622,8 +623,10 @@ def test_is_tight_refuses_exactly_the_tables_nu_bullet_refuses(seed, n):
         try:
             nu_bullet(table)
         except ValimError as err:
-            with pytest.raises(ValimError, match=str(err)):
+            with pytest.raises(ValimError) as again:
                 is_tight(table)
+            assert (str(again.value), vars(again.value)) == (str(err),
+                                                             vars(err))
             continue
         rep = is_tight(table)
         matches, witnesses, failure = brute_tightness(table)
